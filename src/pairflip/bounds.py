@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .census import cone_stats, k0_asymptotic, sector_dim
+from .census import cone_stats, drift_velocity, k0_asymptotic, sector_dim
 from .errors import UsageError
+from .walks import check_alphabet, check_size
 
 
 @dataclass(frozen=True)
@@ -27,18 +28,7 @@ class BoundValue:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
 
-def _check_chain_args(n: int, length: int) -> None:
-    if n < 2:
-        raise UsageError(f"alphabet size must be at least 2, got {n}")
-    if length < 1:
-        raise UsageError(f"length must be positive, got {length}")
-
-
-def mean_depth_fraction(n: int) -> Fraction:
-    """Equilibrium depth per site, (n-2)/n."""
-    if n < 2:
-        raise UsageError(f"alphabet size must be at least 2, got {n}")
-    return Fraction(n - 2, n)
+mean_depth_fraction = drift_velocity
 
 
 def _profile_constant(n: int, x: float) -> float:
@@ -60,7 +50,7 @@ def thm1_gap_upper(n: int, length: int) -> BoundValue:
     for n >= 3, the fitted large-L asymptotic of the same ratio. Odd
     lengths have no frozen sectors, so the bound does not apply there.
     """
-    _check_chain_args(n, length)
+    check_size(n, length)
     if length % 2:
         raise UsageError("frozen sectors need an even length")
     exact = Fraction(sector_dim(n, length, 0), n**length)
@@ -74,8 +64,7 @@ def thm1_gap_upper(n: int, length: int) -> BoundValue:
 
 def n2_gap_window(length: int) -> tuple[float, float]:
     """Two-symbol nonlocal gap window (1/(pi L), sqrt(8/(pi L)))."""
-    if length < 1:
-        raise UsageError(f"length must be positive, got {length}")
+    check_size(2, length)
     return 1.0 / (math.pi * length), math.sqrt(8.0 / (math.pi * length))
 
 
@@ -95,7 +84,7 @@ def thm3_charge_time_lower(n: int, length: int, gamma: float) -> BoundValue:
     the value is still evaluated but flagged invalid; the weaker
     comparison constant D_gamma is reported in the meta.
     """
-    _check_chain_args(n, length)
+    check_size(n, length)
     if gamma < 0 or gamma >= 1:
         raise UsageError(f"gamma must lie in [0, 1), got {gamma}")
     v = float(mean_depth_fraction(n))
@@ -145,7 +134,7 @@ def thm2_entropy_time_lower(n: int, length: int, gamma: float) -> BoundValue:
     ``gamma_* = 2 (1 - v ln(n-1)/ln n)``; for n = 2 and for any n where
     gamma_* >= 1 the window is empty and every evaluation is flagged.
     """
-    _check_chain_args(n, length)
+    check_size(n, length)
     if not 0 < gamma < 1:
         raise UsageError(f"gamma must lie in (0, 1), got {gamma}")
     v = float(mean_depth_fraction(n))
@@ -182,8 +171,7 @@ def thm2_entropy_time_lower(n: int, length: int, gamma: float) -> BoundValue:
 
 def entropy_offset(n: int) -> float:
     """Additive constant of the entropy envelope, 1/e + 2 ln(n-1) - ln n."""
-    if n < 2:
-        raise UsageError(f"alphabet size must be at least 2, got {n}")
+    check_alphabet(n)
     return 1 / math.e + 2 * math.log(n - 1) - math.log(n)
 
 
@@ -199,7 +187,7 @@ def entropy_bound_curve(
     not controlled, so the value is flagged rather than interpolated.
     At t = 0, d = 0 the envelope is exactly ``L ln n + c``.
     """
-    _check_chain_args(n, length)
+    check_size(n, length)
     if not 0 <= depth <= length:
         raise UsageError(f"depth {depth} outside [0, {length}]")
     if t < 0:

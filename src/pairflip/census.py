@@ -21,12 +21,24 @@ import mpmath
 import numpy as np
 
 from .errors import ResourceCapError, UsageError
-from .walks import sector_count_closed
+from .walks import (
+    all_states,
+    check_alphabet,
+    check_cone_depth,
+    check_size,
+    enumerate_sectors,
+    reduce_states,
+    sector_count_closed,
+    sector_index,
+)
 
 
 def drift_velocity(n: int) -> Fraction:
-    """Mean depth gain per site of a uniformly random string, v_N = 1 - 2/N."""
-    _check_alphabet(n)
+    """Mean depth gain per site of a uniformly random string, v_N = 1 - 2/N.
+
+    Also the equilibrium depth per site, (N-2)/N.
+    """
+    check_alphabet(n)
     return Fraction(n - 2, n)
 
 
@@ -36,13 +48,8 @@ def tree_walk_spectral_radius(n: int) -> float:
     Governs the exponential decay of the trivial-sector fraction:
     |K_0| / N^L ~ L^(-3/2) * rho^L.
     """
-    _check_alphabet(n)
+    check_alphabet(n)
     return 2.0 * math.sqrt(n - 1.0) / n
-
-
-def _check_alphabet(n: int) -> None:
-    if n < 2:
-        raise UsageError(f"alphabet size must be >= 2, got {n}")
 
 
 # Row cache for the dimension DP, keyed by alphabet size. Rows are immutable
@@ -75,7 +82,7 @@ def _dims_row(n: int, length: int) -> tuple[int, ...]:
 
 def sector_dim(n: int, length: int, depth: int) -> int:
     """Size of one depth-`depth` sector of a length-`length` chain; 0 if none exists."""
-    _check_alphabet(n)
+    check_alphabet(n)
     if length < 0 or depth < 0 or depth > length or (length - depth) % 2:
         return 0
     return _dims_row(n, length)[depth]
@@ -83,7 +90,7 @@ def sector_dim(n: int, length: int, depth: int) -> int:
 
 def multiplicity(n: int, depth: int) -> int:
     """Number of distinct sectors at a given depth: 1 at the root, else N(N-1)^(d-1)."""
-    _check_alphabet(n)
+    check_alphabet(n)
     if depth < 0:
         raise UsageError(f"depth must be >= 0, got {depth}")
     if depth == 0:
@@ -91,9 +98,7 @@ def multiplicity(n: int, depth: int) -> int:
     return n * (n - 1) ** (depth - 1)
 
 
-def sector_count(n: int, length: int) -> int:
-    """Total number of sectors of a length-L chain, over all depths of matching parity."""
-    return sector_count_closed(n, length)
+sector_count = sector_count_closed
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,7 @@ def sector_dims(n: int, length: int) -> SectorCensus:
     Production path is the integer recurrence; for a two-symbol alphabet the
     tree is a line and the dimensions are plain binomials, returned directly.
     """
-    _check_alphabet(n)
-    if length < 0:
-        raise UsageError("length must be >= 0")
+    check_size(n, length, 0)
     valid = range(length % 2, length + 1, 2)
     if n == 2:
         dims = {d: math.comb(length, (length + d) // 2) for d in valid}
@@ -162,7 +165,7 @@ def k0_exact_closed(n: int, length: int) -> int:
     Exact rational arithmetic throughout; cross-check route only, the DP
     recurrence stays the production path. Zero for odd or negative lengths.
     """
-    _check_alphabet(n)
+    check_alphabet(n)
     if length < 0 or length % 2:
         return 0
     if length == 0:
@@ -186,7 +189,7 @@ def kd_exact_closed(n: int, length: int, depth: int) -> int:
     exact rationals are mandatory and the DP recurrence stays the production
     path. Zero when no such sector exists.
     """
-    _check_alphabet(n)
+    check_alphabet(n)
     if length < 0 or depth < 0 or depth > length or (length - depth) % 2:
         return 0
     if depth == 0:
@@ -240,8 +243,7 @@ def k0_asymptotic(n: int, length: int) -> float:
     """Asymptotic trivial-sector dimension c * L^(-3/2) * (2 sqrt(N-1))^L."""
     if n < 3:
         raise UsageError(f"asymptotic form needs N >= 3, got {n}")
-    if length < 1:
-        raise UsageError("length must be >= 1")
+    check_size(n, length)
     log_base = math.log(2.0) + 0.5 * math.log(n - 1.0)
     return _exp(math.log(k0_fit_constant(n)) + length * log_base - 1.5 * math.log(length))
 
@@ -295,11 +297,8 @@ def cone_stats(n: int, length: int, depth: int) -> ConeStats:
     depth-d sectors whose length-(L-1) prefix already sits at depth d-1, hence
     flow = ((N-1)/N) |K_(d-1), L-1| / |C_d|.
     """
-    _check_alphabet(n)
-    if not (2 <= depth <= length) or (length - depth) % 2:
-        raise UsageError(
-            f"cone depth must satisfy 2 <= d <= L with d = L mod 2; got d={depth}, L={length}"
-        )
+    check_alphabet(n)
+    check_cone_depth(depth, length)
     row = _dims_row(n, length)
     volume = sum(
         row[depth + 2 * c] * (n - 1) ** (2 * c + 1)
@@ -340,8 +339,7 @@ def n2_charge_cut(length: int, q: int) -> tuple[int, int]:
     Sector sizes are binomials; the boundary (states able to leave in one
     boundary step) telescopes into an alternating sum over the charges above q.
     """
-    if length < 1:
-        raise UsageError("length must be >= 1")
+    check_size(2, length)
     if not (1 <= q <= length) or (length - q) % 2:
         raise UsageError(f"no charge-{q} cut at length {length}")
     boundary = 0
@@ -360,8 +358,7 @@ def n2_min_expansion(length: int) -> N2Expansion:
     central cut; even lengths scan the analogous cuts. The float field is the
     large-L shape sqrt(2 / (pi L)).
     """
-    if length < 1:
-        raise UsageError("length must be >= 1")
+    check_size(2, length)
     if length % 2:
         exact = Fraction(
             (length + 1) * math.comb(length, (length + 1) // 2),
@@ -383,47 +380,28 @@ def enumerate_census(
 ) -> dict[tuple[int, ...], int]:
     """Reduce every length-L string and tally states per sector, vectorised.
 
-    Brute-force oracle for the DP table, independent of any recurrence. Each
-    chunk of string indices carries a packed reduction stack in an int64:
-    `bits` per symbol, symbols 1..N, zero marking empty slots, so pushes and
-    cancelling pops are branch-free where-selects.
+    Brute-force oracle for the DP table, independent of any recurrence.
+    Strings go through the reduction kernel in chunks of at most
+    `chunk_size`: each chunk is one head of leading sites followed by
+    every possible tail.
     """
-    _check_alphabet(n)
-    if length < 0:
-        raise UsageError("length must be >= 0")
-    bits = n.bit_length()
-    if bits * length > 62:
-        raise ResourceCapError(
-            f"packed stacks would need {bits * length} bits, 62 available"
-        )
+    check_size(n, length, 0)
     total = n**length
     if total > max_states:
         raise ResourceCapError(
             f"enumerating {total} strings exceeds the cap of {max_states}"
         )
-    mask = (1 << bits) - 1
-    places = [n ** (length - 1 - i) for i in range(length)]
-    counts: dict[int, int] = {}
-    for start in range(0, total, chunk_size):
-        stop = min(start + chunk_size, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        h = np.zeros(stop - start, dtype=np.int64)
-        for p in places:
-            sym = (idx // p) % n + 1
-            cancels = (h & mask) == sym
-            h = np.where(cancels, h >> bits, (h << bits) | sym)
-        codes, tallies = np.unique(h, return_counts=True)
-        for code, k in zip(codes.tolist(), tallies.tolist()):
-            counts[code] = counts.get(code, 0) + int(k)
-    out: dict[tuple[int, ...], int] = {}
-    for code, k in counts.items():
-        syms = []
-        while code:
-            syms.append(code & mask)
-            code >>= bits
-        syms.reverse()
-        out[tuple(syms)] = k
-    return out
+    tail = 0
+    while tail < length and n ** (tail + 1) <= chunk_size:
+        tail += 1
+    tails = all_states(n, tail)
+    tally = np.zeros(sector_count_closed(n, length), dtype=np.int64)
+    for head in all_states(n, length - tail):
+        chunk = np.hstack([np.broadcast_to(head, (len(tails), head.size)), tails])
+        index = sector_index(*reduce_states(chunk), n, length)
+        tally += np.bincount(index, minlength=tally.size)
+    basis = enumerate_sectors(n, length, max_count=None)
+    return {sec.irr: int(k) for sec, k in zip(basis, tally)}
 
 
 def tl_zero_modes(n: int, length: int) -> int:
@@ -431,9 +409,7 @@ def tl_zero_modes(n: int, length: int) -> int:
 
     Exact integer recurrence W_L = N W_(L-1) - W_(L-2) with W_0 = 1, W_1 = N.
     """
-    _check_alphabet(n)
-    if length < 0:
-        raise UsageError("length must be >= 0")
+    check_size(n, length, 0)
     if length == 0:
         return 1
     a, b = 1, n
@@ -451,8 +427,7 @@ def tl_zero_modes_closed(n: int, length: int) -> float:
     """
     if n < 3:
         raise UsageError("closed form degenerates at N=2, use tl_zero_modes")
-    if length < 0:
-        raise UsageError("length must be >= 0")
+    check_size(n, length, 0)
     with mpmath.workdps(max(50, 2 * length)):
         root = mpmath.sqrt(n * n - 4)
         val = ((n + root) ** (length + 1) - (n - root) ** (length + 1)) / (
@@ -469,7 +444,7 @@ def tl_impurity_degeneracy(n: int, length: int, impurities: int) -> int:
     One impurity pins a single boundary loop: W_(L-1) - W_(L-2). Two pin both:
     W_(L-2) - W_(L-3).
     """
-    _check_alphabet(n)
+    check_alphabet(n)
     if impurities == 1:
         if length < 2:
             raise UsageError("one impurity needs length >= 2")

@@ -29,7 +29,17 @@ import scipy.sparse as sp
 
 from .census import sector_dim
 from .errors import NumericError, ResourceCapError, UsageError
-from .walks import SectorId, SpinString, enumerate_sectors, reduce_symbols
+from .walks import (
+    SectorId,
+    SpinString,
+    all_states,
+    check_alphabet,
+    check_size,
+    enumerate_sectors,
+    reduce_states,
+    reduce_symbols,
+    sector_index,
+)
 
 DEFAULT_STATE_CAP = 1 << 20
 
@@ -50,13 +60,6 @@ class GateKind(enum.Enum):
             if key in (kind.value, kind.name.lower()):
                 return kind
         raise UsageError(f"unknown gate kind {text!r}; expected 'pf' or 'tl'")
-
-
-def _check_size(n: int, length: int) -> None:
-    if n < 2:
-        raise UsageError(f"alphabet size must be at least 2, got {n}")
-    if length < 1:
-        raise UsageError(f"length must be positive, got {length}")
 
 
 def _check_cap(n: int, length: int, cap: int) -> None:
@@ -95,7 +98,7 @@ def gate_probabilities(
     the output pairs with their probabilities. Unequal pairs are
     absent (identity).
     """
-    _check_size(n, 1)
+    check_alphabet(n)
     act: dict[tuple[int, int], list[tuple[tuple[int, int], Fraction]]] = {}
     if kind is GateKind.PAIR_FLIP:
         flip = Fraction(1, n)
@@ -310,7 +313,7 @@ def build_full_local(
     rational rows are kept alongside the float matrix; intended for
     small systems.
     """
-    _check_size(n, length)
+    check_size(n, length)
     _check_cap(n, length, cap)
     order = ("odd", "even") if reverse_layers else ("even", "odd")
     uniform = np.full(n**length, 1.0 / n**length)
@@ -334,42 +337,17 @@ def build_full_local(
 
 
 def state_sector_codes(n: int, length: int, *, cap: int = DEFAULT_STATE_CAP):
-    """Per-state packed irreducible-prefix codes and depths.
+    """Sector index and depth of every state.
 
-    Returns ``(codes, depths)`` over all ``n**length`` states in index
-    order. The code packs the irreducible string in ``bit_length(n)``
-    bits per symbol, most significant symbol first; the empty string is
-    code 0.
+    Returns ``(index, depth)`` over all ``n**length`` states in index
+    order; ``index`` is the state's position in the sector order of
+    :func:`enumerate_sectors`, which is also the :func:`build_lumped`
+    basis.
     """
-    _check_size(n, length)
+    check_size(n, length)
     _check_cap(n, length, cap)
-    bits = n.bit_length()
-    if bits * length > 62:
-        raise ResourceCapError(f"packed codes need {bits * length} bits > 62")
-    total = n**length
-    idx = np.arange(total, dtype=np.int64)
-    codes = np.zeros(total, dtype=np.int64)
-    depths = np.zeros(total, dtype=np.int64)
-    mask = (1 << bits) - 1
-    power = total
-    for _ in range(length):
-        power //= n
-        sym = (idx // power) % n + 1
-        cancels = (depths > 0) & ((codes & mask) == sym)
-        codes = np.where(cancels, codes >> bits, (codes << bits) | sym)
-        depths = np.where(cancels, depths - 1, depths + 1)
-    return codes, depths
-
-
-def decode_sector(code: int, depth: int, n: int) -> SectorId:
-    """Sector from a packed code produced by :func:`state_sector_codes`."""
-    bits = n.bit_length()
-    mask = (1 << bits) - 1
-    syms = []
-    for _ in range(depth):
-        syms.append(code & mask)
-        code >>= bits
-    return SectorId(tuple(reversed(syms)), n)
+    stack, depth = reduce_states(all_states(n, length))
+    return sector_index(stack, depth, n, length), depth
 
 
 def sector_projectors(
@@ -383,22 +361,14 @@ def sector_projectors(
     :func:`build_lumped`. ``S @ R`` is the sector identity and
     ``R @ S`` the in-sector uniformization projector.
     """
-    codes, depths = state_sector_codes(n, length, cap=cap)
+    col, _ = state_sector_codes(n, length, cap=cap)
     basis = tuple(enumerate_sectors(n, length, max_count=cap))
-    code_of = {}
-    bits = n.bit_length()
-    for k, sec in enumerate(basis):
-        c = 0
-        for s in sec.irr:
-            c = (c << bits) | s
-        code_of[c] = k
-    col = np.array([code_of[int(c)] for c in codes], dtype=np.int64)
     total = n**length
     rows = np.arange(total, dtype=np.int64)
     r_mat = sp.csr_matrix(
         (np.ones(total), (rows, col)), shape=(total, len(basis))
     )
-    sizes = np.asarray(r_mat.sum(axis=0)).ravel()
+    sizes = np.bincount(col, minlength=len(basis))
     s_mat = sp.csr_matrix(
         (1.0 / sizes[col], (col, rows)), shape=(len(basis), total)
     )
@@ -419,7 +389,7 @@ def build_full_nonlocal(
     Exact rows enumerate sector members and are meant for small
     systems only.
     """
-    _check_size(n, length)
+    check_size(n, length)
     _check_cap(n, length, cap)
     uniform = np.full(n**length, 1.0 / n**length)
     if exact:
@@ -509,7 +479,7 @@ def build_lumped(
     diagonal. Stationary law is proportional to sector dimension and
     the chain is reversible with respect to it.
     """
-    _check_size(n, length)
+    check_size(n, length)
     basis = tuple(enumerate_sectors(n, length, max_count=cap))
     rows = _lumped_rows(n, length, basis)
     dims = np.array(
@@ -537,21 +507,18 @@ def compressed_boundary_kernel(
     sides differ by right-multiplication with the full-rank averaging
     map, so entrywise equality here is equivalent to it).
     """
-    _check_size(n, length)
-    _check_cap(n, length, cap)
+    index, _ = state_sector_codes(n, length, cap=cap)
     basis = tuple(enumerate_sectors(n, length, max_count=cap))
-    index = {sec.irr: k for k, sec in enumerate(basis)}
-    counts: list[dict[int, int]] = [dict() for _ in basis]
-    for state in _iter_states(n, length):
-        src = index[reduce_symbols(state)]
-        row = counts[src]
-        for b in range(1, n + 1):
-            dst = index[reduce_symbols(state[:-1] + (b,))]
-            row[dst] = row.get(dst, 0) + 1
-    rows = []
-    for sec, row in zip(basis, counts):
-        k_s = n * sector_dim(n, length, len(sec.irr))
-        rows.append({j: Fraction(c, k_s) for j, c in sorted(row.items())})
+    # resampling the last site sends a state to each of the n states that
+    # share its first L-1 sites, which are n consecutive indices
+    group = index.reshape(-1, n)
+    src = np.repeat(group, n, axis=1)
+    dst = np.tile(group, (1, n))
+    pairs, counts = np.unique(src * len(basis) + dst, return_counts=True)
+    rows: list[dict[int, Fraction]] = [{} for _ in basis]
+    for pair, count in zip(pairs.tolist(), counts.tolist()):
+        i, j = divmod(pair, len(basis))
+        rows[i][j] = Fraction(count, n * sector_dim(n, length, basis[i].depth))
     return tuple(rows), basis
 
 

@@ -7,7 +7,9 @@ on every install, and loud on any mismatch.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -29,7 +31,13 @@ from .spectra import (
     spectral_gap,
     subset_expansion,
 )
-from .walks import enumerate_sectors, reduce_symbols
+from .walks import (
+    all_states,
+    enumerate_sectors,
+    reduce_states,
+    reduce_symbols,
+    sector_index,
+)
 
 
 @dataclass(frozen=True)
@@ -105,20 +113,23 @@ def check_enumeration() -> list[CheckResult]:
             ok = False
     out.append(_result("walks.sector_enumeration_counts", ok))
 
-    brute = {}
-    for code in range(3**6):
-        digits = []
-        c = code
-        for _ in range(6):
-            digits.append(c % 3 + 1)
-            c //= 3
-        irr = reduce_symbols(tuple(digits))
-        brute[irr] = brute.get(irr, 0) + 1
+    strings = list(itertools.product((1, 2, 3), repeat=6))
+    irrs = [reduce_symbols(s) for s in strings]
     dims_ok = all(
         count == census.sector_dim(3, 6, len(irr))
-        for irr, count in brute.items()
+        for irr, count in Counter(irrs).items()
     )
     out.append(_result("walks.brute_force_dims_L6", dims_ok))
+
+    states = all_states(3, 6)
+    stack, depth = reduce_states(states)
+    index = sector_index(stack, depth, 3, 6)
+    basis = enumerate_sectors(3, 6)
+    kernel_ok = states.tolist() == [list(s) for s in strings] and all(
+        tuple(stack[k, : depth[k]].tolist()) == irr and basis[index[k]].irr == irr
+        for k, irr in enumerate(irrs)
+    )
+    out.append(_result("walks.kernel_matches_reduction_L6", kernel_ok))
     return out
 
 
@@ -143,10 +154,9 @@ def check_lumping() -> list[CheckResult]:
     out.append(_result("chains.lumped_detailed_balance", balanced))
 
     stay_ok = all(
-        build_lumped(n, length).exact_rows[k].get(k, Fraction(0))
-        == Fraction(1, n)
+        row.get(k) == Fraction(1, n)
         for n, length in [(2, 6), (3, 5), (4, 4)]
-        for k in range(build_lumped(n, length).dimension)
+        for k, row in enumerate(build_lumped(n, length).exact_rows)
     )
     out.append(_result("chains.lumped_stay_is_one_over_n", stay_ok))
     return out

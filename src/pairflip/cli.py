@@ -32,6 +32,7 @@ from .errors import NumericError, ResourceCapError, UsageError
 from .io import build_meta, write_artifact
 from .montecarlo import SimConfig, cone_escape_probability, estimate_tq, run_ensemble
 from .spectra import (
+    candidate_cuts,
     cheeger_check,
     cone_subset,
     n2_charge_subset,
@@ -143,8 +144,8 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "cheeger_witness": None,
         "phi_min": None,
     }
-    if not args.no_cheeger:
-        report = cheeger_check(chain, gap=result)
+    report = None if args.no_cheeger else cheeger_check(chain, gap=result)
+    if report is not None:
         payload.update(
             cheeger_upper=report.upper,
             cheeger_lower_witness=report.lower_witness,
@@ -179,16 +180,14 @@ def _cmd_expansion(args: argparse.Namespace) -> int:
             chain, n2_charge_subset(chain, args.charge)
         )
     if not candidates:
-        length = args.length
-        for d in range(2 if length % 2 == 0 else 3, length + 1, 2):
-            candidates[f"cone d={d}"] = subset_expansion(
-                chain, cone_subset(chain, d)
-            )
-        if args.n == 2:
-            for q in range(1 if length % 2 else 2, length + 1, 2):
-                candidates[f"charge q={q}"] = subset_expansion(
-                    chain, n2_charge_subset(chain, q)
-                )
+        candidates = {
+            label: subset_expansion(chain, cut)
+            for label, cut in candidate_cuts(chain).items()
+        }
+    if not candidates:
+        raise UsageError(
+            f"no candidate cuts exist for N={args.n}, L={args.length}"
+        )
     witness, phi_min = min(candidates.items(), key=lambda kv: kv[1])
     payload = {
         "n": args.n,
@@ -211,22 +210,16 @@ def _parse_initial(text: str | None, n: int) -> tuple[int, ...] | None:
         raise UsageError(f"bad --initial value {text!r}") from None
 
 
-def _sim_config(args: argparse.Namespace) -> SimConfig:
-    observables = tuple(
-        s.strip() for s in args.observables.split(",") if s.strip()
-    )
+def _sim_config(args: argparse.Namespace, **fields: Any) -> SimConfig:
+    """SimConfig from the flags every Monte Carlo command shares."""
     return SimConfig(
         n=args.n,
-        length=args.length,
-        t_max=args.t_max,
         gate=GateKind.parse(args.gate),
         n_trajectories=args.trajectories,
         seed=args.seed,
-        observables=observables,
-        gamma=args.gamma,
         blocks=args.blocks,
         threads=args.threads,
-        initial=_parse_initial(args.initial, args.n),
+        **fields,
     )
 
 
@@ -239,7 +232,16 @@ def _series_payload(series) -> dict[str, Any]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _sim_config(args)
+    cfg = _sim_config(
+        args,
+        length=args.length,
+        t_max=args.t_max,
+        observables=tuple(
+            s.strip() for s in args.observables.split(",") if s.strip()
+        ),
+        gamma=args.gamma,
+        initial=_parse_initial(args.initial, args.n),
+    )
     payload: dict[str, Any] = {
         "config": {
             "n": cfg.n, "length": cfg.length, "t_max": cfg.t_max,
@@ -283,17 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = ["length,gamma,t_q,ci_low,ci_high,censored,censored_draws,"
             "bound,bound_valid"]
     for length in lengths:
-        cfg = SimConfig(
-            n=args.n,
-            length=length,
-            t_max=args.t_max,
-            gate=GateKind.parse(args.gate),
-            n_trajectories=args.trajectories,
-            seed=args.seed,
-            gamma=args.gamma,
-            blocks=args.blocks,
-            threads=args.threads,
-        )
+        cfg = _sim_config(args, length=length, t_max=args.t_max, gamma=args.gamma)
         report = estimate_tq(cfg, n_resamples=args.resamples)
         bound = bounds_mod.thm3_charge_time_lower(args.n, length, args.gamma)
         rows.append(
@@ -373,16 +365,7 @@ def _cmd_escape(args: argparse.Namespace) -> int:
         times = [int(s) for s in args.times.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"bad --times value {args.times!r}") from None
-    cfg = SimConfig(
-        n=args.n,
-        length=args.length,
-        t_max=max(times) if times else 0,
-        gate=GateKind.parse(args.gate),
-        n_trajectories=args.trajectories,
-        seed=args.seed,
-        blocks=args.blocks,
-        threads=args.threads,
-    )
+    cfg = _sim_config(args, length=args.length, t_max=max(times) if times else 0)
     res = cone_escape_probability(cfg, args.depth, times)
     payload = {
         "n": args.n,

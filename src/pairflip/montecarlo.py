@@ -26,7 +26,19 @@ import numpy as np
 from .census import cone_stats, sector_dim
 from .chains import GateKind, layer_pairs
 from .errors import NumericError, UsageError
-from .walks import SectorId, SpinString
+from .walks import (
+    SectorId,
+    SpinString,
+    _canonical_anchor,
+    check_cone_depth,
+    check_size,
+    in_cone,
+    reduce_states,
+    state_dtype,
+)
+
+# States are int8 arrays, so the largest alphabet a simulation takes is 127.
+MAX_SIM_ALPHABET = int(np.iinfo(np.int8).max)
 
 _INIT_KEY_OFFSET = 1 << 63  # separates init streams from dynamics streams
 _BOOT_KEY = (1 << 63) - 1  # bootstrap stream block index
@@ -51,10 +63,12 @@ class SimConfig:
     initial: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise UsageError(f"alphabet size must be at least 2, got {self.n}")
-        if self.length < 1:
-            raise UsageError(f"length must be positive, got {self.length}")
+        check_size(self.n, self.length)
+        if self.n > MAX_SIM_ALPHABET:
+            raise UsageError(
+                f"alphabet size {self.n} exceeds {MAX_SIM_ALPHABET}, the "
+                "largest symbol an int8 state array holds"
+            )
         if self.t_max < 0:
             raise UsageError("t_max must be nonnegative")
         if self.n_trajectories < 1:
@@ -80,8 +94,7 @@ class SimConfig:
 
 def max_charge_state(n: int, length: int) -> tuple[int, ...]:
     """The 2,1,2,1,... pattern: maximal staggered charge of symbol 1."""
-    if n < 2 or length < 1:
-        raise UsageError("need n >= 2 and positive length")
+    check_size(n, length)
     return tuple(1 if i % 2 else 2 for i in range(length))
 
 
@@ -117,8 +130,7 @@ def _parse_observable(text: str, n: int, length: int) -> _Observable:
         if not 1 <= arg <= length:
             raise UsageError(f"site {arg} outside 1..{length}")
         return _Observable(text, "match_site", arg)
-    if arg < 2 or arg > length or (length - arg) % 2:
-        raise UsageError(f"cone depth {arg} invalid for length {length}")
+    check_cone_depth(arg, length)
     return _Observable(text, "cone_escape", arg)
 
 
@@ -210,43 +222,13 @@ def step(
     return SpinString(tuple(int(x) for x in arr[0]), state.alphabet_size)
 
 
-# ---------------------------------------------------------------------------
-# vectorized sector reduction of a batch of states
-
-
-def reduce_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Irreducible prefixes of a batch, as (stack, depth).
-
-    ``stack[k, :depth[k]]`` is trajectory k's irreducible string. One
-    vectorized pass per site, so O(L) numpy operations total.
-    """
-    m, length = states.shape
-    stack = np.zeros((m, length), dtype=np.int8)
-    sp = np.zeros(m, dtype=np.int64)
-    rows = np.arange(m)
-    for c in range(length):
-        sym = states[:, c]
-        top = stack[rows, np.maximum(sp - 1, 0)]
-        cancel = (sp > 0) & (top == sym)
-        sp = np.where(cancel, sp - 1, sp + 1)
-        push = ~cancel
-        stack[rows[push], sp[push] - 1] = sym[push]
-    return stack, sp
-
-
 def cone_escape_mask(
     states: np.ndarray, depth: int, anchor: tuple[int, ...]
 ) -> np.ndarray:
-    """True where a state lies outside the cone below ``anchor``."""
-    stack, sp = reduce_states(states)
-    inside = sp >= depth
-    for k, sym in enumerate(anchor):
-        inside &= stack[:, k] == sym
-    return ~inside
-
-
-def _canonical_anchor(depth: int) -> tuple[int, ...]:
-    return tuple(1 if k % 2 == 0 else 2 for k in range(depth - 1))
+    """True where a state lies outside the depth-``depth`` cone below ``anchor``."""
+    if len(anchor) != depth - 1:
+        raise UsageError("anchor must sit one level above the cone depth")
+    return ~in_cone(*reduce_states(states), anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +384,16 @@ def _run_blocks(
     return _assemble_series(cfg, blocks)
 
 
-def run_ensemble(cfg: SimConfig) -> EnsembleSeries:
-    """Evolve an ensemble from a shared initial state, full horizon."""
+def _shared_starts(cfg: SimConfig) -> list[np.ndarray]:
+    """Every block's copies of the configured initial state."""
     init = np.array(cfg.initial_state(), dtype=np.int8)
     sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
-    starts = [np.tile(init, (m, 1)) for m in sizes]
-    return _run_blocks(cfg, starts)
+    return [np.tile(init, (m, 1)) for m in sizes]
+
+
+def run_ensemble(cfg: SimConfig) -> EnsembleSeries:
+    """Evolve an ensemble from a shared initial state, full horizon."""
+    return _run_blocks(cfg, _shared_starts(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +441,10 @@ def estimate_tq(
         track = _TrackedRun(cfg)
         series = track.series
     else:
-        init = np.array(cfg.initial_state(), dtype=np.int8)
-        sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
-        starts = [np.tile(init, (m, 1)) for m in sizes]
         # stop once safely below gamma so bootstrap crossings resolve
         series = _run_blocks(
             cfg,
-            starts,
+            _shared_starts(cfg),
             stop_observable=charge_obs,
             stop_threshold=0.5 * cfg.gamma,
         )
@@ -510,15 +493,13 @@ class _TrackedRun:
     """Full-horizon run that also records per-trajectory crossings."""
 
     def __init__(self, cfg: SimConfig):
-        init = np.array(cfg.initial_state(), dtype=np.int8)
-        sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
         observables = [
             _parse_observable(o, cfg.n, cfg.length) for o in cfg.observables
         ]
         blocks = [
-            _Block(cfg, b, m, observables, np.tile(init, (m, 1)))
-            for b, m in enumerate(sizes)
-            if m > 0
+            _Block(cfg, b, len(start), observables, start)
+            for b, start in enumerate(_shared_starts(cfg))
+            if len(start) > 0
         ]
         firsts = []
         signs = np.where(np.arange(cfg.length) % 2 == 0, -1, 1)
@@ -623,8 +604,7 @@ def sample_cone_states(
     uniform non-backtracking branch, then samples a uniform member of
     that sector.
     """
-    if depth < 2 or depth > length or (length - depth) % 2:
-        raise UsageError(f"cone depth {depth} invalid for length {length}")
+    check_cone_depth(depth, length)
     if anchor is None:
         anchor = _canonical_anchor(depth)
     SectorId(anchor, n)  # validates irreducibility
@@ -633,7 +613,7 @@ def sample_cone_states(
     depths, probs = _cone_sector_table(n, length, depth)
     cum = np.cumsum([float(p) for p in probs])
     cum[-1] = 1.0
-    out = np.empty((count, length), dtype=np.int8)
+    out = np.empty((count, length), dtype=state_dtype(n))
     for k in range(count):
         dd = depths[int(np.searchsorted(cum, rng.random(), side="right"))]
         irr = list(anchor)

@@ -26,13 +26,17 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .census import cone_stats, sector_dim
-from .chains import (
-    StochasticChain,
-    sector_projectors,
-    state_sector_codes,
-)
+from .chains import StochasticChain, sector_projectors
 from .errors import NumericError, UsageError
-from .walks import SectorId, sector_charge
+from .walks import (
+    SectorId,
+    _canonical_anchor,
+    all_states,
+    check_cone_depth,
+    in_cone,
+    reduce_states,
+    sector_words,
+)
 
 DENSE_CUTOFF = 4096
 DEFAULT_TOL = 1e-10
@@ -97,6 +101,25 @@ class _CountedOperator(spla.LinearOperator):
         return self._apply(np.asarray(x).ravel())
 
 
+def _top_eigenpair(
+    apply, dim: int, tol: float, max_iterations: int
+) -> tuple[float, float, int]:
+    """Largest eigenvalue of a symmetric operator by Lanczos, with the
+    eigenpair residual and the number of matvecs."""
+    op = _CountedOperator(dim, apply)
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    try:
+        vals, vecs = spla.eigsh(
+            op, k=1, which="LA", tol=tol / 10, maxiter=max_iterations, v0=v0
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    lam = float(vals[0])
+    x = vecs[:, 0]
+    residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
+    return lam, residual, op.count
+
+
 def _iterative_symmetric(
     mat: sp.csr_matrix,
     pi: np.ndarray,
@@ -118,18 +141,7 @@ def _iterative_symmetric(
     def apply(x: np.ndarray) -> np.ndarray:
         return sym @ x - top * (top @ x)
 
-    op = _CountedOperator(mat.shape[0], apply)
-    v0 = np.random.default_rng(0).standard_normal(mat.shape[0])
-    try:
-        vals, vecs = spla.eigsh(
-            op, k=1, which="LA", tol=tol / 10, maxiter=max_iterations, v0=v0
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    lam = float(vals[0])
-    x = vecs[:, 0]
-    residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
-    return lam, residual, op.count
+    return _top_eigenpair(apply, mat.shape[0], tol, max_iterations)
 
 
 def _iterative_singular_proxy(
@@ -143,18 +155,7 @@ def _iterative_singular_proxy(
     def apply(x: np.ndarray) -> np.ndarray:
         return mat @ (mt @ x) - top * (top @ x)
 
-    op = _CountedOperator(dim, apply)
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    try:
-        vals, vecs = spla.eigsh(
-            op, k=1, which="LA", tol=tol / 10, maxiter=max_iterations, v0=v0
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    lam = float(vals[0])
-    x = vecs[:, 0]
-    residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
-    return lam, residual, op.count
+    return _top_eigenpair(apply, dim, tol, max_iterations)
 
 
 def _compress_nonlocal(chain: StochasticChain) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -273,17 +274,11 @@ def subset_expansion(
     return float(pi[idx] @ outflow / pi[idx].sum())
 
 
-def _canonical_anchor(depth: int, n: int) -> SectorId:
-    syms = tuple(1 if k % 2 == 0 else 2 for k in range(depth - 1))
-    return SectorId(syms, n)
-
-
-def _check_cone_args(n: int, length: int, depth: int) -> None:
-    if depth < 2 or depth > length or (length - depth) % 2:
-        raise UsageError(
-            f"cone depth must satisfy 2 <= d <= L with d == L (mod 2), "
-            f"got d={depth}, L={length}"
-        )
+def _basis_words(chain: StochasticChain) -> tuple[np.ndarray, np.ndarray]:
+    """Irreducible string of every basis element, as ``(stack, depth)``."""
+    if chain.kind == "lumped":  # its basis is enumerate_sectors(n, L)
+        return sector_words(chain.n, chain.length)
+    return reduce_states(all_states(chain.n, chain.length))
 
 
 def cone_subset(
@@ -299,29 +294,14 @@ def cone_subset(
     n, length = chain.n, chain.length
     if n is None or length is None:
         raise UsageError("cone subsets need a built chain with n and length")
-    _check_cone_args(n, length, depth)
+    check_cone_depth(depth, length)
     if anchor is None:
-        anchor = _canonical_anchor(depth, n)
+        anchor = SectorId(_canonical_anchor(depth), n)
     if len(anchor.irr) != depth - 1:
         raise UsageError(
             f"anchor depth {len(anchor.irr)} does not match cone depth {depth}"
         )
-    if chain.kind == "lumped":
-        keep = [
-            k
-            for k, sec in enumerate(chain.basis)
-            if len(sec.irr) >= depth and sec.irr[: depth - 1] == anchor.irr
-        ]
-        return np.asarray(keep, dtype=np.int64)
-    codes, depths = state_sector_codes(n, length)
-    bits = n.bit_length()
-    acode = 0
-    for s in anchor.irr:
-        acode = (acode << bits) | s
-    deep = depths >= depth
-    shift = bits * np.maximum(depths - (depth - 1), 0)
-    match = (codes >> shift) == acode
-    return np.nonzero(deep & match)[0].astype(np.int64)
+    return np.flatnonzero(in_cone(*_basis_words(chain), anchor.irr))
 
 
 def n2_charge_subset(chain: StochasticChain, q: int) -> np.ndarray:
@@ -336,26 +316,14 @@ def n2_charge_subset(chain: StochasticChain, q: int) -> np.ndarray:
         raise UsageError("charge cuts are a two-symbol construction")
     if (length - q) % 2 or not -length <= q <= length:
         raise UsageError(f"charge {q} has wrong parity or range for L={length}")
-    if chain.kind == "lumped":
-        keep = []
-        for k, sec in enumerate(chain.basis):
-            val = (
-                sector_charge(sec, 1, length).value
-                - sector_charge(sec, 2, length).value
-            )
-            if val >= q:
-                keep.append(k)
-        return np.asarray(keep, dtype=np.int64)
-    total = 2**length
-    idx = np.arange(total, dtype=np.int64)
-    charge = np.zeros(total, dtype=np.int64)
-    power = total
-    for i in range(length):
-        power //= 2
-        digit = (idx // power) % 2  # 0 -> symbol 1, 1 -> symbol 2
-        sign = 1 if (i + 1) % 2 == 0 else -1
-        charge += sign * (1 - 2 * digit)
-    return np.nonzero(charge >= q)[0].astype(np.int64)
+    # pair deletions keep the charge, so it is read off the irreducible
+    # string: symbol 1 counts +1 and symbol 2 counts -1, with weight -1 on
+    # odd sites
+    stack, depth = _basis_words(chain)
+    sites = np.arange(length)
+    weight = np.where(sites % 2, 1, -1) * (sites < depth[:, None])
+    charge = ((3 - 2 * stack.astype(np.int64)) * weight).sum(axis=1)
+    return np.flatnonzero(charge >= q)
 
 
 @dataclass(frozen=True)
@@ -371,33 +339,43 @@ class CheegerReport:
     lower_certified: bool
 
 
+def candidate_cuts(chain: StochasticChain) -> dict[str, np.ndarray]:
+    """Labelled candidate cuts: a cone at every valid depth, plus every
+    charge cut when N=2. Empty when the chain is too short for any cut."""
+    n, length = chain.n, chain.length
+    if n is None or length is None:
+        raise UsageError("candidate cuts need a built chain with n and length")
+    cuts = {
+        f"cone d={depth}": cone_subset(chain, depth)
+        for depth in range(2 if length % 2 == 0 else 3, length + 1, 2)
+    }
+    if n == 2:
+        for q in range(1 if length % 2 else 2, length + 1, 2):
+            cuts[f"charge q={q}"] = n2_charge_subset(chain, q)
+    return cuts
+
+
 def cheeger_check(
     chain: StochasticChain,
     *,
     tol: float = 1e-9,
     gap: GapResult | None = None,
-) -> CheegerReport:
+) -> CheegerReport | None:
     """Sandwich the gap between candidate-cut expansions.
 
-    Candidates are every cone depth, plus every charge cut when N=2.
-    The upper bound ``gap <= 2 phi_min`` is asserted for all chains;
-    the Cheeger lower bound ``phi_min^2 / 2`` is certified only in the
-    two-symbol case, where the candidate family contains the minimizing
-    cut, and is otherwise reported as a witness value only.
+    Candidates come from :func:`candidate_cuts`; with none (a chain too
+    short for any cut) there is nothing to compare and the result is
+    None. The upper bound ``gap <= 2 phi_min`` is asserted for all
+    chains; the Cheeger lower bound ``phi_min^2 / 2`` is certified only
+    in the two-symbol case, where the candidate family contains the
+    minimizing cut, and is otherwise reported as a witness value only.
     """
-    n, length = chain.n, chain.length
-    if n is None or length is None:
-        raise UsageError("cheeger_check needs a built chain with n and length")
-    candidates: dict[str, float] = {}
-    for depth in range(2 if length % 2 == 0 else 3, length + 1, 2):
-        phi = subset_expansion(chain, cone_subset(chain, depth))
-        candidates[f"cone d={depth}"] = float(phi)
-    if n == 2:
-        for q in range(1 if length % 2 else 2, length + 1, 2):
-            phi = subset_expansion(chain, n2_charge_subset(chain, q))
-            candidates[f"charge q={q}"] = float(phi)
+    candidates = {
+        label: float(subset_expansion(chain, cut))
+        for label, cut in candidate_cuts(chain).items()
+    }
     if not candidates:
-        raise UsageError(f"no candidate cuts exist for L={length}")
+        return None
     witness, phi_min = min(candidates.items(), key=lambda kv: kv[1])
     result = gap if gap is not None else spectral_gap(chain)
     upper = 2.0 * phi_min
@@ -407,7 +385,7 @@ def cheeger_check(
             f"gap {result.gap} violates the upper bound 2*phi = {upper} "
             f"(witness {witness})"
         )
-    certified = n == 2
+    certified = chain.n == 2
     if certified and result.gap < lower - tol:
         raise NumericError(
             f"gap {result.gap} below the certified lower bound {lower}"

@@ -15,9 +15,12 @@ serialises to an empty field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import ResourceCapError, UsageError
 
@@ -26,10 +29,38 @@ EMPTY_DISPLAY = "∅"
 # Compact digit serialisation only works while every symbol is a single digit.
 MAX_COMPACT_ALPHABET = 9
 
+INT64_MAX = int(np.iinfo(np.int64).max)
 
-def _validate_symbols(symbols: tuple[int, ...], n: int) -> None:
+
+def check_alphabet(n: int) -> None:
+    """Every alphabet has at least two symbols."""
     if n < 2:
         raise UsageError(f"alphabet size must be >= 2, got {n}")
+
+
+def check_size(n: int, length: int, min_length: int = 1) -> None:
+    """Alphabet rule plus a length floor: 0 for combinatorics, 1 for chains."""
+    check_alphabet(n)
+    if length < min_length:
+        raise UsageError(f"length must be >= {min_length}, got {length}")
+
+
+def check_cone_depth(depth: int, length: int) -> None:
+    """A cone sits at 2 <= d <= L with d == L (mod 2)."""
+    if not 2 <= depth <= length or (length - depth) % 2:
+        raise UsageError(
+            f"cone depth must satisfy 2 <= d <= L with d == L (mod 2), "
+            f"got d={depth}, L={length}"
+        )
+
+
+def _canonical_anchor(depth: int) -> tuple[int, ...]:
+    """Default depth-``depth-1`` cone anchor 1,2,1,...; valid for every alphabet."""
+    return tuple(1 if k % 2 == 0 else 2 for k in range(depth - 1))
+
+
+def _validate_symbols(symbols: tuple[int, ...], n: int) -> None:
+    check_alphabet(n)
     for s in symbols:
         if not 1 <= s <= n:
             raise UsageError(f"symbol {s} outside alphabet 1..{n}")
@@ -212,25 +243,13 @@ def enumerate_sectors(n: int, length: int, max_count: int | None = 2_000_000) ->
     Raises ResourceCapError when the count would exceed `max_count`
     (pass None to disable the cap).
     """
-    if length < 0:
-        raise UsageError("length must be >= 0")
     total = sector_count_closed(n, length)
     if max_count is not None and total > max_count:
         raise ResourceCapError(
             f"sector enumeration for N={n}, L={length} has {total} sectors, cap is {max_count}"
         )
-    out: list[SectorId] = []
-    for d in range(length % 2, length + 1, 2):
-        frontier: list[tuple[int, ...]] = [()]
-        for _ in range(d):
-            frontier = [
-                irr + (c,)
-                for irr in frontier
-                for c in range(1, n + 1)
-                if not irr or c != irr[-1]
-            ]
-        out.extend(SectorId(irr, n) for irr in frontier)
-    return out
+    stack, depth = sector_words(n, length)
+    return [SectorId(tuple(w[:d]), n) for w, d in zip(stack.tolist(), depth.tolist())]
 
 
 def sector_count_closed(n: int, length: int) -> int:
@@ -238,10 +257,108 @@ def sector_count_closed(n: int, length: int) -> int:
 
     L+1 for a two-symbol alphabet, ((N-1)^(L+1) - 1)/(N-2) otherwise.
     """
-    if n < 2:
-        raise UsageError(f"alphabet size must be >= 2, got {n}")
-    if length < 0:
-        raise UsageError("length must be >= 0")
+    check_size(n, length, 0)
     if n == 2:
         return length + 1
     return ((n - 1) ** (length + 1) - 1) // (n - 2)
+
+
+# ---------------------------------------------------------------------------
+# vectorized reduction: batches of strings as integer arrays, symbols 1..N
+# along the last axis
+
+
+def state_dtype(n: int) -> np.dtype:
+    """Smallest signed integer dtype that holds the symbols 1..n."""
+    return np.min_scalar_type(-n - 1)  # holding -(n+1) implies holding n
+
+
+def all_states(n: int, length: int) -> np.ndarray:
+    """Every length-L string as the rows of an (N^L, L) array.
+
+    Row i is the string with base-N index i, site 1 most significant.
+    """
+    if n**length > INT64_MAX:
+        raise ResourceCapError(f"state indices must fit in int64; {n}^{length} do not")
+    out = np.empty((n**length, length), dtype=state_dtype(n))
+    syms = np.arange(1, n + 1, dtype=out.dtype)[:, None]
+    for i in range(length):
+        out.reshape(n**i, n, -1, length)[..., i] = syms
+    return out
+
+
+def reduce_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Irreducible strings of a batch of strings, as ``(stack, depth)``.
+
+    ``states`` may have any batch shape and integer dtype; ``stack`` has
+    its shape and dtype, ``depth`` (int64) its batch shape.
+    ``stack[..., :depth]`` is each irreducible string; entries at or above
+    ``depth`` are unspecified. A zero sentinel sits below every stack, so
+    each site writes its symbol above the top and only moves the pointer.
+    """
+    states = np.asarray(states)
+    length = states.shape[-1]
+    rows = states.reshape(math.prod(states.shape[:-1]), length)
+    width = length + 1
+    stack = np.zeros((rows.shape[0], width), dtype=states.dtype)
+    flat = stack.reshape(-1)
+    bottom = np.arange(0, flat.size, width, dtype=np.int64)
+    top = bottom.copy()
+    for sym in np.ascontiguousarray(rows.T):
+        cancel = flat[top] == sym
+        top += 1
+        flat[top] = sym
+        top -= cancel  # a cancel pops instead: two slots down from the push
+        top -= cancel
+    depth = (top - bottom).reshape(states.shape[:-1])
+    return stack[:, 1:].reshape(states.shape), depth
+
+
+def sector_index(
+    stack: np.ndarray, depth: np.ndarray, n: int, length: int
+) -> np.ndarray:
+    """Position of each row's sector in ``enumerate_sectors(n, length)``.
+
+    ``(stack, depth)`` comes from :func:`reduce_states` on length-L
+    strings. The sectors of smaller depth come first, as many as a
+    length-(d-2) chain has; within its depth a word is ranked in mixed
+    radix, the first symbol a base-N digit and every later one a
+    base-(N-1) digit once the symbol it may not repeat is skipped.
+    """
+    if sector_count_closed(n, length) > INT64_MAX:
+        raise ResourceCapError(
+            f"sector indices for N={n}, L={length} do not fit in int64"
+        )
+    offsets = np.array(
+        [sector_count_closed(n, d - 2) if d > 1 else 0 for d in range(length + 1)]
+    )
+    rank = np.zeros(depth.shape, dtype=np.int64)
+    for k in range(length):
+        digit = stack[..., k] - 1
+        if k:
+            digit -= stack[..., k] > stack[..., k - 1]
+        rank = np.where(k < depth, rank * (n - 1) + digit, rank)
+    return offsets[depth] + rank
+
+
+def sector_words(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every sector of a length-L chain as ``(stack, depth)`` rows, in
+    (depth, lexicographic) order: the inverse of :func:`sector_index`."""
+    stacks, depths = [], []
+    for d in range(length % 2, length + 1, 2):
+        rank = np.arange(n * (n - 1) ** (d - 1) if d else 1)
+        stack = np.zeros((rank.size, length), dtype=state_dtype(n))
+        for k in range(d):
+            sym = rank // (n - 1) ** (d - 1 - k) % (n - (k > 0)) + 1
+            stack[:, k] = sym + (sym >= stack[:, k - 1]) if k else sym
+        stacks.append(stack)
+        depths.append(np.full(rank.size, d))
+    return np.concatenate(stacks), np.concatenate(depths)
+
+
+def in_cone(stack: np.ndarray, depth: np.ndarray, anchor: Sequence[int]) -> np.ndarray:
+    """True where an irreducible string extends ``anchor`` by at least one symbol."""
+    inside = depth > len(anchor)
+    for k, sym in enumerate(anchor):
+        inside &= stack[..., k] == sym
+    return inside

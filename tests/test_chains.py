@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from pairflip import chains
 from pairflip.census import sector_dim
 from pairflip.chains import (
     GateKind,
@@ -367,14 +366,13 @@ class TestLumpingIdentity:
 class TestStateSectorCodes:
     def test_codes_agree_with_reduction(self):
         n, length = 3, 5
-        codes, depths = state_sector_codes(n, length)
-        bits = n.bit_length()
+        index, depths = state_sector_codes(n, length)
+        basis = enumerate_sectors(n, length)
         for idx in range(n**length):
             syms = index_symbols(idx, n, length)
             irr = reduce_symbols(syms)
             assert depths[idx] == len(irr)
-            assert chains.decode_sector(int(codes[idx]), len(irr), n).irr == irr
-        assert bits * length <= 62
+            assert basis[index[idx]].irr == irr
 
     def test_code_width_cap(self):
         with pytest.raises(ResourceCapError):

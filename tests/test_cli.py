@@ -145,6 +145,16 @@ class TestGapCommand:
         assert d["cheeger_upper"] is None
         assert d["phi_min"] is None
 
+    def test_too_short_for_any_cut(self, capsys):
+        # no cone fits at L=1 and charge cuts need N=2: the gap alone
+        code, out, err = run_cli(capsys, "gap", "--n", "3", "--length", "1")
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["gap"] == pytest.approx(1.0)
+        for key in ("cheeger_upper", "cheeger_lower_witness",
+                    "cheeger_witness", "phi_min"):
+            assert d[key] is None
+
     def test_export_matrix(self, capsys, tmp_path):
         target = tmp_path / "matrix.txt"
         code, _, _ = run_cli(
@@ -195,6 +205,12 @@ class TestExpansionCommand:
         assert d["witness"] == "charge q=1"
         assert d["phi_min"] == "3/16"
         assert "cone d=3" in d["candidates"]
+
+    def test_too_short_for_any_cut(self, capsys):
+        code, out, err = run_cli(capsys, "expansion", "--n", "3", "--length", "1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert "no candidate cuts" in err
 
     def test_charge_cut_needs_two_symbols(self, capsys):
         code, _, err = run_cli(
@@ -369,6 +385,27 @@ class TestEscapeCommand:
             "--times", "0,1",
         )
         assert code == 1
+
+
+class TestAlphabetLimit:
+    # trajectories are int8 arrays: 127 symbols fit, 128 do not
+    SIMULATE = ("simulate", "--length", "4", "--t-max", "2",
+                "--trajectories", "10", "--blocks", "2")
+    ESCAPE = ("escape", "--length", "4", "--depth", "2", "--times", "0,1",
+              "--trajectories", "10", "--blocks", "2")
+
+    @pytest.mark.parametrize("command", [SIMULATE, ESCAPE])
+    def test_rejects_128(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--n", "128")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert "int8" in err
+
+    @pytest.mark.parametrize("command", [SIMULATE, ESCAPE])
+    def test_runs_127(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--n", "127")
+        assert code == 0 and err == ""
+        json.loads(out)
 
 
 class TestVerifyCommand:

@@ -77,6 +77,7 @@ class TestConfig:
             dict(n=2, length=4, t_max=1, initial=(1, 2, 1)),
             dict(n=2, length=4, t_max=1, initial=(1, 2, 3, 1)),
             dict(n=2, length=4, t_max=1, observables=("volume",)),
+            dict(n=128, length=4, t_max=1),  # past the int8 state limit
         ],
     )
     def test_rejects(self, kwargs):

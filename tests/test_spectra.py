@@ -18,6 +18,7 @@ from pairflip.chains import (
 )
 from pairflip.errors import NumericError, UsageError
 from pairflip.spectra import (
+    candidate_cuts,
     GapResult,
     cheeger_check,
     cone_subset,
@@ -296,6 +297,18 @@ class TestCheeger:
         fake = GapResult(gap=0.99, method="dense", residual=0.0, iterations=0)
         with pytest.raises(NumericError):
             cheeger_check(ch, gap=fake)
+
+    def test_candidate_cuts(self):
+        cuts = candidate_cuts(build_lumped(2, 5))
+        assert list(cuts) == [
+            "cone d=3", "cone d=5", "charge q=1", "charge q=3", "charge q=5"
+        ]
+        assert np.array_equal(cuts["cone d=3"], cone_subset(build_lumped(2, 5), 3))
+
+    def test_too_short_for_any_cut(self):
+        chain = build_lumped(3, 1)
+        assert candidate_cuts(chain) == {}
+        assert cheeger_check(chain) is None
 
     def test_custom_chain_rejected(self):
         ch = StochasticChain.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))

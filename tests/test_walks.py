@@ -1,23 +1,33 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairflip.errors import ResourceCapError, UsageError
 from pairflip.walks import (
+    INT64_MAX,
     Charge,
     SectorId,
     SpinString,
+    all_states,
     charge,
     charge_value,
     enumerate_sectors,
+    in_cone,
     is_frozen,
     reduce,
+    reduce_states,
     reduce_symbols,
     sector_charge,
     sector_count_closed,
+    sector_index,
+    sector_words,
+    state_dtype,
 )
 
 
@@ -204,3 +214,86 @@ class TestFrozen:
             if is_frozen(SpinString.from_ints(syms, n))
         )
         assert count == n * (n - 1) ** (length - 1)
+
+
+@st.composite
+def string_batches(draw):
+    """A batch of equal-length strings. Symbols 1..3 are favoured so that
+    pairs cancel even in wide alphabets."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 127, 128, 200]))
+    length = draw(st.integers(0, 70))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    small = rng.integers(1, min(n, 3) + 1, size=(rows, length))
+    wide = rng.integers(1, n + 1, size=(rows, length))
+    pick = rng.random((rows, length)) < draw(st.sampled_from([0.0, 0.5, 0.9]))
+    return n, np.where(pick, small, wide).astype(state_dtype(n))
+
+
+@lru_cache(maxsize=None)
+def sector_positions(n, length):
+    return {s.irr: k for k, s in enumerate(enumerate_sectors(n, length))}
+
+
+class TestReductionKernel:
+    @given(string_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_and_index_match_scalar_reduction(self, case):
+        n, states = case
+        rows, length = states.shape
+        irrs = [reduce_symbols(r) for r in states.tolist()]
+        stack, depth = reduce_states(states)
+        assert stack.dtype == states.dtype and stack.shape == states.shape
+        assert [tuple(stack[k, : depth[k]].tolist()) for k in range(rows)] == irrs
+        count = sector_count_closed(n, length)
+        if count > INT64_MAX:
+            with pytest.raises(ResourceCapError):
+                sector_index(stack, depth, n, length)
+            return
+        index = sector_index(stack, depth, n, length).tolist()
+        if count <= 20_000:
+            position = sector_positions(n, length)
+            assert index == [position[irr] for irr in irrs]
+        assert all(0 <= i < count for i in index)
+        for a, b in combinations(range(rows), 2):
+            key_a, key_b = (len(irrs[a]), irrs[a]), (len(irrs[b]), irrs[b])
+            assert (index[a] < index[b]) == (key_a < key_b)
+            assert (index[a] == index[b]) == (key_a == key_b)
+
+    def test_batch_shape_and_dtype_are_free(self):
+        states = all_states(3, 5)
+        stack, depth = reduce_states(states)
+        for dtype in (np.uint8, np.int64):
+            s3, d3 = reduce_states(states.astype(dtype).reshape(9, 27, 5))
+            assert s3.shape == (9, 27, 5) and d3.shape == (9, 27)
+            assert np.array_equal(d3.reshape(-1), depth)
+            assert np.array_equal(
+                sector_index(s3, d3, 3, 5).reshape(-1),
+                sector_index(stack, depth, 3, 5),
+            )
+
+    @pytest.mark.parametrize("n,length", [(2, 5), (3, 6), (4, 5), (128, 2)])
+    def test_sector_words_invert_sector_index(self, n, length):
+        stack, depth = sector_words(n, length)
+        assert stack.dtype == state_dtype(n)
+        assert sector_index(stack, depth, n, length).tolist() == list(
+            range(sector_count_closed(n, length))
+        )
+
+    def test_all_states_order_and_dtype(self):
+        assert all_states(2, 2).tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
+        assert all_states(3, 0).shape == (1, 0)
+        assert all_states(127, 1).dtype == np.int8
+        assert all_states(128, 1).dtype == np.int16
+        assert all_states(128, 1)[-1, 0] == 128
+
+    def test_empty_strings(self):
+        stack, depth = reduce_states(np.zeros((4, 0), dtype=np.int8))
+        assert stack.shape == (4, 0) and depth.tolist() == [0, 0, 0, 0]
+        assert sector_index(stack, depth, 3, 0).tolist() == [0, 0, 0, 0]
+
+    def test_in_cone(self):
+        states = np.array([[1, 2, 1, 2], [1, 2, 2, 1], [2, 1, 2, 1], [1, 3, 3, 3]])
+        stack, depth = reduce_states(states)
+        assert in_cone(stack, depth, (1,)).tolist() == [True, False, False, True]
+        assert in_cone(stack, depth, (1, 2, 1)).tolist() == [True, False, False, False]

@@ -21,6 +21,7 @@ from typing import Any, Sequence
 
 from . import __version__, bounds as bounds_mod, census
 from .chains import (
+    DEFAULT_STATE_CAP,
     GateKind,
     build_full_local,
     build_full_nonlocal,
@@ -32,6 +33,9 @@ from .errors import NumericError, ResourceCapError, UsageError
 from .io import build_meta, write_artifact
 from .montecarlo import SimConfig, cone_escape_probability, estimate_tq, run_ensemble
 from .spectra import (
+    DEFAULT_TOL,
+    DENSE_CUTOFF,
+    MAX_ITERATIONS,
     candidate_cuts,
     cheeger_check,
     cone_subset,
@@ -437,10 +441,10 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--gate", default="pf", help="pf or tl (local chains)")
     p.add_argument("--exact", action="store_true",
                    help="carry exact rational rows (small sizes)")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--dense-cutoff", type=int, default=4096)
-    p.add_argument("--max-iterations", type=int, default=1_000_000)
-    p.add_argument("--state-cap", type=int, default=1 << 20)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--dense-cutoff", type=int, default=DENSE_CUTOFF)
+    p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--no-cheeger", action="store_true",
                    help="skip the conductance comparison")
     p.add_argument("--export-matrix", help="also write the matrix in COO text")
@@ -454,7 +458,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--depth", type=int, help="single cone cut at this depth")
     p.add_argument("--charge", type=int,
                    help="two-symbol charge-tail cut at this value")
-    p.add_argument("--state-cap", type=int, default=1 << 20)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     _add_common(p)
     p.set_defaults(func=_cmd_expansion)
     registry["expansion"] = p

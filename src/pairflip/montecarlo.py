@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -362,25 +363,26 @@ def _run_blocks(
         blk.record()  # t = 0
     done = 0
     total = sum(sizes)
-
-    def run_segment(blk: _Block, steps: int) -> None:
-        blk.advance(steps)
-
-    while done < cfg.t_max:
-        chunk = min(segment, cfg.t_max - done)
-        if cfg.threads > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                list(pool.map(lambda blk: run_segment(blk, chunk), blocks))
-        else:
-            for blk in blocks:
-                run_segment(blk, chunk)
-        done += chunk
-        if stop_observable is not None:
-            # reduce the stop observable over the window just computed
-            sums = np.array([b.sums[stop_observable] for b in blocks])
-            mean = sums.sum(axis=0) / total
-            if mean[-1] <= stop_threshold or mean.min() <= stop_threshold:
-                break
+    # one pool for the whole run; blocks own their streams, so the
+    # assignment of blocks to threads cannot change the output
+    threaded = cfg.threads > 1 and len(blocks) > 1
+    with (
+        ThreadPoolExecutor(max_workers=cfg.threads) if threaded else nullcontext()
+    ) as pool:
+        while done < cfg.t_max:
+            chunk = min(segment, cfg.t_max - done)
+            if pool is not None:
+                list(pool.map(lambda blk: blk.advance(chunk), blocks))
+            else:
+                for blk in blocks:
+                    blk.advance(chunk)
+            done += chunk
+            if stop_observable is not None:
+                # reduce the stop observable over the window just computed
+                sums = np.array([b.sums[stop_observable] for b in blocks])
+                mean = sums.sum(axis=0) / total
+                if mean[-1] <= stop_threshold or mean.min() <= stop_threshold:
+                    break
     return _assemble_series(cfg, blocks)
 
 
@@ -464,7 +466,8 @@ def estimate_tq(
         for start in range(0, n_resamples, 200):
             count = min(200, n_resamples - start)
             pick = rng.integers(0, nblocks, size=(count, nblocks))
-            num = sums[pick].sum(axis=1)
+            # one resample at a time: sums[pick] would be (count, blocks, T+1)
+            num = np.array([sums[p].sum(axis=0) for p in pick])
             den = sizes_arr[pick].sum(axis=1)[:, None]
             booted = num / den
             hit = booted <= cfg.gamma

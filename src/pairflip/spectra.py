@@ -1,10 +1,17 @@
 """Spectral gaps, subset expansion, and escape profiles.
 
 The gap is ``1 - |lambda_2|`` with ``lambda_2`` the second-largest
-eigenvalue modulus of the transition matrix. Small chains are solved
-densely; large ones iteratively with the stationary direction deflated
-away. The relaxation time is ``1/gap``; the usual mixing-time relation
-``t_mix >= t_rel ln 4`` is left to the caller, it is not computed here.
+eigenvalue modulus of the transition matrix. The relaxation time is
+``1/gap``; the usual mixing-time relation ``t_mix >= t_rel ln 4`` is left
+to the caller, it is not computed here.
+
+Reversible chains (the lumped chain, and the nonlocal chain through its
+sector compression) are solved as the symmetric matrix
+``D^{1/2} T D^{-1/2}``, ``D`` the diagonal of the stationary law: with
+``eigh`` up to ``DENSE_CUTOFF`` states, by Lanczos with the stationary
+direction deflated away above it. The nonsymmetric full local chain and
+chains made from raw matrices use ``eig`` up to the cutoff and a
+singular-value proxy above it.
 
 Expansion of a subset R uses the probability-flow convention
 
@@ -65,15 +72,20 @@ class GapResult:
 
 
 def _require_irreducible(chain: StochasticChain) -> None:
-    # lumped rows are connected by construction; everything that was
-    # assembled from raw matrices gets the real check
-    if chain.kind == "lumped":
-        return
     ncomp, _ = connected_components(chain.matrix, connection="strong")
     if ncomp != 1:
         raise UsageError(
             f"chain is not irreducible ({ncomp} strongly connected components)"
         )
+
+
+def _dense_result(lam: complex | float, residual: float) -> GapResult:
+    mod = abs(lam)
+    if mod > 1 + 1e-9:
+        raise NumericError(f"subdominant eigenvalue modulus {mod} exceeds 1")
+    return GapResult(
+        gap=max(1.0 - mod, 0.0), method="dense", residual=residual, iterations=0
+    )
 
 
 def _dense_gap(mat: np.ndarray) -> GapResult:
@@ -82,12 +94,29 @@ def _dense_gap(mat: np.ndarray) -> GapResult:
     lam = vals[order[1]]
     x = vecs[:, order[1]]
     residual = float(np.linalg.norm(mat @ x - lam * x) / np.linalg.norm(x))
-    mod = abs(lam)
-    if mod > 1 + 1e-9:
-        raise NumericError(f"subdominant eigenvalue modulus {mod} exceeds 1")
-    return GapResult(
-        gap=max(1.0 - mod, 0.0), method="dense", residual=residual, iterations=0
-    )
+    return _dense_result(lam, residual)
+
+
+def _symmetrized(
+    mat: sp.csr_matrix, pi: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``D^{1/2} T D^{-1/2}`` with ``D = diag(pi)``, and ``sqrt(pi)``.
+
+    ``mat`` must be reversible with respect to ``pi``; the result is
+    then symmetric, with top eigenvector ``sqrt(pi)`` and the spectrum
+    of ``mat``.
+    """
+    root = np.sqrt(pi)
+    return sp.csr_matrix(sp.diags(root) @ mat @ sp.diags(1.0 / root)), root
+
+
+def _dense_symmetric_gap(sym: sp.csr_matrix) -> GapResult:
+    # eigh reads one triangle; the residual against the whole of ``sym``
+    # also picks up the rounding asymmetry of the similarity transform
+    vals, vecs = np.linalg.eigh(sym.toarray())
+    k = np.argsort(-np.abs(vals))[1]
+    lam, x = vals[k], vecs[:, k]  # x has unit norm
+    return _dense_result(lam, float(np.linalg.norm(sym @ x - lam * x)))
 
 
 class _CountedOperator(spla.LinearOperator):
@@ -121,27 +150,19 @@ def _top_eigenpair(
 
 
 def _iterative_symmetric(
-    mat: sp.csr_matrix,
-    pi: np.ndarray,
+    sym: sp.csr_matrix,
+    root: np.ndarray,
     tol: float,
     max_iterations: int,
 ) -> tuple[float, float, int]:
-    """Largest eigenvalue after deflating the stationary direction.
-
-    ``mat`` must be reversible with respect to ``pi``; the similarity
-    ``D^{1/2} T D^{-1/2}`` is then symmetric with top eigenvector
-    ``sqrt(pi)``.
-    """
-    root = np.sqrt(pi)
-    dh = sp.diags(root)
-    dhi = sp.diags(1.0 / root)
-    sym = sp.csr_matrix(dh @ mat @ dhi)
+    """Largest eigenvalue of :func:`_symmetrized` output after deflating
+    the stationary direction ``root``."""
     top = root / np.linalg.norm(root)
 
     def apply(x: np.ndarray) -> np.ndarray:
         return sym @ x - top * (top @ x)
 
-    return _top_eigenpair(apply, mat.shape[0], tol, max_iterations)
+    return _top_eigenpair(apply, sym.shape[0], tol, max_iterations)
 
 
 def _iterative_singular_proxy(
@@ -181,29 +202,31 @@ def spectral_gap(
     dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int = MAX_ITERATIONS,
 ) -> GapResult:
-    """Gap of a chain: dense below the cutoff, deflated Lanczos above.
+    """Gap of a chain: dense up to the cutoff, deflated Lanczos above.
 
-    Iterative paths: lumped chains and sector compressions of the
-    nonlocal chain are symmetrized through their stationary law; the
-    nonsymmetric full local chain falls back to a singular-value proxy
-    on ``M M^T`` whose result lower-bounds the true gap (see the
-    ``caveat`` field). Non-convergence raises instead of returning.
+    Lumped chains and nonlocal chains are reversible; they are solved
+    symmetrized through their stationary law, the nonlocal chain in its
+    sector compression (so the dimension compared with the cutoff, and
+    the eigenpair behind ``residual``, are the compression's). The
+    nonsymmetric local chain and raw-matrix chains use ``eig`` up to the
+    cutoff; above it a doubly stochastic chain falls back to a
+    singular-value proxy on ``M M^T`` whose result lower-bounds the true
+    gap (see the ``caveat`` field). Non-convergence raises instead of
+    returning.
     """
     _require_irreducible(chain)
-    if chain.dimension <= dense_cutoff:
+    caveat = None
+    if chain.kind in ("lumped", "nonlocal"):
+        if chain.kind == "lumped":
+            mat, pi = chain.matrix, chain.stationary
+        else:
+            mat, pi = _compress_nonlocal(chain)
+        sym, root = _symmetrized(mat, pi)
+        if sym.shape[0] <= dense_cutoff:
+            return _dense_symmetric_gap(sym)
+        lam, residual, count = _iterative_symmetric(sym, root, tol, max_iterations)
+    elif chain.dimension <= dense_cutoff:
         return _dense_gap(chain.matrix.toarray())
-    if chain.kind == "lumped":
-        lam, residual, count = _iterative_symmetric(
-            chain.matrix, chain.stationary, tol, max_iterations
-        )
-        caveat = None
-    elif chain.kind == "nonlocal":
-        comp, pi = _compress_nonlocal(chain)
-        if comp.shape[0] <= dense_cutoff:
-            res = _dense_gap(comp.toarray())
-            return GapResult(res.gap, "dense", res.residual, res.iterations)
-        lam, residual, count = _iterative_symmetric(comp, pi, tol, max_iterations)
-        caveat = None
     else:
         col_drift = np.abs(np.asarray(chain.matrix.sum(axis=0)).ravel() - 1).max()
         if col_drift > 1e-9:

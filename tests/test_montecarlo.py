@@ -357,6 +357,20 @@ class TestEnsemble:
             assert np.array_equal(a.means[name], c.means[name])
             assert np.array_equal(a.std_errors[name], c.std_errors[name])
 
+    def test_thread_count_invariant_over_segments(self):
+        # t_max spans four 64-step segments of the block loop
+        base = dict(
+            n=3, length=8, t_max=200, n_trajectories=700, seed=8, blocks=7,
+            observables=("charge:1", "depth"),
+        )
+        a = run_ensemble(SimConfig(threads=1, **base))
+        b = run_ensemble(SimConfig(threads=3, **base))
+        assert len(a.times) == 201
+        for name in a.means:
+            assert np.array_equal(a.block_sums[name], b.block_sums[name])
+            assert np.array_equal(a.means[name], b.means[name])
+            assert np.array_equal(a.std_errors[name], b.std_errors[name])
+
     def test_seed_changes_output(self):
         base = dict(n=2, length=8, t_max=20, n_trajectories=400, blocks=4)
         a = run_ensemble(SimConfig(seed=1, **base))
@@ -510,6 +524,24 @@ class TestEstimateTq:
         a = estimate_tq(cfg)
         b = estimate_tq(cfg)
         assert a.t_q == b.t_q and a.ci_low == b.ci_low and a.ci_high == b.ci_high
+
+    def test_thread_count_invariant_over_segments(self):
+        base = dict(
+            n=2, length=12, t_max=2000, n_trajectories=1200, seed=9, blocks=12,
+            gamma=0.05,
+        )
+        a = estimate_tq(SimConfig(threads=1, **base), n_resamples=450)
+        b = estimate_tq(SimConfig(threads=3, **base), n_resamples=450)
+        # the early stop came after several 64-step segments
+        assert len(a.series.times) > 3 * 64
+        assert not a.censored
+        assert (a.t_q, a.ci_low, a.ci_high, a.censored_draws) == (
+            b.t_q, b.ci_low, b.ci_high, b.censored_draws
+        )
+        assert np.array_equal(a.series.times, b.series.times)
+        assert np.array_equal(
+            a.series.block_sums["charge:1"], b.series.block_sums["charge:1"]
+        )
 
 
 class TestConeEscape:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pairflip import spectra
 from pairflip.census import cone_stats, n2_min_expansion, sector_dim
@@ -71,6 +72,52 @@ class TestDenseGap:
         for builder in (build_full_local, build_full_nonlocal):
             res = spectral_gap(builder(3, 4))
             assert 0 <= res.gap <= 1
+
+    def test_reducible_lumped_raises(self):
+        ch = StochasticChain(
+            kind="lumped", matrix=sp.csr_matrix(np.eye(2)), stationary=np.full(2, 0.5)
+        )
+        with pytest.raises(UsageError):
+            spectral_gap(ch)
+
+
+def _eigvals_gap(mat: np.ndarray) -> float:
+    """1 - (second-largest eigenvalue modulus) of the raw matrix."""
+    mods = np.sort(np.abs(np.linalg.eigvals(mat)))
+    return float(1.0 - mods[-2])
+
+
+class TestSymmetricDenseGap:
+    @pytest.mark.parametrize("n,max_length", [(2, 12), (3, 7), (4, 5), (5, 4)])
+    def test_lumped_matches_eigvals(self, n, max_length):
+        for length in range(1, max_length + 1):
+            ch = build_lumped(n, length)
+            res = spectral_gap(ch)
+            assert res.method == "dense" and res.iterations == 0
+            assert abs(res.gap - _eigvals_gap(ch.matrix.toarray())) < 1e-12
+            assert res.residual < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nonlocal_matches_eigvals_of_full_matrix(self, n):
+        for length in range(1, 7):
+            ch = build_full_nonlocal(n, length)
+            res = spectral_gap(ch)
+            assert res.method == "dense"
+            assert abs(res.gap - _eigvals_gap(ch.matrix.toarray())) < 1e-12
+            assert res.residual < 1e-12
+
+    def test_nonlocal_cutoff_applies_to_the_compression(self):
+        # 729 states but 127 sectors: the compression is solved densely
+        res = spectral_gap(build_full_nonlocal(3, 6), dense_cutoff=200)
+        assert res.method == "dense"
+
+    def test_largest_dense_lumped_matches_iterative(self):
+        ch = build_lumped(3, 11)
+        assert ch.dimension == 4095 <= spectra.DENSE_CUTOFF
+        dense = spectral_gap(ch)
+        it = spectral_gap(ch, dense_cutoff=64)
+        assert dense.method == "dense" and it.method == "iterative"
+        assert abs(dense.gap - it.gap) < 1e-9
 
 
 class TestIterativeGap:

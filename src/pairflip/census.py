@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
@@ -86,6 +86,16 @@ def sector_dim(n: int, length: int, depth: int) -> int:
     if length < 0 or depth < 0 or depth > length or (length - depth) % 2:
         return 0
     return _dims_row(n, length)[depth]
+
+
+def sector_dim_rows(n: int, length: int) -> Sequence[tuple[int, ...]]:
+    """Rows 0..length (at least) of the dimension DP, from the shared cache.
+
+    ``rows[l][d] == sector_dim(n, l, d)`` for ``0 <= d <= l``; read-only.
+    """
+    check_alphabet(n)
+    _dims_row(n, length)
+    return _ROWS[n]
 
 
 def multiplicity(n: int, depth: int) -> int:

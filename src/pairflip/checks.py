@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bounds, census
 from .chains import (
+    GateKind,
     build_full_local,
     build_full_nonlocal,
     build_lumped,
@@ -290,6 +291,18 @@ def check_montecarlo() -> list[CheckResult]:
             "montecarlo.initial_charge_is_one",
             a.means["charge:1"][0] == 1.0,
             f"{a.means['charge:1'][0]}",
+        )
+    )
+    # TL gate, unequal blocks and two 64-step segments: two slabs must
+    # reproduce one slab bit for bit
+    base = dict(n=3, length=8, t_max=80, n_trajectories=203, seed=13, blocks=7,
+                gate=GateKind.TEMPERLEY_LIEB, observables=("charge:1", "depth"))
+    one = run_ensemble(SimConfig(threads=1, **base)).block_sums
+    two = run_ensemble(SimConfig(threads=2, **base)).block_sums
+    out.append(
+        _result(
+            "montecarlo.thread_count_invariant",
+            all(np.array_equal(one[k], two[k]) for k in one),
         )
     )
     states = sample_cone_states(3, 6, 2, 500, np.random.default_rng(0))

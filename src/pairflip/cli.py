@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 resource
 cap exceeded. Artifacts are written atomically; every ``--out`` file
 gets a ``<name>.meta.json`` sidecar with the resolved parameters, the
-package version, and a timestamp. The artifact itself never contains
-a timestamp, so reruns with equal parameters are byte-identical.
+package version, a timestamp and the operation's wall time. The artifact
+itself never contains a timestamp or a timing, so reruns with equal
+parameters are byte-identical.
 
 A ``--config FILE`` of ``key = value`` lines supplies defaults for the
 chosen subcommand; explicit flags win over the file.
@@ -16,6 +17,7 @@ import argparse
 import io as _io
 import json
 import sys
+import time
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -63,9 +65,10 @@ def _emit(args: argparse.Namespace, text: str, command: str) -> None:
         params = {
             k: v
             for k, v in vars(args).items()
-            if k not in ("func", "out", "config") and v is not None
+            if k not in ("func", "out", "config", "started") and v is not None
         }
-        write_artifact(args.out, text, build_meta(command, params))
+        wall_s = time.perf_counter() - args.started
+        write_artifact(args.out, text, build_meta(command, params, wall_s))
     else:
         sys.stdout.write(text)
 
@@ -596,6 +599,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             sub = registry[command]
             sub.set_defaults(**_typed_defaults(sub, _load_config_file(config_path)))
         args = parser.parse_args(argv)
+        args.started = time.perf_counter()
         return args.func(args)
     except UsageError as exc:
         print(f"pairflip: error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Artifact writing: atomic file replacement plus metadata sidecars.
 
-Artifacts themselves carry no timestamps, so identical runs produce
-byte-identical files; provenance (resolved parameters, version, wall
-time) lives in a ``<name>.meta.json`` sidecar next to each artifact.
+Artifacts themselves carry no timestamps or timings, so identical runs
+produce byte-identical files; provenance (resolved parameters, version,
+creation time and, for a CLI operation, its wall time ``wall_s``) lives
+in a ``<name>.meta.json`` sidecar next to each artifact.
 """
 
 from __future__ import annotations
@@ -67,13 +68,18 @@ def sidecar_path(path: str | Path) -> Path:
     return p.with_name(p.name + ".meta.json")
 
 
-def build_meta(command: str, parameters: Mapping[str, Any]) -> dict[str, Any]:
-    return {
+def build_meta(
+    command: str, parameters: Mapping[str, Any], wall_s: float | None = None
+) -> dict[str, Any]:
+    meta = {
         "command": command,
         "parameters": json_ready(dict(parameters)),
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
     }
+    if wall_s is not None:
+        meta["wall_s"] = wall_s
+    return meta
 
 
 def write_artifact(

@@ -8,13 +8,16 @@ and across the disjoint pairs of a layer.
 
 Reproducibility: trajectories are partitioned into blocks and every
 block owns a counter-based Philox stream keyed ``(seed, block)``
-(initial-state sampling uses a parallel key family). Results are
-reduced in fixed block order, so output is bit-identical for a given
-config regardless of thread count.
+(initial-state sampling uses a parallel key family). ``threads`` splits
+the blocks into that many contiguous slabs; a slab steps its blocks as
+one array, drawing each block's rows from that block's own stream.
+Results are reduced in fixed block order, so output is bit-identical
+for a given config regardless of thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -24,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .census import cone_stats, sector_dim
+from .census import cone_stats, sector_dim, sector_dim_rows
 from .chains import GateKind, layer_pairs
 from .errors import NumericError, UsageError
 from .walks import (
@@ -45,6 +48,15 @@ _INIT_KEY_OFFSET = 1 << 63  # separates init streams from dynamics streams
 _BOOT_KEY = (1 << 63) - 1  # bootstrap stream block index
 
 KNOWN_OBSERVABLES = ("charge", "depth", "match_site", "cone_escape")
+_CHARGE = "charge:1"  # the observable of first passages
+
+
+def _check_sim_alphabet(n: int) -> None:
+    if n > MAX_SIM_ALPHABET:
+        raise UsageError(
+            f"alphabet size {n} exceeds {MAX_SIM_ALPHABET}, the "
+            "largest symbol an int8 state array holds"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,11 +77,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_size(self.n, self.length)
-        if self.n > MAX_SIM_ALPHABET:
-            raise UsageError(
-                f"alphabet size {self.n} exceeds {MAX_SIM_ALPHABET}, the "
-                "largest symbol an int8 state array holds"
-            )
+        _check_sim_alphabet(self.n)
         if self.t_max < 0:
             raise UsageError("t_max must be nonnegative")
         if self.n_trajectories < 1:
@@ -184,8 +192,7 @@ def _apply_layer(
     # picks uniformly among the n-1 symbols distinct from a
     if n == 1:
         return
-    u = rng.random(size=(m, lefts.size))
-    flip = eq & (u < 2 * (n - 1) / n**2)
+    flip = eq & (rng.random(size=(m, lefts.size)) < 2 * (n - 1) / n**2)
     b0 = rng.integers(0, n - 1, size=(m, lefts.size), dtype=np.int8)
     new = (b0 + (b0 >= a - 1) + 1).astype(np.int8)
     out_a = np.where(flip, new, a)
@@ -218,6 +225,7 @@ def step(
     gate: GateKind = GateKind.PAIR_FLIP,
 ) -> SpinString:
     """Single-trajectory convenience wrapper around the batch kernel."""
+    _check_sim_alphabet(state.alphabet_size)
     arr = np.array([state.symbols], dtype=np.int8)
     step_states(arr, rng, state.alphabet_size, gate)
     return SpinString(tuple(int(x) for x in arr[0]), state.alphabet_size)
@@ -252,56 +260,94 @@ class EnsembleSeries:
         return int(self.block_sizes.sum())
 
 
-class _Block:
-    """Owns one block's states, rng, and accumulated sums."""
+class _StripedRng:
+    """Generator face over a run of blocks that each draw from their own stream.
+
+    A draw of ``size=(M, ...)`` takes every block's rows from that block's
+    generator, in block order, and stacks them, so each block consumes
+    exactly the draws it would consume if it were stepped alone.
+    """
+
+    def __init__(self, rngs: Sequence[np.random.Generator], sizes: Sequence[int]):
+        self._parts = list(zip(rngs, sizes))
+
+    def integers(self, low, high, size, dtype=np.int64) -> np.ndarray:
+        # a flat draw of m * width values fills the same sequence as an
+        # (m, width) one, and skips the generator's shape handling
+        tail = tuple(size[1:]) if isinstance(size, tuple) else ()
+        width = math.prod(tail)
+        parts = [rng.integers(low, high, m * width, dtype) for rng, m in self._parts]
+        return np.concatenate(parts).reshape((-1,) + tail)
+
+    def random(self, size) -> np.ndarray:
+        # filled in place: float draws are a step's largest temporaries
+        out, row = np.empty(size), 0
+        for rng, m in self._parts:
+            rng.random(out=out[row : row + m])
+            row += m
+        return out
+
+
+class _Slab:
+    """A contiguous run of whole blocks, stepped as one ``(M, L)`` array.
+
+    ``sums``/``sqsums`` hold one vector of block sums per recorded time.
+    Over a run of equal-size blocks these are row sums of the values
+    reshaped to ``(blocks, size)``: each adds as its block's alone would.
+    """
 
     def __init__(
         self,
         cfg: SimConfig,
-        block: int,
-        size: int,
-        observables: Sequence[_Observable],
-        initial: np.ndarray,
+        blocks: Sequence[int],
+        starts: Sequence[np.ndarray],
+        crossings: np.ndarray | None,
     ):
         self.cfg = cfg
-        self.size = size
-        self.rng = _dynamics_rng(cfg.seed, block)
-        self.states = initial.copy()
-        self.initial = initial.copy()
-        self.observables = observables
-        self.sums: dict[str, list[float]] = {o.name: [] for o in observables}
-        self.sqsums: dict[str, list[float]] = {o.name: [] for o in observables}
+        self.observables = [
+            _parse_observable(o, cfg.n, cfg.length) for o in cfg.observables
+        ]
+        self.sizes = [len(s) for s in starts]
+        self.rng = _StripedRng([_dynamics_rng(cfg.seed, b) for b in blocks], self.sizes)
+        self.states = np.concatenate(starts)
+        self.initial = self.states.copy()
+        self.crossings = crossings  # this slab's rows of the caller's array
+        self.t = 0
+        runs = [(m, len(list(g))) for m, g in itertools.groupby(self.sizes)]
+        ends = itertools.accumulate(m * count for m, count in runs)
+        self.runs = [(slice(e - m * c, e), c) for (m, c), e in zip(runs, ends)]
+        self.sums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
+        self.sqsums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
         self._signs = np.where(np.arange(cfg.length) % 2 == 0, -1, 1)
-        self._anchors = {
-            o.arg: _canonical_anchor(o.arg)
-            for o in observables
-            if o.kind == "cone_escape"
-        }
+        self.record()  # t = 0
 
     def _values(self, obs: _Observable) -> np.ndarray:
         s = self.states
         if obs.kind == "charge":
-            q = ((s == obs.arg) * self._signs).sum(axis=1)
-            return 2.0 * q / self.cfg.length
+            return 2.0 * ((s == obs.arg) * self._signs).sum(axis=1) / self.cfg.length
         if obs.kind == "depth":
-            _, sp = reduce_states(s)
-            return sp.astype(np.float64)
+            return reduce_states(s)[1].astype(np.float64)
         if obs.kind == "match_site":
-            i = obs.arg - 1
-            return (s[:, i] == self.initial[:, i]).astype(np.float64)
-        return cone_escape_mask(s, obs.arg, self._anchors[obs.arg]).astype(
-            np.float64
-        )
+            return (s[:, obs.arg - 1] == self.initial[:, obs.arg - 1]).astype(float)
+        return cone_escape_mask(s, obs.arg, _canonical_anchor(obs.arg)).astype(float)
+
+    def _block_sums(self, vals: np.ndarray) -> np.ndarray:
+        sums = [vals[rows].reshape(count, -1).sum(axis=1) for rows, count in self.runs]
+        return np.concatenate(sums)
 
     def record(self) -> None:
         for obs in self.observables:
             vals = self._values(obs)
-            self.sums[obs.name].append(float(vals.sum()))
-            self.sqsums[obs.name].append(float((vals * vals).sum()))
+            self.sums[obs.name].append(self._block_sums(vals))
+            self.sqsums[obs.name].append(self._block_sums(vals * vals))
+            if self.crossings is not None and self.t and obs.name == _CHARGE:
+                hit = (self.crossings < 0) & (vals <= self.cfg.gamma)
+                self.crossings[hit] = self.t
 
     def advance(self, steps: int) -> None:
         for _ in range(steps):
             step_states(self.states, self.rng, self.cfg.n, self.cfg.gate)
+            self.t += 1
             self.record()
 
 
@@ -310,31 +356,30 @@ def _block_sizes(n_trajectories: int, blocks: int) -> list[int]:
     return [base + (1 if b < rem else 0) for b in range(blocks)]
 
 
-def _assemble_series(cfg: SimConfig, blocks: Sequence[_Block]) -> EnsembleSeries:
-    names = [o.name for o in blocks[0].observables]
-    sizes = np.array([b.size for b in blocks], dtype=np.int64)
+def _history(slabs: Sequence[_Slab], table: str, name: str, start: int = 0):
+    """C-ordered ``(blocks, times)`` block sums from time ``start`` on."""
+    parts = [np.array(getattr(s, table)[name][start:]) for s in slabs]
+    return np.concatenate(parts, axis=1).T.copy()
+
+
+def _assemble_series(cfg: SimConfig, slabs: Sequence[_Slab]) -> EnsembleSeries:
+    sizes = np.array([m for s in slabs for m in s.sizes], dtype=np.int64)
     total = sizes.sum()
-    steps = len(blocks[0].sums[names[0]])
     means: dict[str, np.ndarray] = {}
     errs: dict[str, np.ndarray] = {}
     bsums: dict[str, np.ndarray] = {}
-    for name in names:
-        sums = np.array([b.sums[name] for b in blocks])  # (B, T+1)
-        sq = np.array([b.sqsums[name] for b in blocks])
-        tot = sums.sum(axis=0)
-        tot_sq = sq.sum(axis=0)
-        mean = tot / total
+    for obs in slabs[0].observables:
+        bsums[obs.name] = sums = _history(slabs, "sums", obs.name)  # (B, T+1)
+        tot_sq = _history(slabs, "sqsums", obs.name).sum(axis=0)
+        means[obs.name] = mean = sums.sum(axis=0) / total
         if total > 1:
             var = np.maximum(tot_sq / total - mean**2, 0.0) * total / (total - 1)
-            err = np.sqrt(var / total)
+            errs[obs.name] = np.sqrt(var / total)
         else:
-            err = np.zeros_like(mean)
-        means[name] = mean
-        errs[name] = err
-        bsums[name] = sums
+            errs[obs.name] = np.zeros_like(mean)
     return EnsembleSeries(
         config=cfg,
-        times=np.arange(steps),
+        times=np.arange(sums.shape[1]),
         means=means,
         std_errors=errs,
         block_sums=bsums,
@@ -348,49 +393,48 @@ def _run_blocks(
     *,
     stop_observable: str | None = None,
     stop_threshold: float = 0.0,
+    crossings: np.ndarray | None = None,
     segment: int = 64,
 ) -> EnsembleSeries:
-    observables = [
-        _parse_observable(o, cfg.n, cfg.length) for o in cfg.observables
-    ]
-    sizes = [arr.shape[0] for arr in initial_states]
-    blocks = [
-        _Block(cfg, b, sizes[b], observables, initial_states[b])
-        for b in range(len(initial_states))
-        if sizes[b] > 0
-    ]
-    for blk in blocks:
-        blk.record()  # t = 0
-    done = 0
-    total = sum(sizes)
-    # one pool for the whole run; blocks own their streams, so the
-    # assignment of blocks to threads cannot change the output
-    threaded = cfg.threads > 1 and len(blocks) > 1
-    with (
-        ThreadPoolExecutor(max_workers=cfg.threads) if threaded else nullcontext()
-    ) as pool:
+    """Step block ``b`` from ``initial_states[b]`` and reduce in block order.
+
+    The nonempty blocks are split into ``cfg.threads`` contiguous slabs,
+    run side by side for ``segment`` steps at a time. ``crossings``, one
+    int64 entry per trajectory set to -1 by the caller, receives each
+    trajectory's first time t >= 1 with its ``charge:1`` value at or
+    below gamma.
+    """
+    live = [b for b, start in enumerate(initial_states) if len(start)]
+    slabs = []
+    first = total = 0
+    for count in _block_sizes(len(live), min(cfg.threads, len(live))):
+        blocks = live[first : first + count]
+        rows = sum(len(initial_states[b]) for b in blocks)
+        mine = None if crossings is None else crossings[total : total + rows]
+        slabs.append(_Slab(cfg, blocks, [initial_states[b] for b in blocks], mine))
+        first, total = first + count, total + rows
+    done = checked = 0
+    # slabs own their blocks' streams, so the split cannot change the output
+    with ThreadPoolExecutor(len(slabs)) if len(slabs) > 1 else nullcontext() as pool:
         while done < cfg.t_max:
             chunk = min(segment, cfg.t_max - done)
-            if pool is not None:
-                list(pool.map(lambda blk: blk.advance(chunk), blocks))
-            else:
-                for blk in blocks:
-                    blk.advance(chunk)
+            run = map if pool is None else pool.map
+            list(run(lambda slab: slab.advance(chunk), slabs))
             done += chunk
             if stop_observable is not None:
-                # reduce the stop observable over the window just computed
-                sums = np.array([b.sums[stop_observable] for b in blocks])
-                mean = sums.sum(axis=0) / total
-                if mean[-1] <= stop_threshold or mean.min() <= stop_threshold:
+                # the window keeps one earlier time, so it is at least two
+                # wide and its column sums add the blocks in order
+                window = _history(slabs, "sums", stop_observable, checked)
+                checked = done
+                if (window.sum(axis=0) / total).min() <= stop_threshold:
                     break
-    return _assemble_series(cfg, blocks)
+    return _assemble_series(cfg, slabs)
 
 
 def _shared_starts(cfg: SimConfig) -> list[np.ndarray]:
     """Every block's copies of the configured initial state."""
     init = np.array(cfg.initial_state(), dtype=np.int8)
-    sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
-    return [np.tile(init, (m, 1)) for m in sizes]
+    return [np.tile(init, (m, 1)) for m in _block_sizes(cfg.n_trajectories, cfg.blocks)]
 
 
 def run_ensemble(cfg: SimConfig) -> EnsembleSeries:
@@ -436,27 +480,24 @@ def estimate_tq(
     whose resampled mean never crosses inside the simulated window are
     counted in ``censored_draws`` rather than silently clamped.
     """
-    charge_obs = "charge:1"
-    if charge_obs not in cfg.observables:
-        cfg = replace(cfg, observables=(charge_obs,) + cfg.observables)
-    if per_trajectory:
-        track = _TrackedRun(cfg)
-        series = track.series
-    else:
-        # stop once safely below gamma so bootstrap crossings resolve
-        series = _run_blocks(
-            cfg,
-            _shared_starts(cfg),
-            stop_observable=charge_obs,
-            stop_threshold=0.5 * cfg.gamma,
-        )
-    mean = series.means[charge_obs]
-    t_q = _crossing(mean, cfg.gamma)
+    if _CHARGE not in cfg.observables:
+        cfg = replace(cfg, observables=(_CHARGE,) + cfg.observables)
+    passages = np.full(cfg.n_trajectories, -1, np.int64) if per_trajectory else None
+    # without per-trajectory times, stop once safely below gamma so that
+    # bootstrap crossings resolve
+    series = _run_blocks(
+        cfg,
+        _shared_starts(cfg),
+        stop_observable=None if per_trajectory else _CHARGE,
+        stop_threshold=0.5 * cfg.gamma,
+        crossings=passages,
+    )
+    t_q = _crossing(series.means[_CHARGE], cfg.gamma)
     censored = t_q is None
     ci_low = ci_high = None
     censored_draws = 0
     if not censored:
-        sums = series.block_sums[charge_obs]
+        sums = series.block_sums[_CHARGE]
         sizes_arr = series.block_sizes.astype(np.float64)
         nblocks = sums.shape[0]
         rng = np.random.Generator(
@@ -478,7 +519,6 @@ def estimate_tq(
         if crossings:
             lo, hi = np.percentile(np.asarray(crossings), [2.5, 97.5])
             ci_low, ci_high = int(lo), int(math.ceil(hi))
-    per_traj = track.first_passages if per_trajectory else None
     return TQReport(
         gamma=cfg.gamma,
         t_q=t_q,
@@ -488,50 +528,12 @@ def estimate_tq(
         censored_draws=censored_draws,
         n_resamples=n_resamples,
         series=series,
-        per_trajectory_times=per_traj,
+        per_trajectory_times=passages,
     )
-
-
-class _TrackedRun:
-    """Full-horizon run that also records per-trajectory crossings."""
-
-    def __init__(self, cfg: SimConfig):
-        observables = [
-            _parse_observable(o, cfg.n, cfg.length) for o in cfg.observables
-        ]
-        blocks = [
-            _Block(cfg, b, len(start), observables, start)
-            for b, start in enumerate(_shared_starts(cfg))
-            if len(start) > 0
-        ]
-        firsts = []
-        signs = np.where(np.arange(cfg.length) % 2 == 0, -1, 1)
-        for blk in blocks:
-            blk.record()
-            fp = np.full(blk.size, -1, dtype=np.int64)
-            for t in range(1, cfg.t_max + 1):
-                blk.advance(1)
-                q = ((blk.states == 1) * signs).sum(axis=1) * 2.0 / cfg.length
-                hit = (fp < 0) & (q <= cfg.gamma)
-                fp[hit] = t
-            firsts.append(fp)
-        self.series = _assemble_series(cfg, blocks)
-        self.first_passages = np.concatenate(firsts)
 
 
 # ---------------------------------------------------------------------------
 # uniform sampling inside a cone
-
-
-def _distance_to_target(
-    path: Sequence[int], target: Sequence[int]
-) -> tuple[int, int]:
-    common = 0
-    for a, b in zip(path, target):
-        if a != b:
-            break
-        common += 1
-    return len(path) + len(target) - 2 * common, common
 
 
 def sample_sector_string(
@@ -550,28 +552,32 @@ def sample_sector_string(
         raise UsageError(
             f"sector depth {len(q)} unreachable at length {length}"
         )
+    dims = sector_dim_rows(n, length)
     path: list[int] = []
     out: list[int] = []
+    common = 0  # length of the common prefix of path and target
     for remaining in range(length, 0, -1):
-        r, common = _distance_to_target(path, q)
+        r = len(path) + len(q) - 2 * common
         if r == 0:
             # at the target every neighbor is one step farther: uniform
             sym = int(rng.integers(1, n + 1))
         else:
             # the one neighbor toward the target has weight A(rem-1, r-1),
-            # each of the n-1 others A(rem-1, r+1); their sum is A(rem, r)
-            denom = sector_dim(n, remaining, r)
+            # each of the n-1 others A(rem-1, r+1); their sum is A(rem, r).
+            # int / int rounds correctly, so this is float(Fraction(...))
             toward_sym = q[common] if common == len(path) else path[-1]
-            toward = sector_dim(n, remaining - 1, r - 1)
-            if rng.random() < float(Fraction(toward, denom)):
+            if rng.random() < dims[remaining - 1][r - 1] / dims[remaining][r]:
                 sym = toward_sym
             else:
-                choices = [c for c in range(1, n + 1) if c != toward_sym]
-                sym = choices[int(rng.integers(0, len(choices)))]
+                c = int(rng.integers(0, n - 1))  # uniform over the others
+                sym = c + 1 + (c + 1 >= toward_sym)
         # emitting the top symbol cancels it; any other symbol extends
         if path and sym == path[-1]:
             path.pop()
+            common = min(common, len(path))
         else:
+            if common == len(path) < len(q) and sym == q[common]:
+                common += 1
             path.append(sym)
         out.append(sym)
     if tuple(path) != q:
@@ -621,11 +627,10 @@ def sample_cone_states(
         dd = depths[int(np.searchsorted(cum, rng.random(), side="right"))]
         irr = list(anchor)
         while len(irr) < dd:
-            prev = irr[-1] if irr else 0
-            choices = [c for c in range(1, n + 1) if c != prev]
-            irr.append(choices[int(rng.integers(0, len(choices)))])
-        syms = sample_sector_string(SectorId(tuple(irr), n), length, rng)
-        out[k] = syms
+            prev = irr[-1] if irr else 0  # 0: every symbol may follow
+            c = int(rng.integers(0, n - (prev > 0)))
+            irr.append(c + 1 + (0 < prev <= c + 1))
+        out[k] = sample_sector_string(SectorId(tuple(irr), n), length, rng)
     return out
 
 
@@ -657,15 +662,10 @@ def cone_escape_probability(
         raise UsageError("sample times must be nonnegative")
     obs = f"cone_escape:{depth}"
     cfg = replace(cfg, observables=(obs,), t_max=times[-1], initial=None)
-    sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
-    starts = []
-    for b, m in enumerate(sizes):
-        rng = _init_rng(cfg.seed, b)
-        starts.append(
-            sample_cone_states(cfg.n, cfg.length, depth, m, rng)
-            if m
-            else np.empty((0, cfg.length), dtype=np.int8)
-        )
+    starts = [
+        sample_cone_states(cfg.n, cfg.length, depth, m, _init_rng(cfg.seed, b))
+        for b, m in enumerate(_block_sizes(cfg.n_trajectories, cfg.blocks))
+    ]
     series = _run_blocks(cfg, starts)
     flow = float(cone_stats(cfg.n, cfg.length, depth).boundary_flow)
     sel = np.array(times, dtype=np.int64)

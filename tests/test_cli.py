@@ -1,5 +1,7 @@
 """CLI contract tests: artifacts, schemas, exit codes, config files."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairflip.census import cone_stats, k0_asymptotic, kd_asymptotic
 from pairflip.cli import main
@@ -265,6 +269,16 @@ class TestSimulateCommand:
         assert code == 0
         assert len(d["per_trajectory_times"]) == 50
 
+    def test_sidecar_carries_wall_time(self, capsys, tmp_path):
+        target = tmp_path / "sim.json"
+        code, _, _ = run_cli(capsys, *self.ARGS, "--out", str(target))
+        assert code == 0
+        meta = json.loads((tmp_path / "sim.json.meta.json").read_text())
+        assert meta["wall_s"] > 0
+        assert "wall_s" not in meta["parameters"]
+        assert "started" not in meta["parameters"]
+        assert "wall" not in target.read_text()
+
     def test_initial_formats_agree(self, capsys):
         base = (
             "simulate", "--n", "2", "--length", "4", "--t-max", "5",
@@ -423,6 +437,11 @@ class TestVerifyCommand:
             for line in out.strip().splitlines()
         )
 
+    def test_thread_count_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
+        assert code == 0
+        assert "ok   montecarlo.thread_count_invariant" in out.splitlines()[2]
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 1
@@ -450,6 +469,49 @@ class TestExitCodes:
         )
         assert code == 2
         assert "numerical failure" in err
+
+
+class TestMonteCarloCommandsProperty:
+    """Any small Monte Carlo command ends in an exit code, never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["simulate", "sweep", "escape"]),
+        n=st.one_of(st.integers(2, 5), st.integers(2, 300)),
+        length=st.integers(1, 9),
+        t_max=st.integers(0, 3),
+        trajectories=st.integers(1, 50),
+        blocks=st.integers(1, 80),
+        threads=st.integers(1, 3),
+        gate=st.sampled_from(["pf", "tl"]),
+        depth=st.integers(0, 10),
+        estimate=st.booleans(),
+    )
+    def test_exit_code_and_one_line(
+        self, command, n, length, t_max, trajectories, blocks, threads, gate,
+        depth, estimate,
+    ):
+        argv = [command, "--n", str(n), "--gate", gate,
+                "--trajectories", str(trajectories), "--blocks", str(blocks),
+                "--threads", str(threads), "--seed", str(length)]
+        if command == "escape":
+            times = ",".join(str(t) for t in range(t_max + 1))
+            argv += ["--length", str(length), "--depth", str(depth),
+                     "--times", times]
+        else:
+            argv += ["--t-max", str(t_max), "--resamples", "20"]
+            if command == "sweep":
+                argv += ["--lengths", f"{length},{length + 1}"]
+            else:
+                argv += ["--length", str(length)]
+                if estimate:
+                    argv += ["--estimate-tq", "--per-trajectory"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1
+        assert (code == 0) == (err.getvalue() == "")
 
 
 class TestConfigFile:

@@ -19,8 +19,10 @@ from pairflip.montecarlo import (
     ConeEscapeResult,
     SimConfig,
     _block_sizes,
+    _dynamics_rng,
     _parse_observable,
     _run_blocks,
+    _shared_starts,
     apply_gate_layers,
     cone_escape_mask,
     cone_escape_probability,
@@ -34,7 +36,7 @@ from pairflip.montecarlo import (
     step,
     step_states,
 )
-from pairflip.walks import SectorId, SpinString, reduce_symbols
+from pairflip.walks import SectorId, SpinString, _canonical_anchor, reduce_symbols
 
 
 def _staggered_count(states: np.ndarray, symbol: int) -> np.ndarray:
@@ -158,6 +160,13 @@ class TestStepKernel:
         assert chi2.pvalue > 1e-5
         sigma = np.sqrt(expected * (1 - expected / m))
         assert np.all(np.abs(observed - expected) <= 4.5 * sigma)
+
+    def test_scalar_step_rejects_wide_alphabet(self):
+        # int8 states hold symbols up to 127 only
+        rng = np.random.default_rng(0)
+        with pytest.raises(UsageError):
+            step(SpinString((1, 200, 3), 200), rng)
+        assert len(step(SpinString((1, 127, 3), 127), rng).symbols) == 3
 
     def test_scalar_step_matches_batch(self):
         key = np.array([42, 0], dtype=np.uint64)
@@ -584,3 +593,133 @@ class TestConeEscape:
         a = cone_escape_probability(cfg, 2, [0, 2])
         b = cone_escape_probability(cfg, 2, [0, 2])
         assert np.array_equal(a.probability, b.probability)
+
+
+def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
+    """Each block stepped alone on its own stream, summed with ``vals.sum()``.
+
+    One generator call per block and draw, one sum per block and time;
+    the stop rule and first passages follow ``estimate_tq``.
+    """
+    length = cfg.length
+    signs = np.where(np.arange(length) % 2 == 0, -1, 1)
+
+    def values(obs, s, init):
+        head, _, tail = obs.partition(":")
+        if head == "charge":
+            return 2.0 * ((s == int(tail)) * signs).sum(axis=1) / length
+        if head == "depth":
+            return reduce_states(s)[1].astype(np.float64)
+        if head == "match_site":
+            i = int(tail) - 1
+            return (s[:, i] == init[:, i]).astype(np.float64)
+        d = int(tail)
+        return cone_escape_mask(s, d, _canonical_anchor(d)).astype(np.float64)
+
+    blocks = [(b, s.copy(), s.copy()) for b, s in enumerate(starts) if len(s)]
+    rngs = [_dynamics_rng(cfg.seed, b) for b, _, _ in blocks]
+    sums = {o: [[] for _ in blocks] for o in cfg.observables}
+    sq = {o: [[] for _ in blocks] for o in cfg.observables}
+    firsts = [np.full(len(s), -1, dtype=np.int64) for _, s, _ in blocks]
+
+    def record(k, t):
+        _, s, init = blocks[k]
+        for obs in cfg.observables:
+            vals = values(obs, s, init)
+            sums[obs][k].append(float(vals.sum()))
+            sq[obs][k].append(float((vals * vals).sum()))
+            if per_trajectory and obs == "charge:1" and t:
+                firsts[k][(firsts[k] < 0) & (vals <= cfg.gamma)] = t
+
+    for k in range(len(blocks)):
+        record(k, 0)
+    done = 0
+    while done < cfg.t_max:
+        chunk = min(64, cfg.t_max - done)
+        for k, (_, s, _) in enumerate(blocks):
+            for t in range(done + 1, done + chunk + 1):
+                step_states(s, rngs[k], cfg.n, cfg.gate)
+                record(k, t)
+        done += chunk
+        if stop_threshold is not None:
+            mean = np.array(sums["charge:1"]).sum(axis=0) / cfg.n_trajectories
+            if mean.min() <= stop_threshold:
+                break
+    total = sum(len(s) for _, s, _ in blocks)
+    out = {}
+    for obs in cfg.observables:
+        bs = np.array(sums[obs])
+        mean = bs.sum(axis=0) / total
+        var = np.maximum(np.array(sq[obs]).sum(axis=0) / total - mean**2, 0.0)
+        err = np.sqrt(var * total / (total - 1) / total)
+        out[obs] = (bs, mean, err)
+    return out, np.concatenate(firsts)
+
+
+def _assert_matches_reference(series, ref):
+    assert set(series.means) == set(ref)
+    for obs, (bs, mean, err) in ref.items():
+        assert np.array_equal(series.block_sums[obs], bs), obs
+        assert np.array_equal(series.means[obs], mean), obs
+        assert np.array_equal(series.std_errors[obs], err), obs
+
+
+class TestBlockLoopMatchesReference:
+    """Slabs of blocks give the bits of blocks stepped one at a time."""
+
+    @pytest.mark.parametrize("gate", [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB])
+    @pytest.mark.parametrize("length", [1, 2, 7, 24])
+    @pytest.mark.parametrize(
+        "trajectories,blocks", [(61, 7), (5, 9)]  # unequal; more blocks
+    )
+    def test_every_observable_any_thread_count(
+        self, gate, length, trajectories, blocks
+    ):
+        # at L=24, 2/L is inexact, so a change in summation order shows
+        observables = ("charge:1", "charge:3", "depth", f"match_site:{length}")
+        if length >= 2:
+            observables += (f"cone_escape:{2 + length % 2}",)
+        base = dict(n=3, length=length, t_max=70, gate=gate, seed=length + 40,
+                    n_trajectories=trajectories, blocks=blocks,
+                    observables=observables)
+        cfg = SimConfig(**base)
+        starts = [
+            np.random.default_rng(b).integers(1, 4, size=(m, length)).astype(np.int8)
+            for b, m in enumerate(_block_sizes(trajectories, blocks))
+        ]
+        ref, _ = _reference_run(cfg, starts)
+        for threads in (1, 2, 3):
+            series = _run_blocks(SimConfig(threads=threads, **base), starts)
+            assert series.times.tolist() == list(range(71))
+            _assert_matches_reference(series, ref)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_early_stopped_estimate(self, threads):
+        base = dict(n=2, length=12, t_max=5000, n_trajectories=300, blocks=7,
+                    seed=31, gamma=0.05, observables=("charge:1", "depth"))
+        ref, _ = _reference_run(
+            SimConfig(**base), _shared_starts(SimConfig(**base)),
+            stop_threshold=0.025,
+        )
+        rep = estimate_tq(SimConfig(threads=threads, **base), n_resamples=50)
+        # the stop came after several segments, well before t_max
+        assert 3 * 64 < len(rep.series.times) < 5000
+        _assert_matches_reference(rep.series, ref)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_per_trajectory_first_passages(self, threads):
+        base = dict(n=2, length=10, t_max=100, n_trajectories=307, blocks=6,
+                    seed=6)
+        ref, firsts = _reference_run(
+            SimConfig(**base), _shared_starts(SimConfig(**base)),
+            per_trajectory=True,
+        )
+        rep = estimate_tq(
+            SimConfig(threads=threads, **base), n_resamples=50,
+            per_trajectory=True,
+        )
+        assert len(rep.series.times) == 101
+        _assert_matches_reference(rep.series, ref)
+        assert rep.per_trajectory_times.dtype == np.int64
+        assert np.array_equal(rep.per_trajectory_times, firsts)
+        assert (firsts >= 1).any() and (firsts == -1).any()

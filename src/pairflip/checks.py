@@ -272,6 +272,7 @@ def check_bounds() -> list[CheckResult]:
 def check_montecarlo() -> list[CheckResult]:
     # imports deferred: the sampler pulls in the heavier kernels
     from .montecarlo import SimConfig, run_ensemble, sample_cone_states
+    from .montecarlo import _StripedSymbols, _dynamics_source, _symbol_range
     from .montecarlo import cone_escape_mask
 
     out = []
@@ -305,6 +306,18 @@ def check_montecarlo() -> list[CheckResult]:
             all(np.array_equal(one[k], two[k]) for k in one),
         )
     )
+    # one block's symbols, drawn a step at a time and ahead in chunks as
+    # a slab draws them (three chunks here), must be the same bits
+    steps, length, m = 150, 9, 37
+    same = True
+    for n, gate in [(3, GateKind.PAIR_FLIP), (3, GateKind.TEMPERLEY_LIEB),
+                    (17, GateKind.TEMPERLEY_LIEB)]:  # k = 3, 9 and 289
+        k = _symbol_range(n, gate)
+        alone = _dynamics_source(14, 5, k)
+        ahead = _StripedSymbols([_dynamics_source(14, 5, k)], [m], length, steps)
+        for _ in range(steps):
+            same &= np.array_equal(alone.draw(length, m), ahead.draw(length, m))
+    out.append(_result("montecarlo.symbol_stream_chunk_invariant", bool(same)))
     states = sample_cone_states(3, 6, 2, 500, np.random.default_rng(0))
     out.append(
         _result(

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 resource
 cap exceeded. Artifacts are written atomically; every ``--out`` file
 gets a ``<name>.meta.json`` sidecar with the resolved parameters, the
-package version, a timestamp and the operation's wall time. The artifact
+package version, a timestamp, the numpy, scipy and Python versions, the
+CPU count and the operation's wall time. The artifact
 itself never contains a timestamp or a timing, so reruns with equal
 parameters are byte-identical.
 

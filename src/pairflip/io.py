@@ -2,14 +2,18 @@
 
 Artifacts themselves carry no timestamps or timings, so identical runs
 produce byte-identical files; provenance (resolved parameters, version,
-creation time and, for a CLI operation, its wall time ``wall_s``) lives
-in a ``<name>.meta.json`` sidecar next to each artifact.
+creation time, the numpy, scipy and Python versions and CPU count that
+bit-reproducibility rests on and, for a CLI operation, its wall time
+``wall_s``) lives in a ``<name>.meta.json`` sidecar next to each artifact.
+Monte Carlo streams are numpy's Philox ``random_raw`` words, so a
+numpy that changed them would change the bits of a rerun.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -17,6 +21,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .chains import GateKind
@@ -76,6 +81,10 @@ def build_meta(
         "parameters": json_ready(dict(parameters)),
         "version": __version__,
         "created": datetime.now(timezone.utc).isoformat(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
     }
     if wall_s is not None:
         meta["wall_s"] = wall_s

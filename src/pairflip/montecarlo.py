@@ -6,11 +6,25 @@ then the odd one. States live in int8 arrays of shape
 ``(trajectories, length)``; gates act vectorized across trajectories
 and across the disjoint pairs of a layer.
 
+Draw contract: a step consumes exactly L uniform integers below k per
+trajectory, laid out as an ``(L, M)`` array. The last row resamples the
+boundary (``u % N + 1``); the other L-1 rows give one value per
+brickwork pair, even layer then odd layer, each in ``layer_pairs``
+order. Pair-flip takes k = N and turns an equal pair into
+``(u+1, u+1)``; TL takes k = N^2 and flips an equal pair iff
+``u < 2(N-1)``, to ``c + 1 + (c + 1 >= a)`` with ``c = u >> 1``.
+The values are exact: raw Philox words are read as bytes (16-bit
+halves when k > 256), values at or above the largest multiple of k are
+rejected and the rest reduced mod k.
+
 Reproducibility: trajectories are partitioned into blocks and every
 block owns a counter-based Philox stream keyed ``(seed, block)``
-(initial-state sampling uses a parallel key family). ``threads`` splits
-the blocks into that many contiguous slabs; a slab steps its blocks as
-one array, drawing each block's rows from that block's own stream.
+(initial-state sampling uses a parallel key family and ``Generator``
+draws). ``threads`` splits the blocks into that many contiguous slabs.
+A slab holds its states site-major (Fortran order, so ``states.T`` is a
+C-ordered ``(L, M)`` array) and draws each block's values a chunk of
+steps ahead, from that block's own stream; accepted values a draw does
+not use wait for the next, so draw-ahead does not change any value.
 Results are reduced in fixed block order, so output is bit-identical
 for a given config regardless of thread count.
 """
@@ -92,8 +106,10 @@ class SimConfig:
             if len(self.initial) != self.length:
                 raise UsageError("initial state has the wrong length")
             SpinString(tuple(self.initial), self.n)
-        for obs in self.observables:
+        for k, obs in enumerate(self.observables):
             _parse_observable(obs, self.n, self.length)
+            if obs in self.observables[:k]:
+                raise UsageError(f"observable {obs!r} is listed more than once")
 
     def initial_state(self) -> tuple[int, ...]:
         if self.initial is not None:
@@ -161,62 +177,148 @@ def _init_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
+def _symbol_range(n: int, gate: GateKind) -> int:
+    """How many values one draw takes: N for pair-flip, N^2 for TL."""
+    return n if gate is GateKind.PAIR_FLIP else n * n
+
+
+class _SymbolSource:
+    """Exact uniform integers in ``[0, k)`` from a bit generator's raw words.
+
+    Raw 64-bit words are read as little-endian bytes, or as 16-bit halves
+    when ``k > 256``. A value at or above the largest multiple of ``k``
+    that fits is rejected and the rest are reduced mod ``k``, so there is
+    no bias. Accepted values that a draw does not use wait for the next
+    one: the sequence depends only on the bit generator, never on how it
+    is split into draws.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator, k: int):
+        self.k = k
+        self.dtype = np.dtype(np.uint8 if k <= 256 else np.uint16)
+        self._span = 1 << (8 * self.dtype.itemsize)
+        self._limit = self._span - self._span % k
+        self._bits = bit_generator
+        self._spare = np.empty(0, self.dtype)  # accepted, not yet used
+
+    def draw(self, rows: int, cols: int) -> np.ndarray:
+        """The next ``rows * cols`` values, as a C-ordered ``(rows, cols)`` array."""
+        count = rows * cols
+        parts, have = [self._spare], self._spare.size
+        per_word = 8 // self.dtype.itemsize
+        while have < count:
+            # enough words for the rest in one read but for rare tails
+            need = (count - have) * self._span / self._limit
+            words = int((need + 4 * math.sqrt(need)) / per_word) + 2
+            raw = self._bits.random_raw(words).astype("<u8", copy=False)
+            raw = raw.view(self.dtype)
+            if self._limit < self._span:
+                raw = raw[raw < self._limit]
+            parts.append(raw)
+            have += raw.size
+        vals = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        self._spare = vals[count:]
+        vals = vals[:count]
+        if self.k < self._span:
+            # x - k * (x // k): integer division by a scalar is vectorized,
+            # the remainder is not
+            quot = vals // self.k
+            quot *= self.k
+            vals = np.subtract(vals, quot, out=quot)
+        return vals.reshape(rows, cols)
+
+
+def _dynamics_source(seed: int, block: int, k: int) -> _SymbolSource:
+    """Block ``block``'s symbol stream: raw words of its ``(seed, block)`` Philox."""
+    return _SymbolSource(_dynamics_rng(seed, block).bit_generator, k)
+
+
+def _draw(rng, k: int, rows: int, cols: int) -> np.ndarray:
+    """``(rows, cols)`` uniform values below ``k``; a Generator gets a fresh source."""
+    if isinstance(rng, np.random.Generator):
+        rng = _SymbolSource(rng.bit_generator, k)
+    if rng.k != k:
+        raise ValueError(f"symbol source draws below {rng.k}, the step needs {k}")
+    return rng.draw(rows, cols)
+
+
+def _apply_gate(
+    a: np.ndarray, b: np.ndarray, u: np.ndarray, n: int, gate: GateKind
+) -> None:
+    """One gate on every pair ``(a[i, j], b[i, j])``, in place, by XOR.
+
+    ``d = (a ^ new) & -flip`` is ``a ^ new`` where the pair changes and 0
+    elsewhere, so ``a ^= d; b ^= d`` writes ``new`` into both sites of a
+    changing pair (which is equal) and leaves the rest.
+    """
+    eq = a == b
+    if gate is GateKind.PAIR_FLIP:
+        # an equal pair becomes (u+1, u+1)
+        new = u.view(np.int8) + np.int8(1)
+    else:
+        # an equal pair flips with probability 2(N-1)/N^2, to a uniform
+        # symbol other than a: c = u >> 1 is uniform on 0..N-2 given a flip
+        eq &= u < 2 * (n - 1)
+        new = ((u >> 1) + 1).astype(np.int8)  # masked where it wraps
+        new += new >= a
+    d = a ^ new
+    d &= -eq.view(np.int8)
+    a ^= d
+    b ^= d
+
+
+def _apply_layers(
+    sites: np.ndarray, u: np.ndarray, n: int, gate: GateKind
+) -> None:
+    """Even layer then odd layer on site-major ``sites`` (L, M).
+
+    ``u`` has one row per pair, even pairs first, each layer in
+    ``layer_pairs`` order.
+    """
+    row = 0
+    for parity in ("even", "odd"):
+        pairs = layer_pairs(sites.shape[0], parity)
+        if not pairs:
+            continue
+        first, last = pairs[0][0], pairs[-1][0]
+        a = sites[first : last + 1 : 2]
+        b = sites[first + 1 : last + 2 : 2]
+        _apply_gate(a, b, u[row : row + len(pairs)], n, gate)
+        row += len(pairs)
+
+
 def resample_boundary(
     states: np.ndarray, rng: np.random.Generator, n: int
 ) -> None:
     """Uniformly redraw the last site of every trajectory, in place."""
-    states[:, -1] = rng.integers(1, n + 1, size=states.shape[0], dtype=np.int8)
-
-
-def _apply_layer(
-    states: np.ndarray,
-    rng: np.random.Generator,
-    n: int,
-    gate: GateKind,
-    lefts: np.ndarray,
-) -> None:
-    if lefts.size == 0:
-        return
-    m = states.shape[0]
-    a = states[:, lefts]
-    b = states[:, lefts + 1]
-    eq = a == b
-    if gate is GateKind.PAIR_FLIP:
-        new = rng.integers(1, n + 1, size=(m, lefts.size), dtype=np.int8)
-        out = np.where(eq, new, a)
-        states[:, lefts] = out
-        states[:, lefts + 1] = np.where(eq, new, b)
-        return
-    # TL: an equal pair stays with 1 - 2(N-1)/N^2, otherwise moves to a
-    # uniform different pair; drawing the shifted value b0 + [b0 >= a-1]
-    # picks uniformly among the n-1 symbols distinct from a
-    if n == 1:
-        return
-    flip = eq & (rng.random(size=(m, lefts.size)) < 2 * (n - 1) / n**2)
-    b0 = rng.integers(0, n - 1, size=(m, lefts.size), dtype=np.int8)
-    new = (b0 + (b0 >= a - 1) + 1).astype(np.int8)
-    out_a = np.where(flip, new, a)
-    states[:, lefts] = out_a
-    states[:, lefts + 1] = np.where(flip, new, b)
+    states[:, -1] = _draw(rng, n, 1, states.shape[0])[0] + 1
 
 
 def apply_gate_layers(
     states: np.ndarray, rng: np.random.Generator, n: int, gate: GateKind
 ) -> None:
     """Even layer then odd layer, vectorized over disjoint pairs."""
-    length = states.shape[1]
-    for parity in ("even", "odd"):
-        pairs = layer_pairs(length, parity)
-        lefts = np.array([i for i, _ in pairs], dtype=np.int64)
-        _apply_layer(states, rng, n, gate, lefts)
+    m, length = states.shape
+    if length > 1:
+        u = _draw(rng, _symbol_range(n, gate), length - 1, m)
+        _apply_layers(states.T, u, n, gate)
 
 
 def step_states(
     states: np.ndarray, rng: np.random.Generator, n: int, gate: GateKind
 ) -> None:
-    """One full update: boundary resample, even layer, odd layer."""
-    resample_boundary(states, rng, n)
-    apply_gate_layers(states, rng, n, gate)
+    """One full update: boundary resample, even layer, odd layer.
+
+    The step draws L values per trajectory, as an ``(L, M)`` array (see
+    the module docstring). ``rng`` is a Generator, read through a fresh
+    symbol source, or a symbol source: a block's stream or a slab's
+    draw-ahead.
+    """
+    m, length = states.shape
+    u = _draw(rng, _symbol_range(n, gate), length, m)
+    sites = states.T
+    sites[-1] = (u[-1] if gate is GateKind.PAIR_FLIP else u[-1] % n) + 1
+    _apply_layers(sites, u[:-1], n, gate)
 
 
 def step(
@@ -260,32 +362,46 @@ class EnsembleSeries:
         return int(self.block_sizes.sum())
 
 
-class _StripedRng:
-    """Generator face over a run of blocks that each draw from their own stream.
+# Draw-ahead: a slab draws up to this many steps per block in one call,
+# holding at most about this many bytes of symbols
+_AHEAD_STEPS = 64
+_AHEAD_BYTES = 1 << 20
 
-    A draw of ``size=(M, ...)`` takes every block's rows from that block's
-    generator, in block order, and stacks them, so each block consumes
-    exactly the draws it would consume if it were stepped alone.
+
+class _StripedSymbols:
+    """Symbol source over a run of blocks that each draw from their own stream.
+
+    Every ``draw`` hands out the next step's ``(L, M)`` symbols, column
+    block ``b`` from block ``b``'s source. They are drawn ahead a chunk
+    of steps at a time, one call per block; a source's values do not
+    depend on how they are chunked, so neither does the output.
     """
 
-    def __init__(self, rngs: Sequence[np.random.Generator], sizes: Sequence[int]):
-        self._parts = list(zip(rngs, sizes))
+    def __init__(
+        self, sources: Sequence[_SymbolSource], sizes: Sequence[int],
+        length: int, steps: int,
+    ):
+        self.k = sources[0].k
+        ends = list(itertools.accumulate(sizes))
+        self._parts = [(src, e - m, e) for src, m, e in zip(sources, sizes, ends)]
+        self._steps = steps  # left to draw in the run
+        per_step = length * ends[-1] * sources[0].dtype.itemsize
+        chunk = max(1, min(_AHEAD_STEPS, _AHEAD_BYTES // per_step, steps))
+        self._buf = np.empty((chunk, length, ends[-1]), sources[0].dtype)
+        self._ahead = self._buf[:0]
 
-    def integers(self, low, high, size, dtype=np.int64) -> np.ndarray:
-        # a flat draw of m * width values fills the same sequence as an
-        # (m, width) one, and skips the generator's shape handling
-        tail = tuple(size[1:]) if isinstance(size, tuple) else ()
-        width = math.prod(tail)
-        parts = [rng.integers(low, high, m * width, dtype) for rng, m in self._parts]
-        return np.concatenate(parts).reshape((-1,) + tail)
-
-    def random(self, size) -> np.ndarray:
-        # filled in place: float draws are a step's largest temporaries
-        out, row = np.empty(size), 0
-        for rng, m in self._parts:
-            rng.random(out=out[row : row + m])
-            row += m
-        return out
+    def draw(self, rows: int, cols: int) -> np.ndarray:
+        if self._buf.shape[1:] != (rows, cols):
+            raise ValueError("a slab's symbols come one whole step at a time")
+        if not len(self._ahead):
+            chunk = max(1, min(len(self._buf), self._steps))
+            self._steps -= chunk
+            self._ahead = self._buf[:chunk]
+            for src, lo, hi in self._parts:
+                u = src.draw(chunk * rows, hi - lo)
+                self._ahead[:, :, lo:hi] = u.reshape(chunk, rows, hi - lo)
+        u, self._ahead = self._ahead[0], self._ahead[1:]
+        return u
 
 
 class _Slab:
@@ -308,9 +424,14 @@ class _Slab:
             _parse_observable(o, cfg.n, cfg.length) for o in cfg.observables
         ]
         self.sizes = [len(s) for s in starts]
-        self.rng = _StripedRng([_dynamics_rng(cfg.seed, b) for b in blocks], self.sizes)
-        self.states = np.concatenate(starts)
-        self.initial = self.states.copy()
+        k = _symbol_range(cfg.n, cfg.gate)
+        self.rng = _StripedSymbols(
+            [_dynamics_source(cfg.seed, b, k) for b in blocks],
+            self.sizes, cfg.length, cfg.t_max,
+        )
+        # site-major: states.T is a C-ordered (L, M) array of site rows
+        self.states = np.asfortranarray(np.concatenate(starts))
+        self.initial = self.states.copy(order="F")
         self.crossings = crossings  # this slab's rows of the caller's array
         self.t = 0
         runs = [(m, len(list(g))) for m, g in itertools.groupby(self.sizes)]
@@ -318,13 +439,16 @@ class _Slab:
         self.runs = [(slice(e - m * c, e), c) for (m, c), e in zip(runs, ends)]
         self.sums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
         self.sqsums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
-        self._signs = np.where(np.arange(cfg.length) % 2 == 0, -1, 1)
         self.record()  # t = 0
 
     def _values(self, obs: _Observable) -> np.ndarray:
         s = self.states
         if obs.kind == "charge":
-            return 2.0 * ((s == obs.arg) * self._signs).sum(axis=1) / self.cfg.length
+            # staggered count: sites 2, 4, ... add, sites 1, 3, ... subtract
+            hits = (s.T == obs.arg).view(np.int8)
+            q = np.add.reduce(hits[1::2], axis=0, dtype=np.int32)
+            q -= np.add.reduce(hits[0::2], axis=0, dtype=np.int32)
+            return 2.0 * q / self.cfg.length
         if obs.kind == "depth":
             return reduce_states(s)[1].astype(np.float64)
         if obs.kind == "match_site":

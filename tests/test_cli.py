@@ -94,6 +94,20 @@ class TestCensusCommand:
         leftovers = [p for p in target.parent.iterdir() if p.suffix == ".tmp"]
         assert leftovers == []
 
+    def test_sidecar_records_environment(self, capsys, tmp_path):
+        # the versions bit-reproducibility rests on go to the sidecar only
+        import numpy
+        import scipy
+
+        target = tmp_path / "census.csv"
+        run_cli(capsys, "census", "--n", "3", "--length", "4", "--out", str(target))
+        meta = json.loads((tmp_path / "census.csv.meta.json").read_text())
+        assert meta["numpy"] == numpy.__version__
+        assert meta["scipy"] == scipy.__version__
+        assert meta["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert isinstance(meta["cpu_count"], int) and meta["cpu_count"] >= 1
+        assert numpy.__version__ not in target.read_text()
+
     def test_deterministic_artifact_bytes(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(capsys, "census", "--n", "3", "--length", "8", "--out", str(a))
@@ -305,6 +319,18 @@ class TestSimulateCommand:
         )
         assert code == 1
 
+    def test_repeated_observable(self, capsys):
+        # a repeated name used to double the time axis
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "2", "--length", "4", "--t-max", "3",
+            "--trajectories", "10", "--blocks", "2",
+            "--observables", "charge:1,charge:1",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert "charge:1" in err
+
 
 class TestSweepCommand:
     def test_csv_shape(self, capsys):
@@ -441,6 +467,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
         assert code == 0
         assert "ok   montecarlo.thread_count_invariant" in out.splitlines()[2]
+
+    def test_symbol_stream_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
+        assert code == 0
+        assert "ok   montecarlo.symbol_stream_chunk_invariant: ok" in out.splitlines()
 
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")

@@ -19,10 +19,13 @@ from pairflip.montecarlo import (
     ConeEscapeResult,
     SimConfig,
     _block_sizes,
+    _StripedSymbols,
     _dynamics_rng,
+    _dynamics_source,
     _parse_observable,
     _run_blocks,
     _shared_starts,
+    _symbol_range,
     apply_gate_layers,
     cone_escape_mask,
     cone_escape_probability,
@@ -80,6 +83,7 @@ class TestConfig:
             dict(n=2, length=4, t_max=1, initial=(1, 2, 3, 1)),
             dict(n=2, length=4, t_max=1, observables=("volume",)),
             dict(n=128, length=4, t_max=1),  # past the int8 state limit
+            dict(n=2, length=4, t_max=1, observables=("charge:1", "charge:1")),
         ],
     )
     def test_rejects(self, kwargs):
@@ -141,6 +145,10 @@ class TestStepKernel:
             (2, 4, GateKind.PAIR_FLIP, (2, 1, 1, 2)),
             (3, 3, GateKind.PAIR_FLIP, (1, 1, 2)),
             (3, 3, GateKind.TEMPERLEY_LIEB, (1, 1, 2)),
+            (2, 4, GateKind.TEMPERLEY_LIEB, (1, 1, 2, 2)),
+            (5, 3, GateKind.TEMPERLEY_LIEB, (2, 2, 4)),
+            (4, 3, GateKind.PAIR_FLIP, (3, 3, 1)),  # k = 4: nothing rejected
+            (17, 2, GateKind.TEMPERLEY_LIEB, (5, 5)),  # k = 289: 16-bit values
         ],
     )
     def test_one_step_law_matches_exact_rows(self, n, length, gate, start):
@@ -244,6 +252,68 @@ class TestStepKernel:
         cfg = SimConfig(n=3, length=1, t_max=5, n_trajectories=50, blocks=5)
         series = run_ensemble(cfg)
         assert len(series.times) == 6
+
+
+class TestSymbolSource:
+    """Raw Philox words to exact uniform symbols, independent of chunking."""
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 9, 127, 256, 289, 16129])
+    def test_uniform(self, k):
+        src = _dynamics_source(3, k, k)
+        assert src.dtype == (np.uint8 if k <= 256 else np.uint16)
+        count = max(200_000, 40 * k)
+        vals = src.draw(count, 1).ravel()
+        assert vals.dtype == src.dtype
+        counts = np.bincount(vals, minlength=k)
+        assert counts.size == k  # nothing at or above k
+        assert stats.chisquare(counts).pvalue > 1e-6
+
+    @pytest.mark.parametrize("k", [3, 9, 127, 256, 289])
+    def test_values_are_accepted_raw_values_mod_k(self, k):
+        vals = _dynamics_source(4, 1, k).draw(500, 7).ravel()
+        dtype = np.uint8 if k <= 256 else np.uint16
+        span = 1 << (8 * np.dtype(dtype).itemsize)
+        raw = _dynamics_rng(4, 1).bit_generator.random_raw(2000)
+        raw = raw.astype("<u8").view(dtype).astype(np.int64)
+        accepted = raw[raw < span - span % k]
+        assert np.array_equal(vals, accepted[: vals.size] % k)
+
+    @pytest.mark.parametrize("k", [3, 256, 289])
+    def test_chunk_invariant(self, k):
+        steps, rows, cols = 90, 5, 13
+        stepwise = _dynamics_source(7, 2, k)
+        one = np.stack([stepwise.draw(rows, cols) for _ in range(steps)])
+        whole = _dynamics_source(7, 2, k).draw(steps * rows, cols)
+        assert np.array_equal(one.reshape(steps * rows, cols), whole)
+        chunked = _dynamics_source(7, 2, k)
+        sizes = np.random.default_rng(k).integers(0, 12, size=steps)
+        parts, done = [], 0
+        for size in sizes:
+            size = min(int(size), steps - done)
+            parts.append(chunked.draw(size * rows, cols))
+            done += size
+        parts.append(chunked.draw((steps - done) * rows, cols))
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_slab_draws_ahead_the_same_bits(self):
+        # a slab of three blocks hands out each block's step-by-step symbols
+        sizes, length, steps = [4, 1, 6], 3, 200
+        sources = [_dynamics_source(8, b, 9) for b in range(3)]
+        slab = _StripedSymbols(
+            [_dynamics_source(8, b, 9) for b in range(3)], sizes, length, steps
+        )
+        for _ in range(steps):
+            expect = np.concatenate(
+                [src.draw(length, m) for src, m in zip(sources, sizes)], axis=1
+            )
+            assert np.array_equal(slab.draw(length, sum(sizes)), expect)
+
+    def test_source_range_must_match_gate(self):
+        states = np.ones((4, 3), dtype=np.int8)
+        with pytest.raises(ValueError):
+            step_states(states, _dynamics_source(0, 0, 3), 3, GateKind.TEMPERLEY_LIEB)
+        step_states(states, _dynamics_source(0, 0, 9), 3, GateKind.TEMPERLEY_LIEB)
+        assert set(np.unique(states)) <= {1, 2, 3}
 
 
 class TestReduceStates:
@@ -617,7 +687,8 @@ def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
         return cone_escape_mask(s, d, _canonical_anchor(d)).astype(np.float64)
 
     blocks = [(b, s.copy(), s.copy()) for b, s in enumerate(starts) if len(s)]
-    rngs = [_dynamics_rng(cfg.seed, b) for b, _, _ in blocks]
+    k = _symbol_range(cfg.n, cfg.gate)
+    rngs = [_dynamics_source(cfg.seed, b, k) for b, _, _ in blocks]
     sums = {o: [[] for _ in blocks] for o in cfg.observables}
     sq = {o: [[] for _ in blocks] for o in cfg.observables}
     firsts = [np.full(len(s), -1, dtype=np.int64) for _, s, _ in blocks]

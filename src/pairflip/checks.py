@@ -182,6 +182,18 @@ def check_gaps() -> list[CheckResult]:
             f"dense={dense.gap:.12f} iterative={sparse.gap:.12f}",
         )
     )
+    agree, details = True, []
+    for gate in GateKind:
+        chain = build_full_local(3, 5, gate)
+        dense = spectral_gap(chain)
+        sparse = spectral_gap(chain, dense_cutoff=10)
+        agree &= sparse.method == "iterative" and abs(dense.gap - sparse.gap) < 1e-9
+        details.append(
+            f"{gate.value}: dense={dense.gap:.12f} iterative={sparse.gap:.12f}"
+        )
+    out.append(
+        _result("spectra.local_iterative_matches_dense", agree, " ".join(details))
+    )
     local = spectral_gap(build_full_local(2, 2))
     out.append(
         _result(

@@ -146,7 +146,6 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "method": result.method,
         "residual": result.residual,
         "iterations": result.iterations,
-        "caveat": result.caveat,
         "cheeger_upper": None,
         "cheeger_lower_witness": None,
         "cheeger_witness": None,

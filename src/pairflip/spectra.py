@@ -5,13 +5,18 @@ eigenvalue modulus of the transition matrix. The relaxation time is
 ``1/gap``; the usual mixing-time relation ``t_mix >= t_rel ln 4`` is left
 to the caller, it is not computed here.
 
-Reversible chains (the lumped chain, and the nonlocal chain through its
-sector compression) are solved as the symmetric matrix
-``D^{1/2} T D^{-1/2}``, ``D`` the diagonal of the stationary law: with
-``eigh`` up to ``DENSE_CUTOFF`` states, by Lanczos with the stationary
-direction deflated away above it. The nonsymmetric full local chain and
-chains made from raw matrices use ``eig`` up to the cutoff and a
-singular-value proxy above it.
+Every chain is reduced to one matrix ``A`` and a unit vector ``r`` that is
+a left and right eigenvector of ``A`` for the eigenvalue 1. Reversible
+chains (the lumped chain, and the nonlocal chain through its sector
+compression) give the symmetric ``A = D^{1/2} T D^{-1/2}``, ``D`` the
+diagonal of the stationary law, with ``r`` proportional to its square
+root; the full local chain and chains made from raw matrices give the
+nonsymmetric ``A = T``, with ``r`` the constant vector when ``T`` is
+doubly stochastic. There are two solves. Up to ``DENSE_CUTOFF`` states
+``eigh`` or ``eig`` ranks the whole spectrum by modulus; above it ARPACK
+(``eigsh`` or ``eigs``) finds the largest modulus of ``x -> A x - r (r.x)``,
+in which the eigenvalue 1 is deflated to 0 and every other eigenvalue
+is kept.
 
 Expansion of a subset R uses the probability-flow convention
 
@@ -49,12 +54,6 @@ DENSE_CUTOFF = 4096
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 10**6
 
-# documented caveat attached to the nonsymmetric iterative path
-_SVD_PROXY_NOTE = (
-    "singular-value proxy on M M^T: reported gap 1 - sigma_2 "
-    "lower-bounds the true eigenvalue gap"
-)
-
 
 @dataclass(frozen=True)
 class GapResult:
@@ -64,7 +63,6 @@ class GapResult:
     method: str  # "dense" | "iterative"
     residual: float
     iterations: int
-    caveat: str | None = None
 
     @property
     def relaxation_time(self) -> float:
@@ -72,111 +70,13 @@ class GapResult:
 
 
 def _require_irreducible(chain: StochasticChain) -> None:
+    if chain.dimension < 2:
+        raise UsageError("a one-state chain has no spectral gap")
     ncomp, _ = connected_components(chain.matrix, connection="strong")
     if ncomp != 1:
         raise UsageError(
             f"chain is not irreducible ({ncomp} strongly connected components)"
         )
-
-
-def _dense_result(lam: complex | float, residual: float) -> GapResult:
-    mod = abs(lam)
-    if mod > 1 + 1e-9:
-        raise NumericError(f"subdominant eigenvalue modulus {mod} exceeds 1")
-    return GapResult(
-        gap=max(1.0 - mod, 0.0), method="dense", residual=residual, iterations=0
-    )
-
-
-def _dense_gap(mat: np.ndarray) -> GapResult:
-    vals, vecs = np.linalg.eig(mat)
-    order = np.argsort(-np.abs(vals))
-    lam = vals[order[1]]
-    x = vecs[:, order[1]]
-    residual = float(np.linalg.norm(mat @ x - lam * x) / np.linalg.norm(x))
-    return _dense_result(lam, residual)
-
-
-def _symmetrized(
-    mat: sp.csr_matrix, pi: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``D^{1/2} T D^{-1/2}`` with ``D = diag(pi)``, and ``sqrt(pi)``.
-
-    ``mat`` must be reversible with respect to ``pi``; the result is
-    then symmetric, with top eigenvector ``sqrt(pi)`` and the spectrum
-    of ``mat``.
-    """
-    root = np.sqrt(pi)
-    return sp.csr_matrix(sp.diags(root) @ mat @ sp.diags(1.0 / root)), root
-
-
-def _dense_symmetric_gap(sym: sp.csr_matrix) -> GapResult:
-    # eigh reads one triangle; the residual against the whole of ``sym``
-    # also picks up the rounding asymmetry of the similarity transform
-    vals, vecs = np.linalg.eigh(sym.toarray())
-    k = np.argsort(-np.abs(vals))[1]
-    lam, x = vals[k], vecs[:, k]  # x has unit norm
-    return _dense_result(lam, float(np.linalg.norm(sym @ x - lam * x)))
-
-
-class _CountedOperator(spla.LinearOperator):
-    def __init__(self, dim: int, apply):
-        super().__init__(dtype=np.float64, shape=(dim, dim))
-        self._apply = apply
-        self.count = 0
-
-    def _matvec(self, x):
-        self.count += 1
-        return self._apply(np.asarray(x).ravel())
-
-
-def _top_eigenpair(
-    apply, dim: int, tol: float, max_iterations: int
-) -> tuple[float, float, int]:
-    """Largest eigenvalue of a symmetric operator by Lanczos, with the
-    eigenpair residual and the number of matvecs."""
-    op = _CountedOperator(dim, apply)
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    try:
-        vals, vecs = spla.eigsh(
-            op, k=1, which="LA", tol=tol / 10, maxiter=max_iterations, v0=v0
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    lam = float(vals[0])
-    x = vecs[:, 0]
-    residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
-    return lam, residual, op.count
-
-
-def _iterative_symmetric(
-    sym: sp.csr_matrix,
-    root: np.ndarray,
-    tol: float,
-    max_iterations: int,
-) -> tuple[float, float, int]:
-    """Largest eigenvalue of :func:`_symmetrized` output after deflating
-    the stationary direction ``root``."""
-    top = root / np.linalg.norm(root)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return sym @ x - top * (top @ x)
-
-    return _top_eigenpair(apply, sym.shape[0], tol, max_iterations)
-
-
-def _iterative_singular_proxy(
-    mat: sp.csr_matrix, tol: float, max_iterations: int
-) -> tuple[float, float, int]:
-    """sigma_2^2 of a doubly stochastic matrix via deflated M M^T."""
-    dim = mat.shape[0]
-    mt = sp.csr_matrix(mat.T)
-    top = np.full(dim, 1.0 / np.sqrt(dim))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        return mat @ (mt @ x) - top * (top @ x)
-
-    return _top_eigenpair(apply, dim, tol, max_iterations)
 
 
 def _compress_nonlocal(chain: StochasticChain) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -195,6 +95,116 @@ def _compress_nonlocal(chain: StochasticChain) -> tuple[sp.csr_matrix, np.ndarra
     return comp, dims / dims.sum()
 
 
+def _gap_operator(
+    chain: StochasticChain,
+) -> tuple[sp.csr_matrix, bool, np.ndarray]:
+    """The matrix ``A`` whose spectrum gives the gap, whether it is
+    symmetric, and the unit deflation vector ``r``."""
+    if chain.kind == "nonlocal":
+        mat, pi = _compress_nonlocal(chain)
+    else:
+        mat, pi = chain.matrix, chain.stationary
+    if pi is None:  # a raw-matrix chain
+        pi = np.full(chain.dimension, 1.0 / chain.dimension)
+    root = np.sqrt(pi)
+    symmetric = chain.kind in ("lumped", "nonlocal")
+    if symmetric:
+        # D^{1/2} T D^{-1/2} is symmetric because T is reversible with
+        # respect to pi; its top eigenvector is sqrt(pi)
+        mat = sp.csr_matrix(sp.diags(root) @ mat @ sp.diags(1.0 / root))
+    return mat, symmetric, root / np.linalg.norm(root)
+
+
+def _gap_result(
+    lam: complex | float, method: str, residual: float, iterations: int
+) -> GapResult:
+    mod = float(abs(lam))
+    if mod > 1 + 1e-9:
+        raise NumericError(f"subdominant eigenvalue modulus {mod} exceeds 1")
+    return GapResult(
+        gap=max(1.0 - mod, 0.0),
+        method=method,
+        residual=residual,
+        iterations=iterations,
+    )
+
+
+def _dense_gap(mat: sp.csr_matrix, symmetric: bool) -> GapResult:
+    """Second-largest eigenvalue modulus of the whole spectrum."""
+    solve = np.linalg.eigh if symmetric else np.linalg.eig
+    vals, vecs = solve(mat.toarray())
+    k = np.argsort(-np.abs(vals))[1]
+    lam, x = vals[k], vecs[:, k]
+    # eigh reads one triangle; the residual against the whole of ``mat``
+    # also picks up the rounding asymmetry of the similarity transform
+    residual = float(np.linalg.norm(mat @ x - lam * x) / np.linalg.norm(x))
+    return _gap_result(lam, "dense", residual, 0)
+
+
+class _CountedOperator(spla.LinearOperator):
+    def __init__(self, dim: int, apply):
+        super().__init__(dtype=np.float64, shape=(dim, dim))
+        self._apply = apply
+        self.count = 0
+
+    def _matvec(self, x):
+        self.count += 1
+        return self._apply(np.asarray(x).ravel())
+
+
+def _arpack_gap(
+    mat: sp.csr_matrix,
+    symmetric: bool,
+    top: np.ndarray,
+    n: int | None,
+    tol: float,
+    max_iterations: int,
+) -> GapResult:
+    """Gap from the largest eigenvalue modulus of ``mat`` with ``top``
+    deflated, by ARPACK; ``iterations`` counts the matvecs."""
+    dim = mat.shape[0]
+    if not symmetric:
+        drift = max(
+            np.abs(mat @ top - top).max(), np.abs(mat.T @ top - top).max()
+        )
+        if drift > 1e-9 * top.max():
+            raise UsageError(
+                "iterative gap needs a doubly stochastic or reversible chain"
+            )
+    # At N=3 the subdominant eigenvalues of the local chain come in
+    # S_N-degenerate pairs, of which eigs may return one copy only; 2N
+    # values keep the largest modulus among them (a raw-matrix chain has
+    # no alphabet and gets the N=3 count)
+    k = 1 if symmetric else 2 * (n or 3)
+    if dim <= k + 1:  # eigs needs k < dim - 1
+        return _dense_gap(mat, symmetric)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return mat @ x - top * (top @ x)
+
+    op = _CountedOperator(dim, apply)
+    v0 = np.random.default_rng(0).standard_normal(dim)
+    solve = spla.eigsh if symmetric else spla.eigs
+    try:
+        vals, vecs = solve(
+            op, k=k, which="LM", tol=tol / 10, maxiter=max_iterations, v0=v0
+        )
+    except spla.ArpackNoConvergence as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    except spla.ArpackError as exc:
+        # a chain that mixes in one step (L=1) deflates to the zero
+        # operator, and ARPACK cannot start from a vector it annihilates
+        if not apply(v0).any():
+            return _dense_gap(mat, symmetric)
+        raise NumericError(f"eigensolver failed: {exc}") from exc
+    i = np.argmax(np.abs(vals))
+    lam, x = vals[i], vecs[:, i]
+    residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
+    if residual > tol:
+        raise NumericError(f"eigenpair residual {residual:.3e} above tol {tol:.3e}")
+    return _gap_result(lam, "iterative", residual, op.count)
+
+
 def spectral_gap(
     chain: StochasticChain,
     *,
@@ -202,53 +212,29 @@ def spectral_gap(
     dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int = MAX_ITERATIONS,
 ) -> GapResult:
-    """Gap of a chain: dense up to the cutoff, deflated Lanczos above.
+    """Gap of a chain: dense up to the cutoff, ARPACK above.
 
-    Lumped chains and nonlocal chains are reversible; they are solved
-    symmetrized through their stationary law, the nonlocal chain in its
-    sector compression (so the dimension compared with the cutoff, and
-    the eigenpair behind ``residual``, are the compression's). The
-    nonsymmetric local chain and raw-matrix chains use ``eig`` up to the
-    cutoff; above it a doubly stochastic chain falls back to a
-    singular-value proxy on ``M M^T`` whose result lower-bounds the true
-    gap (see the ``caveat`` field). Non-convergence raises instead of
-    returning.
+    Lumped and nonlocal chains are reversible and are solved symmetrized
+    through their stationary law, the nonlocal chain in its sector
+    compression (so the dimension compared with the cutoff, and the
+    eigenpair behind ``residual``, are the compression's): ``eigh`` up to
+    the cutoff, ``eigsh`` on the deflated operator above it. The local
+    chain and raw-matrix chains use ``eig`` up to the cutoff and ``eigs``
+    on the deflated operator above it, which needs a doubly stochastic
+    matrix. Both solves rank eigenvalues by modulus. A dimension too
+    small for ARPACK's ``k`` is solved densely whatever the cutoff.
+    Non-convergence raises instead of returning.
     """
-    _require_irreducible(chain)
-    caveat = None
-    if chain.kind in ("lumped", "nonlocal"):
-        if chain.kind == "lumped":
-            mat, pi = chain.matrix, chain.stationary
-        else:
-            mat, pi = _compress_nonlocal(chain)
-        sym, root = _symmetrized(mat, pi)
-        if sym.shape[0] <= dense_cutoff:
-            return _dense_symmetric_gap(sym)
-        lam, residual, count = _iterative_symmetric(sym, root, tol, max_iterations)
-    elif chain.dimension <= dense_cutoff:
-        return _dense_gap(chain.matrix.toarray())
-    else:
-        col_drift = np.abs(np.asarray(chain.matrix.sum(axis=0)).ravel() - 1).max()
-        if col_drift > 1e-9:
-            raise UsageError(
-                "iterative gap needs a doubly stochastic or lumped chain"
-            )
-        lam, residual, count = _iterative_singular_proxy(
-            chain.matrix, tol, max_iterations
+    if not (0 < tol < np.inf and max_iterations >= 1):
+        raise UsageError(
+            f"need 0 < tol < inf and max_iterations >= 1, "
+            f"got tol={tol}, max_iterations={max_iterations}"
         )
-        lam = np.sqrt(max(lam, 0.0))
-        caveat = _SVD_PROXY_NOTE
-    if residual > tol:
-        raise NumericError(f"eigenpair residual {residual:.3e} above tol {tol:.3e}")
-    if lam > 1 + 1e-9:
-        raise NumericError(f"subdominant eigenvalue {lam} exceeds 1")
-    return GapResult(
-        gap=max(1.0 - float(lam), 0.0),
-        method="iterative",
-        residual=residual,
-        iterations=count,
-        caveat=caveat,
-    )
+    _require_irreducible(chain)
+    mat, symmetric, top = _gap_operator(chain)
+    if mat.shape[0] <= dense_cutoff:
+        return _dense_gap(mat, symmetric)
+    return _arpack_gap(mat, symmetric, top, chain.n, tol, max_iterations)
 
 
 def _stationary_weights_exact(chain: StochasticChain) -> list[Fraction]:

@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pairflip.census import cone_stats, k0_asymptotic, kd_asymptotic
@@ -150,9 +150,37 @@ class TestGapCommand:
         )
         d = json.loads(out)
         assert code == 0
-        assert "caveat" in d  # null when the dense path certifies the gap
+        assert "caveat" not in d  # every path returns the eigenvalue gap
         assert d["chain"] == "local"
         assert 0.0 < d["gap"] < 1.0
+
+    @pytest.mark.parametrize(
+        "gate,gap", [("pf", 0.0077518715347026), ("tl", 0.00430296282287046)]
+    )
+    def test_local_chain_above_cutoff(self, capsys, gate, gap):
+        # 6561 states, above the dense cutoff; the expected values are
+        # the dense eigenvalue gaps from scipy.linalg.eigvals
+        code, out, _ = run_cli(
+            capsys, "gap", "--n", "3", "--length", "8", "--chain", "local",
+            "--gate", gate,
+        )
+        d = json.loads(out)
+        assert code == 0
+        assert d["method"] == "iterative"
+        assert d["gap"] == pytest.approx(gap, abs=1e-12)
+        assert "caveat" not in d
+
+    @pytest.mark.parametrize("chain", ["lumped", "nonlocal"])
+    @pytest.mark.parametrize("n", ["4", "16"])
+    def test_one_step_mixing_chain_iterative(self, capsys, chain, n):
+        # at L=1 the deflated operator is zero, and ARPACK cannot start
+        # from a vector that it sends to exactly zero (N=4 and 16 do)
+        code, out, err = run_cli(
+            capsys, "gap", "--n", n, "--length", "1", "--dense-cutoff", "1",
+            "--chain", chain,
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["gap"] == pytest.approx(1.0, abs=1e-12)
 
     def test_no_cheeger_flag(self, capsys):
         code, out, _ = run_cli(
@@ -473,6 +501,14 @@ class TestVerifyCommand:
         assert code == 0
         assert "ok   montecarlo.symbol_stream_chunk_invariant: ok" in out.splitlines()
 
+    def test_local_iterative_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "gaps")
+        assert code == 0
+        assert any(
+            line.startswith("ok   spectra.local_iterative_matches_dense: ")
+            for line in out.splitlines()
+        )
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 1
@@ -543,6 +579,54 @@ class TestMonteCarloCommandsProperty:
         assert code in (0, 1, 2, 3)
         assert err.getvalue().count("\n") <= 1
         assert (code == 0) == (err.getvalue() == "")
+
+
+class TestGapCommandProperty:
+    """Any small gap command ends in an exit code, never a traceback, and
+    its gap does not depend on the dense cutoff."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        chain=st.sampled_from(["lumped", "nonlocal", "local"]),
+        gate=st.sampled_from(["pf", "tl"]),
+        n=st.integers(2, 4),
+        length=st.integers(1, 5),
+        cutoff=st.sampled_from([1, 2, 10, None]),
+        exact=st.booleans(),
+        no_cheeger=st.booleans(),
+        export=st.booleans(),
+    )
+    def test_exit_code_and_cutoff_invariance(
+        self, tmp_path, chain, gate, n, length, cutoff, exact, no_cheeger,
+        export,
+    ):
+        base = ["gap", "--chain", chain, "--gate", gate, "--n", str(n),
+                "--length", str(length)]
+        argv = list(base)
+        if cutoff is not None:
+            argv += ["--dense-cutoff", str(cutoff)]
+        if exact:
+            argv.append("--exact")
+        if no_cheeger:
+            argv.append("--no-cheeger")
+        if export:
+            argv += ["--export-matrix", str(tmp_path / "matrix.txt")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1
+        assert (code == 0) == (err.getvalue() == "")
+        if code == 0:
+            ref = io.StringIO()
+            with contextlib.redirect_stdout(ref):
+                assert main(base + ["--no-cheeger"]) == 0
+            gap = json.loads(out.getvalue())["gap"]
+            assert abs(gap - json.loads(ref.getvalue())["gap"]) <= 1e-9
 
 
 class TestConfigFile:

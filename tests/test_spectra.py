@@ -68,6 +68,11 @@ class TestDenseGap:
         with pytest.raises(UsageError):
             spectral_gap(ch)
 
+    def test_one_state_raises(self):
+        ch = StochasticChain.from_matrix(np.eye(1))
+        with pytest.raises(UsageError):
+            spectral_gap(ch)
+
     def test_gap_bounds(self):
         for builder in (build_full_local, build_full_nonlocal):
             res = spectral_gap(builder(3, 4))
@@ -129,7 +134,6 @@ class TestIterativeGap:
         assert abs(dense.gap - it.gap) < 1e-9
         assert it.residual <= spectra.DEFAULT_TOL
         assert it.iterations > 0
-        assert it.caveat is None
 
     def test_nonlocal_compression_matches_dense(self):
         ch = build_full_nonlocal(3, 6)
@@ -137,17 +141,47 @@ class TestIterativeGap:
         comp = spectral_gap(ch, dense_cutoff=10)
         assert abs(dense.gap - comp.gap) < 1e-9
 
-    def test_local_proxy_is_a_lower_bound(self):
-        ch = build_full_local(3, 6)
-        dense = spectral_gap(ch)
-        proxy = spectral_gap(ch, dense_cutoff=10)
-        assert proxy.caveat is not None
-        assert proxy.gap <= dense.gap + 1e-9
+    def test_local_matches_dense(self):
+        # the nonsymmetric chain goes through eigs on the deflated matrix
+        for length in (5, 6):
+            for gate in GateKind:
+                for reverse in (False, True):
+                    ch = build_full_local(3, length, gate, reverse_layers=reverse)
+                    dense = spectral_gap(ch)
+                    it = spectral_gap(ch, dense_cutoff=10)
+                    assert dense.method == "dense" and it.method == "iterative"
+                    assert abs(dense.gap - it.gap) < 1e-12
+                    assert it.residual <= spectra.DEFAULT_TOL
+
+    def test_too_small_for_eigs_is_dense(self):
+        # eigs asks for k = 2N = 4 values and needs k < dim - 1
+        res = spectral_gap(build_full_local(2, 2), dense_cutoff=1)
+        assert res.method == "dense"
+        assert abs(res.gap - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("solver", ["eigsh", "eigs"])
+    def test_arpack_error_is_numeric(self, monkeypatch, solver):
+        def fail(*args, **kwargs):
+            raise spectra.spla.ArpackError(-8)
+
+        monkeypatch.setattr(spectra.spla, solver, fail)
+        ch = build_lumped(3, 8) if solver == "eigsh" else build_full_local(3, 4)
+        with pytest.raises(NumericError, match="ARPACK error -8"):
+            spectral_gap(ch, dense_cutoff=10)
 
     def test_custom_iterative_needs_structure(self):
         ch = StochasticChain.from_matrix(np.array([[0.7, 0.3], [0.2, 0.8]]))
         with pytest.raises(UsageError):
             spectral_gap(ch, dense_cutoff=1)
+
+    @pytest.mark.parametrize(
+        "tol,max_iterations", [(0.0, 10), (-1.0, 10), (math.nan, 10),
+                               (math.inf, 10), (1e-10, 0)]
+    )
+    def test_bad_solver_arguments(self, tol, max_iterations):
+        # a NaN tol would run ARPACK to its last iteration
+        with pytest.raises(UsageError):
+            spectral_gap(build_lumped(2, 3), tol=tol, max_iterations=max_iterations)
 
     def test_no_convergence_is_loud(self):
         ch = build_lumped(3, 12)

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import bounds, census
 from .chains import (
@@ -28,6 +29,7 @@ from .errors import UsageError
 from .spectra import (
     cone_subset,
     exact_escape_profile,
+    lumped_blocks,
     n2_charge_subset,
     spectral_gap,
     subset_expansion,
@@ -200,6 +202,26 @@ def check_gaps() -> list[CheckResult]:
             "spectra.smallest_local_gap",
             abs(local.gap - 0.5) < 1e-12,
             f"gap={local.gap!r}",
+        )
+    )
+    chain = build_lumped(3, 6)
+    root = np.sqrt(chain.stationary)
+    sym = (chain.matrix.multiply(root[:, None]) / root[None, :]).toarray()
+    blocks = np.concatenate([
+        np.repeat(
+            scipy.linalg.eigh_tridiagonal(
+                b.diagonal, b.offdiagonal, eigvals_only=True
+            ),
+            b.multiplicity,
+        )
+        for b in lumped_blocks(3, 6)
+    ])
+    drift = float(np.abs(np.sort(blocks) - np.linalg.eigvalsh(sym)).max())
+    out.append(
+        _result(
+            "spectra.lumped_blocks_match_chain",
+            drift < 1e-12,
+            f"{blocks.size} eigenvalues, largest difference {drift:.1e}",
         )
     )
     return out

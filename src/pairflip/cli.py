@@ -39,12 +39,13 @@ from .spectra import (
     DEFAULT_TOL,
     DENSE_CUTOFF,
     MAX_ITERATIONS,
-    candidate_cuts,
+    cheeger_bounds,
     cheeger_check,
-    cone_subset,
-    n2_charge_subset,
+    lumped_charge_expansion,
+    lumped_cone_expansion,
+    lumped_cut_expansions,
+    lumped_gap,
     spectral_gap,
-    subset_expansion,
 )
 
 _FLOAT_FMT = ".12g"
@@ -131,13 +132,20 @@ def _build_chain(args: argparse.Namespace):
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    chain = _build_chain(args)
-    result = spectral_gap(
-        chain,
-        tol=args.tol,
-        dense_cutoff=args.dense_cutoff,
-        max_iterations=args.max_iterations,
-    )
+    # the lumped chain's gap and cuts come from its blocks and closed
+    # forms; it is built only to be exported
+    lumped = args.chain == "lumped"
+    GateKind.parse(args.gate)  # a bad --gate fails whatever the chain
+    chain = _build_chain(args) if not lumped or args.export_matrix else None
+    if lumped:
+        result = lumped_gap(args.n, args.length)
+    else:
+        result = spectral_gap(
+            chain,
+            tol=args.tol,
+            dense_cutoff=args.dense_cutoff,
+            max_iterations=args.max_iterations,
+        )
     payload: dict[str, Any] = {
         "n": args.n,
         "length": args.length,
@@ -146,12 +154,20 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "method": result.method,
         "residual": result.residual,
         "iterations": result.iterations,
+        "precision": result.precision,
         "cheeger_upper": None,
         "cheeger_lower_witness": None,
         "cheeger_witness": None,
         "phi_min": None,
     }
-    report = None if args.no_cheeger else cheeger_check(chain, gap=result)
+    if args.no_cheeger:
+        report = None
+    elif lumped:
+        report = cheeger_bounds(
+            lumped_cut_expansions(args.n, args.length), result, args.n
+        )
+    else:
+        report = cheeger_check(chain, gap=result)
     if report is not None:
         payload.update(
             cheeger_upper=report.upper,
@@ -176,29 +192,24 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 
 def _cmd_expansion(args: argparse.Namespace) -> int:
-    chain = build_lumped(args.n, args.length, cap=args.state_cap)
+    n, length = args.n, args.length
     candidates: dict[str, Fraction] = {}
     if args.depth is not None:
-        candidates[f"cone d={args.depth}"] = subset_expansion(
-            chain, cone_subset(chain, args.depth)
+        candidates[f"cone d={args.depth}"] = lumped_cone_expansion(
+            n, length, args.depth
         )
     if args.charge is not None:
-        candidates[f"charge q={args.charge}"] = subset_expansion(
-            chain, n2_charge_subset(chain, args.charge)
+        candidates[f"charge q={args.charge}"] = lumped_charge_expansion(
+            n, length, args.charge
         )
     if not candidates:
-        candidates = {
-            label: subset_expansion(chain, cut)
-            for label, cut in candidate_cuts(chain).items()
-        }
+        candidates = lumped_cut_expansions(n, length)
     if not candidates:
-        raise UsageError(
-            f"no candidate cuts exist for N={args.n}, L={args.length}"
-        )
+        raise UsageError(f"no candidate cuts exist for N={n}, L={length}")
     witness, phi_min = min(candidates.items(), key=lambda kv: kv[1])
     payload = {
-        "n": args.n,
-        "length": args.length,
+        "n": n,
+        "length": length,
         "candidates": candidates,
         "phi_min": phi_min,
         "witness": witness,
@@ -444,10 +455,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--gate", default="pf", help="pf or tl (local chains)")
     p.add_argument("--exact", action="store_true",
                    help="carry exact rational rows (small sizes)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--dense-cutoff", type=int, default=DENSE_CUTOFF)
-    p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="ARPACK tolerance (local and nonlocal chains)")
+    p.add_argument("--dense-cutoff", type=int, default=DENSE_CUTOFF,
+                   help="largest dense solve (local and nonlocal chains)")
+    p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS,
+                   help="ARPACK iteration cap (local and nonlocal chains)")
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                   help="largest state (or, lumped, sector) count to build; "
+                        "for the lumped chain it limits only --export-matrix")
     p.add_argument("--no-cheeger", action="store_true",
                    help="skip the conductance comparison")
     p.add_argument("--export-matrix", help="also write the matrix in COO text")
@@ -461,7 +477,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--depth", type=int, help="single cone cut at this depth")
     p.add_argument("--charge", type=int,
                    help="two-symbol charge-tail cut at this value")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                   help="no effect: expansions come from closed forms")
     _add_common(p)
     p.set_defaults(func=_cmd_expansion)
     registry["expansion"] = p

@@ -5,39 +5,56 @@ eigenvalue modulus of the transition matrix. The relaxation time is
 ``1/gap``; the usual mixing-time relation ``t_mix >= t_rel ln 4`` is left
 to the caller, it is not computed here.
 
-Every chain is reduced to one matrix ``A`` and a unit vector ``r`` that is
-a left and right eigenvector of ``A`` for the eigenvalue 1. Reversible
-chains (the lumped chain, and the nonlocal chain through its sector
-compression) give the symmetric ``A = D^{1/2} T D^{-1/2}``, ``D`` the
-diagonal of the stationary law, with ``r`` proportional to its square
-root; the full local chain and chains made from raw matrices give the
-nonsymmetric ``A = T``, with ``r`` the constant vector when ``T`` is
+The lumped chain needs no matrix: its rates depend only on depth, so it
+is a radial walk on the N-regular tree and its spectrum splits into at
+most L+1 tridiagonal blocks of known multiplicity (:func:`lumped_blocks`).
+:func:`lumped_gap` ranks the float spectra of the blocks by modulus and
+recomputes the slowest modes with relative accuracy (method
+``"tridiagonal"``): each block generator ``I - B`` is a diagonally
+dominant M-matrix, whose smallest eigenvalue inverse iteration finds
+through a subtraction-free elimination (Alfa, Xue & Ye, Math. Comp. 71,
+2002), so a gap far below double precision comes out right.
+
+Every other chain is reduced to one matrix ``A`` and a unit vector ``r``
+that is a left and right eigenvector of ``A`` for the eigenvalue 1.
+Reversible chains (the lumped chain, and the nonlocal chain through its
+sector compression) give the symmetric ``A = D^{1/2} T D^{-1/2}``, ``D``
+the diagonal of the stationary law, with ``r`` proportional to its
+square root; the full local chain and chains made from raw matrices give
+the nonsymmetric ``A = T``, with ``r`` the constant vector when ``T`` is
 doubly stochastic. There are two solves. Up to ``DENSE_CUTOFF`` states
 ``eigh`` or ``eig`` ranks the whole spectrum by modulus; above it ARPACK
 (``eigsh`` or ``eigs``) finds the largest modulus of ``x -> A x - r (r.x)``,
 in which the eigenvalue 1 is deflated to 0 and every other eigenvalue
-is kept.
+is kept. Their ``1 - |lambda|`` carries an absolute error near ``dim``
+roundings, which ``GapResult.precision`` reports relative to the gap.
 
 Expansion of a subset R uses the probability-flow convention
 
     Phi(R) = sum_{i in R} pi_i sum_{j not in R} T[i, j] / pi(R),
 
 which for the doubly stochastic full chains reduces to the plain
-average outflow (1/|R|) sum_{i in R, j notin R} T[i, j].
+average outflow (1/|R|) sum_{i in R, j notin R} T[i, j]. The Cheeger
+sandwich takes its candidate expansions from one of two sources:
+:func:`subset_expansion` over :func:`candidate_cuts` of a built chain,
+or the closed forms of :func:`lumped_cut_expansions`, which equal the
+first on the lumped chain exactly and need no chain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .census import cone_stats, sector_dim
+from .census import cone_stats, multiplicity, n2_charge_cut, sector_dim
 from .chains import StochasticChain, sector_projectors
 from .errors import NumericError, UsageError
 from .walks import (
@@ -45,6 +62,7 @@ from .walks import (
     _canonical_anchor,
     all_states,
     check_cone_depth,
+    check_size,
     in_cone,
     reduce_states,
     sector_words,
@@ -53,16 +71,25 @@ from .walks import (
 DENSE_CUTOFF = 4096
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 10**6
+EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_MAX_SOLVES = 500  # inverse-iteration solves per lumped block
 
 
 @dataclass(frozen=True)
 class GapResult:
-    """Spectral gap with provenance of the solve."""
+    """Spectral gap with provenance of the solve.
+
+    ``precision`` estimates the relative error of ``gap``; it is
+    ``inf`` when ``1 - |lambda_2|`` rounded to zero or below and the gap
+    was clamped to 0.
+    """
 
     gap: float
-    method: str  # "dense" | "iterative"
+    method: str  # "dense" | "iterative" | "tridiagonal" (lumped blocks)
     residual: float
     iterations: int
+    precision: float = math.nan
 
     @property
     def relaxation_time(self) -> float:
@@ -116,16 +143,18 @@ def _gap_operator(
 
 
 def _gap_result(
-    lam: complex | float, method: str, residual: float, iterations: int
+    lam: complex | float, method: str, residual: float, iterations: int, dim: int
 ) -> GapResult:
     mod = float(abs(lam))
     if mod > 1 + 1e-9:
         raise NumericError(f"subdominant eigenvalue modulus {mod} exceeds 1")
+    gap = max(1.0 - mod, 0.0)
     return GapResult(
-        gap=max(1.0 - mod, 0.0),
+        gap=gap,
         method=method,
         residual=residual,
         iterations=iterations,
+        precision=(residual + dim * EPS) / gap if gap > 0 else math.inf,
     )
 
 
@@ -138,7 +167,7 @@ def _dense_gap(mat: sp.csr_matrix, symmetric: bool) -> GapResult:
     # eigh reads one triangle; the residual against the whole of ``mat``
     # also picks up the rounding asymmetry of the similarity transform
     residual = float(np.linalg.norm(mat @ x - lam * x) / np.linalg.norm(x))
-    return _gap_result(lam, "dense", residual, 0)
+    return _gap_result(lam, "dense", residual, 0, mat.shape[0])
 
 
 class _CountedOperator(spla.LinearOperator):
@@ -202,7 +231,7 @@ def _arpack_gap(
     residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
     if residual > tol:
         raise NumericError(f"eigenpair residual {residual:.3e} above tol {tol:.3e}")
-    return _gap_result(lam, "iterative", residual, op.count)
+    return _gap_result(lam, "iterative", residual, op.count, dim)
 
 
 def spectral_gap(
@@ -235,6 +264,226 @@ def spectral_gap(
     if mat.shape[0] <= dense_cutoff:
         return _dense_gap(mat, symmetric)
     return _arpack_gap(mat, symmetric, top, chain.n, tol, max_iterations)
+
+
+@dataclass(frozen=True, eq=False)
+class LumpedBlock:
+    """One invariant block of the lumped chain, with its multiplicity.
+
+    The block is a birth-death chain on the depths ``top, top+2, ..., L``.
+    Row ``i`` of its generator ``I - B`` has ``-up[i]`` toward depth
+    ``d-2``, ``-down[i]`` toward depth ``d+2`` and the diagonal
+    ``up[i] + down[i] + leak[i]``; ``leak`` is the row-sum excess, nonzero
+    only in the top row of a non-radial block. :attr:`diagonal` and
+    :attr:`offdiagonal` give the symmetrized block of the chain itself.
+    """
+
+    top: int
+    multiplicity: int
+    up: np.ndarray
+    down: np.ndarray
+    leak: np.ndarray
+
+    @property
+    def diagonal(self) -> np.ndarray:
+        return 1.0 - (self.up + self.down + self.leak)
+
+    @property
+    def offdiagonal(self) -> np.ndarray:
+        return np.sqrt(self.down[:-1] * self.up[1:])
+
+
+def lumped_blocks(n: int, length: int) -> list[LumpedBlock]:
+    """The radial block, then one block per depth ``j = 0 .. L-1``.
+
+    The lumped chain moves a sector by two levels or to a sibling with
+    rates that depend on depth only (those of
+    :func:`~pairflip.chains.build_lumped`): ``p_d = |K_{d-1}^{(L-1)}| /
+    (N |K_d|)`` to the grandparent and to each sibling, and
+    ``|K_{d+1}^{(L-1)}| / (N |K_d|)`` to each grandchild. Radial functions
+    of depth give the radial block. Below a depth-``j`` vertex, functions
+    that are radial inside each child's subtree with weights summing to
+    zero over the children give block ``j``; it starts at the top depth
+    ``t = j+1`` or ``j+2`` (the one of L's parity), where the grandparent
+    term drops out and, at ``t = j+1``, the siblings add ``-p_t`` instead
+    of ``(N-2) p_t``. Its multiplicity is the number of depth-``j``
+    vertices times one less than their number of children, so at N=2
+    only block 0 remains. Rates are correctly rounded quotients of the
+    exact sector sizes.
+    """
+    check_size(n, length)
+    first = length % 2
+    p, q = [], []  # p_d, and the total rate to the grandchildren
+    for d in range(first, length + 1, 2):
+        size = n * sector_dim(n, length, d)
+        p.append(sector_dim(n, length - 1, d - 1) / size if d else 0.0)
+        fan = (n - 1) ** 2 if d else n * (n - 1)
+        q.append(fan * sector_dim(n, length - 1, d + 1) / size)
+
+    def block(top: int, mult: int, leak_top: float) -> LumpedBlock:
+        i = (top - first) // 2
+        up = np.array(p[i:])
+        up[0] = 0.0  # no grandparent inside the block
+        leak = np.zeros(up.size)
+        leak[0] = leak_top
+        return LumpedBlock(top, mult, up, np.array(q[i:]), leak)
+
+    blocks = [block(first, 1, 0.0)]
+    for j in range(length):
+        top = j + 1 if (length - j - 1) % 2 == 0 else j + 2
+        mult = multiplicity(n, j) * (n - 1 if j == 0 else n - 2)
+        if mult:
+            p_top = p[(top - first) // 2]
+            blocks.append(block(top, mult, n * p_top if top == j + 1 else p_top))
+    return blocks
+
+
+def _radial_dual(block: LumpedBlock) -> tuple[np.ndarray, ...] | None:
+    """Generator rates ``(up, down, leak)`` whose spectrum is the radial
+    generator's without its zero, or None when that leaves nothing.
+
+    Differences ``g_i = f_{i+1} - f_i`` turn the radial generator into a
+    tridiagonal matrix whose transpose is again a diagonally dominant
+    M-matrix, with leaks ``down[0]`` and ``up[-1]`` at its two ends.
+    """
+    a, b = block.up, block.down
+    m = a.size - 1
+    if m == 0:
+        return None
+    leak = np.zeros(m)
+    leak[0] += b[0]
+    leak[-1] += a[m]
+    return np.concatenate(([0.0], b[1:m])), np.append(a[1:m], 0.0), leak
+
+
+def _leaky_bracket(
+    up: np.ndarray, down: np.ndarray, leak: np.ndarray, ceiling: float = math.inf
+) -> tuple[float, float, int]:
+    """Bracket ``(lo, hi)`` around the smallest eigenvalue of a leaky
+    tridiagonal generator, and the number of inverse-iteration solves.
+
+    Gaussian elimination keeps each row's excess ``e_i = leak_i +
+    up_i e_{i-1} / u_{i-1}`` and pivot ``u_i = e_i + down_i``, and the
+    triangular solves of a positive vector only add positive terms, so
+    every quantity is accurate to a few roundings however small the
+    eigenvalue. The inverse ``M`` of the generator is positive, and for
+    a positive ``x`` the ratios ``x_i / (M x)_i`` bracket the eigenvalue
+    (Collatz-Wielandt). Iteration stops once the bracket is as narrow as
+    the rounding allows, stops shrinking or lies above ``ceiling``. An
+    excess below the normal float range raises NumericError: the
+    eigenvalue is then out of double precision's reach.
+    """
+    a, b, s = up.tolist(), down.tolist(), leak.tolist()
+    m = len(a)
+    piv, low = [0.0] * m, [0.0] * m
+    excess = s[0]
+    piv[0] = excess + b[0]
+    for i in range(m):
+        if i:
+            low[i] = a[i] / piv[i - 1]
+            excess = s[i] + low[i] * excess
+            piv[i] = excess + b[i]
+        if excess < _TINY:
+            raise NumericError(
+                "block elimination underflows double precision: the gap "
+                "is below its range"
+            )
+    x = [1.0] * m
+    lo, hi, width = 0.0, math.inf, math.inf
+    for solves in range(1, _MAX_SOLVES + 1):
+        z = [0.0] * m
+        acc = 0.0
+        for i in range(m):
+            acc = z[i] = x[i] + low[i] * acc
+        y = [0.0] * m
+        acc = 0.0
+        for i in range(m - 1, -1, -1):
+            acc = y[i] = (z[i] + b[i] * acc) / piv[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.asarray(x) / np.asarray(y)
+        if np.isnan(ratio).any():  # the iterate left the float range
+            break
+        lo, hi = max(lo, float(ratio.min())), min(hi, float(ratio.max()))
+        if hi - lo >= width or hi - lo <= m * EPS * lo or lo > ceiling:
+            break
+        width = hi - lo
+        top = max(y)
+        x = [v / top for v in y]
+    return lo, hi, solves
+
+
+def _block_extremes(
+    up: np.ndarray, down: np.ndarray, leak: np.ndarray
+) -> tuple[float, float]:
+    """Smallest and largest float eigenvalue of a block generator."""
+    diag, off = up + down + leak, np.sqrt(down[:-1] * up[1:])
+    ends = [
+        sla.eigh_tridiagonal(
+            diag, off, eigvals_only=True, select="i", select_range=(i, i)
+        )[0]
+        for i in (0, diag.size - 1)
+    ]
+    return float(ends[0]), float(ends[1])
+
+
+def lumped_gap(n: int, length: int) -> GapResult:
+    """Gap of the lumped chain from its blocks, without building it.
+
+    A generator eigenvalue ``mu`` is the chain eigenvalue ``1 - mu``, of
+    modulus gap ``min(mu, 2 - mu)``. The float spectra of all blocks
+    (``eigh_tridiagonal``, absolute error near ``size`` roundings) rank
+    the candidates; every block whose smallest float ``mu`` lies within
+    that error of the best bracket so far is then bracketed with
+    relative accuracy by :func:`_leaky_bracket`, and the radial block
+    through its difference form, which drops the stationary eigenvalue.
+    ``residual`` is the width of the winning bracket, ``iterations``
+    counts the inverse-iteration solves and ``precision`` is the
+    bracket's half-width relative to the gap plus ``10 size`` roundings
+    for the elimination and the solves.
+    """
+    generators = []
+    for block in lumped_blocks(n, length):
+        if block.leak.any():
+            generators.append((block.up, block.down, block.leak))
+        elif (dual := _radial_dual(block)) is not None:
+            generators.append(dual)
+    ends = [_block_extremes(*g) for g in generators]
+    # negative chain eigenvalues: mu near 2, never near a small gap
+    neg_k = max(range(len(ends)), key=lambda k: ends[k][1])
+    neg_gap = 2.0 - ends[neg_k][1]
+    best: tuple[float, float, int] | None = None
+    solves = 0
+    for k in sorted(range(len(ends)), key=lambda k: ends[k][0]):
+        size = generators[k][0].size
+        if best is not None and ends[k][0] - 4 * size * EPS > best[1]:
+            break
+        lo, hi, used = _leaky_bracket(
+            *generators[k], ceiling=math.inf if best is None else best[1]
+        )
+        solves += used
+        if best is None or lo + hi < best[0] + best[1]:
+            best = (lo, hi, size)
+    assert best is not None  # block 0 exists for every L >= 1
+    lo, hi, size = best
+    if not 0 < lo <= hi < math.inf:
+        raise NumericError(f"no bracket around the lumped gap: [{lo}, {hi}]")
+    gap = 0.5 * (lo + hi)
+    if neg_gap < gap:
+        slack = 4 * generators[neg_k][0].size * EPS
+        return GapResult(
+            gap=neg_gap,
+            method="tridiagonal",
+            residual=slack,
+            iterations=solves,
+            precision=slack / neg_gap,
+        )
+    return GapResult(
+        gap=gap,
+        method="tridiagonal",
+        residual=hi - lo,
+        iterations=solves,
+        precision=(hi - lo) / (hi + lo) + 10 * size * EPS,
+    )
 
 
 def _stationary_weights_exact(chain: StochasticChain) -> list[Fraction]:
@@ -348,20 +597,119 @@ class CheegerReport:
     lower_certified: bool
 
 
+def _cone_depths(length: int) -> range:
+    return range(2 if length % 2 == 0 else 3, length + 1, 2)
+
+
+def _charge_values(length: int) -> range:
+    return range(1 if length % 2 else 2, length + 1, 2)
+
+
 def candidate_cuts(chain: StochasticChain) -> dict[str, np.ndarray]:
     """Labelled candidate cuts: a cone at every valid depth, plus every
     charge cut when N=2. Empty when the chain is too short for any cut."""
     n, length = chain.n, chain.length
     if n is None or length is None:
         raise UsageError("candidate cuts need a built chain with n and length")
-    cuts = {
-        f"cone d={depth}": cone_subset(chain, depth)
-        for depth in range(2 if length % 2 == 0 else 3, length + 1, 2)
-    }
+    cuts = {f"cone d={depth}": cone_subset(chain, depth) for depth in _cone_depths(length)}
     if n == 2:
-        for q in range(1 if length % 2 else 2, length + 1, 2):
+        for q in _charge_values(length):
             cuts[f"charge q={q}"] = n2_charge_subset(chain, q)
     return cuts
+
+
+def cut_expansions(chain: StochasticChain) -> dict[str, Fraction | float]:
+    """:func:`subset_expansion` of every :func:`candidate_cuts` cut."""
+    return {
+        label: subset_expansion(chain, cut)
+        for label, cut in candidate_cuts(chain).items()
+    }
+
+
+def lumped_cone_expansion(n: int, length: int, depth: int) -> Fraction:
+    """Expansion of the depth-``depth`` cone of the lumped chain, which
+    is the cone's exact boundary flow per state from the census."""
+    check_size(n, length)
+    return cone_stats(n, length, depth).boundary_flow
+
+
+def lumped_charge_expansion(n: int, length: int, q: int) -> Fraction:
+    """Expansion of the two-symbol cut of signed charge at least ``q``.
+
+    For ``q >= 1`` a fraction ``(N-1)/N`` of the cut's boundary states
+    leave in one step. For ``q <= 0`` the flow out of the cut equals the
+    flow into it, which charge reversal maps to the flow out of the cut
+    at ``2 - q``.
+    """
+    check_size(n, length)
+    if n != 2:
+        raise UsageError("charge cuts are a two-symbol construction")
+    if (length - q) % 2 or not -length <= q <= length:
+        raise UsageError(f"charge {q} has wrong parity or range for L={length}")
+    if q == -length:
+        raise UsageError("subset must be nonempty and proper")
+    if q >= 1:
+        boundary, size = n2_charge_cut(length, q)
+        return Fraction(boundary, 2 * size)
+    boundary, size = n2_charge_cut(length, 2 - q)
+    return Fraction(boundary, 2 * (2**length - size))
+
+
+def lumped_cut_expansions(n: int, length: int) -> dict[str, Fraction]:
+    """Exact expansions of the lumped chain's :func:`candidate_cuts`, in
+    the same order and under the same labels, from closed forms."""
+    check_size(n, length)
+    out = {
+        f"cone d={depth}": lumped_cone_expansion(n, length, depth)
+        for depth in _cone_depths(length)
+    }
+    if n == 2:
+        for q in _charge_values(length):
+            out[f"charge q={q}"] = lumped_charge_expansion(n, length, q)
+    return out
+
+
+def cheeger_bounds(
+    candidates: Mapping[str, Fraction | float],
+    gap: GapResult,
+    n: int | None,
+    *,
+    tol: float = 1e-9,
+) -> CheegerReport | None:
+    """Sandwich a gap between candidate-cut expansions.
+
+    With no candidates (a chain too short for any cut) there is nothing
+    to compare and the result is None. The upper bound ``gap <= 2
+    phi_min`` is asserted for all chains; the Cheeger lower bound
+    ``phi_min^2 / 2`` is certified only in the two-symbol case, where the
+    candidate family contains the minimizing cut, and is otherwise
+    reported as a witness value only.
+    """
+    floats = {label: float(phi) for label, phi in candidates.items()}
+    if not floats:
+        return None
+    witness, phi_min = min(floats.items(), key=lambda kv: kv[1])
+    upper = 2.0 * phi_min
+    lower = 0.5 * phi_min**2
+    if gap.gap > upper + tol:
+        raise NumericError(
+            f"gap {gap.gap} violates the upper bound 2*phi = {upper} "
+            f"(witness {witness})"
+        )
+    certified = n == 2
+    if certified and gap.gap < lower - tol:
+        raise NumericError(
+            f"gap {gap.gap} below the certified lower bound {lower}"
+        )
+    return CheegerReport(
+        gap=gap,
+        candidates=floats,
+        phi_min=phi_min,
+        witness=witness,
+        upper=upper,
+        lower_witness=lower,
+        lower_certified=certified,
+    )
 
 
 def cheeger_check(
@@ -370,44 +718,13 @@ def cheeger_check(
     tol: float = 1e-9,
     gap: GapResult | None = None,
 ) -> CheegerReport | None:
-    """Sandwich the gap between candidate-cut expansions.
-
-    Candidates come from :func:`candidate_cuts`; with none (a chain too
-    short for any cut) there is nothing to compare and the result is
-    None. The upper bound ``gap <= 2 phi_min`` is asserted for all
-    chains; the Cheeger lower bound ``phi_min^2 / 2`` is certified only
-    in the two-symbol case, where the candidate family contains the
-    minimizing cut, and is otherwise reported as a witness value only.
-    """
-    candidates = {
-        label: float(subset_expansion(chain, cut))
-        for label, cut in candidate_cuts(chain).items()
-    }
+    """:func:`cheeger_bounds` with the expansions of a built chain's
+    :func:`candidate_cuts`; the gap is solved when not given."""
+    candidates = cut_expansions(chain)
     if not candidates:
         return None
-    witness, phi_min = min(candidates.items(), key=lambda kv: kv[1])
     result = gap if gap is not None else spectral_gap(chain)
-    upper = 2.0 * phi_min
-    lower = 0.5 * phi_min**2
-    if result.gap > upper + tol:
-        raise NumericError(
-            f"gap {result.gap} violates the upper bound 2*phi = {upper} "
-            f"(witness {witness})"
-        )
-    certified = chain.n == 2
-    if certified and result.gap < lower - tol:
-        raise NumericError(
-            f"gap {result.gap} below the certified lower bound {lower}"
-        )
-    return CheegerReport(
-        gap=result,
-        candidates=candidates,
-        phi_min=phi_min,
-        witness=witness,
-        upper=upper,
-        lower_witness=lower,
-        lower_certified=certified,
-    )
+    return cheeger_bounds(candidates, result, chain.n, tol=tol)
 
 
 def evolve_exact(

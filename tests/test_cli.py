@@ -12,6 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pairflip.chains
+import pairflip.cli
+import pairflip.spectra
 from pairflip.census import cone_stats, k0_asymptotic, kd_asymptotic
 from pairflip.cli import main
 
@@ -20,6 +23,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_lumped_chain(monkeypatch):
+    """Make every route to a built lumped chain, a matrix gap or a
+    subset expansion raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the lumped path built or solved a chain")
+
+    for module, name in [
+        (pairflip.cli, "build_lumped"),
+        (pairflip.chains, "build_lumped"),
+        (pairflip.cli, "spectral_gap"),
+        (pairflip.spectra, "spectral_gap"),
+        (pairflip.spectra, "subset_expansion"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
 
 
 class TestCensusCommand:
@@ -129,12 +150,66 @@ class TestGapCommand:
         ):
             assert key in d
         assert d["gap"] == pytest.approx(0.066255466, abs=1e-8)
-        assert d["method"] == "dense"
+        assert d["method"] == "tridiagonal"
+        assert 0 < d["precision"] < 1e-12
         assert d["gap"] <= d["cheeger_upper"]
         assert d["cheeger_witness"] == "cone d=2"
         assert d["phi_min"] == pytest.approx(
             float(cone_stats(3, 6, 2).boundary_flow), abs=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "length,gap", [(400, 2.80843405897813e-14), (600, 1.20244028734082e-19)]
+    )
+    def test_lumped_far_below_double_precision(
+        self, capsys, no_lumped_chain, length, gap
+    ):
+        code, out, err = run_cli(capsys, "gap", "--n", "3", "--length", str(length))
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["method"] == "tridiagonal"
+        assert d["gap"] == pytest.approx(gap, rel=1e-10)
+        assert d["precision"] < 1e-11
+        assert d["cheeger_witness"] == "cone d=2"
+        assert d["gap"] <= d["cheeger_upper"]
+
+    def test_lumped_two_symbol_sandwich_without_a_chain(self, capsys, no_lumped_chain):
+        code, out, _ = run_cli(capsys, "gap", "--n", "2", "--length", "7")
+        d = json.loads(out)
+        assert code == 0
+        assert d["gap"] == pytest.approx(1 / 7, abs=1e-12)
+        assert d["cheeger_witness"] == "charge q=1"
+        assert d["phi_min"] == 5 / 32
+
+    def test_state_cap_limits_only_the_export(self, capsys, tmp_path):
+        argv = ("gap", "--n", "3", "--length", "20")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["gap"] > 0
+        code, _, err = run_cli(
+            capsys, *argv, "--export-matrix", str(tmp_path / "m.txt")
+        )
+        assert code == 3 and "cap" in err
+
+    def test_lumped_gap_below_the_float_range(self, capsys):
+        # rho^L L^-3/2 at N=1000, L=300 is far below 1e-308
+        code, out, err = run_cli(capsys, "gap", "--n", "1000", "--length", "300")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "underflows" in err
+
+    def test_bad_gate_fails_on_the_lumped_chain(self, capsys):
+        code, _, err = run_cli(capsys, "gap", "--n", "3", "--length", "4", "--gate", "x")
+        assert code == 1 and "gate" in err
+
+    def test_precision_in_rerun_identical_artifact(self, capsys, tmp_path):
+        texts = []
+        for k in range(2):
+            target = tmp_path / f"gap{k}.json"
+            assert run_cli(
+                capsys, "gap", "--n", "3", "--length", "9", "--out", str(target)
+            )[0] == 0
+            texts.append(target.read_text())
+        assert texts[0] == texts[1]
+        assert 0 < json.loads(texts[0])["precision"] < 1e-12
 
     def test_nonlocal_two_symbol_gap(self, capsys):
         code, out, _ = run_cli(
@@ -226,6 +301,30 @@ class TestGapCommand:
 
 
 class TestExpansionCommand:
+    def test_builds_no_chain(self, capsys, no_lumped_chain):
+        for argv, phi in [
+            (("--n", "3", "--length", "4", "--depth", "2"), "5/33"),
+            (("--n", "2", "--length", "3", "--charge", "1"), "1/4"),
+            (("--n", "2", "--length", "5"), "3/16"),
+            (("--n", "3", "--length", "30"), None),
+        ]:
+            code, out, err = run_cli(capsys, "expansion", *argv)
+            assert code == 0 and err == ""
+            if phi is not None:
+                assert json.loads(out)["phi_min"] == phi
+
+    def test_nonpositive_charge_cut(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "expansion", "--n", "2", "--length", "3", "--charge", "-1"
+        )
+        assert code == 0
+        # the one charge -3 state leaves half the time: (1/8)(1/2) / (7/8)
+        assert json.loads(out)["candidates"] == {"charge q=-1": "1/14"}
+        code, _, err = run_cli(
+            capsys, "expansion", "--n", "2", "--length", "3", "--charge", "-3"
+        )
+        assert code == 1 and "nonempty and proper" in err
+
     def test_single_cone(self, capsys):
         code, out, _ = run_cli(
             capsys, "expansion", "--n", "3", "--length", "4", "--depth", "2"
@@ -509,6 +608,14 @@ class TestVerifyCommand:
             for line in out.splitlines()
         )
 
+    def test_lumped_blocks_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "gaps")
+        assert code == 0
+        assert any(
+            line.startswith("ok   spectra.lumped_blocks_match_chain: ")
+            for line in out.splitlines()
+        )
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 1
@@ -529,10 +636,11 @@ class TestExitCodes:
         assert "cap" in err.lower()
 
     def test_numeric_failure(self, capsys):
+        # the lumped chain runs no ARPACK; the nonlocal compression does
         code, _, err = run_cli(
             capsys,
-            "gap", "--n", "3", "--length", "12", "--dense-cutoff", "4",
-            "--max-iterations", "1", "--tol", "1e-15",
+            "gap", "--n", "3", "--length", "8", "--chain", "nonlocal",
+            "--dense-cutoff", "4", "--max-iterations", "1", "--tol", "1e-15",
         )
         assert code == 2
         assert "numerical failure" in err
@@ -627,6 +735,17 @@ class TestGapCommandProperty:
                 assert main(base + ["--no-cheeger"]) == 0
             gap = json.loads(out.getvalue())["gap"]
             assert abs(gap - json.loads(ref.getvalue())["gap"]) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), length=st.integers(1, 60))
+    def test_lumped_any_length(self, n, length):
+        # no chain is built, so no length within reach hits the state cap
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gap", "--n", str(n), "--length", str(length)])
+        assert code == 0
+        assert err.getvalue().count("\n") <= 1
+        assert json.loads(out.getvalue())["gap"] > 0
 
 
 class TestConfigFile:

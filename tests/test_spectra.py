@@ -3,12 +3,19 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from pairflip import spectra
-from pairflip.census import cone_stats, n2_min_expansion, sector_dim
+from pairflip.census import (
+    cone_stats,
+    n2_min_expansion,
+    sector_dim,
+    tree_walk_spectral_radius,
+)
 from pairflip.chains import (
     GateKind,
     StochasticChain,
@@ -23,8 +30,14 @@ from pairflip.spectra import (
     GapResult,
     cheeger_check,
     cone_subset,
+    cheeger_bounds,
+    cut_expansions,
     evolve_exact,
     exact_escape_profile,
+    lumped_blocks,
+    lumped_charge_expansion,
+    lumped_cut_expansions,
+    lumped_gap,
     n2_charge_subset,
     spectral_gap,
     subset_expansion,
@@ -38,6 +51,29 @@ class TestGapResult:
         assert r.relaxation_time == 4.0
         z = GapResult(gap=0.0, method="dense", residual=0.0, iterations=0)
         assert z.relaxation_time == math.inf
+
+
+class TestPrecision:
+    def test_dense_precision_is_small_and_relative(self):
+        res = spectral_gap(build_lumped(3, 6))
+        assert 0 < res.precision < 1e-12
+        assert res.precision == pytest.approx((res.residual + 127 * 2.0**-52) / res.gap)
+
+    def test_iterative_precision(self):
+        res = spectral_gap(build_full_local(3, 5), dense_cutoff=10)
+        assert res.method == "iterative"
+        assert 0 < res.precision < 1e-8
+
+    def test_lumped_precision(self):
+        assert lumped_gap(3, 14).precision < 1e-12
+
+    def test_periodic_chain_is_clamped_loudly(self):
+        # eigenvalues 1 and -1: 1 - |lambda_2| is 0, and nothing of the
+        # gap's size is known
+        ch = StochasticChain.from_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        res = spectral_gap(ch)
+        assert res.gap == 0.0
+        assert res.precision == math.inf
 
 
 class TestDenseGap:
@@ -444,3 +480,227 @@ class TestEvolveExact:
         # step 1: (1/2, 1/2); step 2: (1/4+1/8, 1/4+3/8)
         assert out == [Fraction(3, 8), Fraction(5, 8)]
         assert sum(out) == 1
+
+
+# ---------------------------------------------------------------------------
+# lumped chain from its tridiagonal blocks
+
+
+def _block_spectrum(block):
+    return sla.eigh_tridiagonal(
+        block.diagonal, block.offdiagonal, eigvals_only=True
+    )
+
+
+def _exact_blocks(n, length):
+    """Generator ``I - B`` of every block as (diagonal, squared
+    off-diagonals, radial flag), written out from the lumped rows in
+    exact rationals and then rounded to the working precision."""
+
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    def p(d):  # to the grandparent and to each sibling
+        return Fraction(sector_dim(n, length - 1, d - 1), n * sector_dim(n, length, d))
+
+    def grand(d):  # to all grandchildren together
+        fan = (n - 1) ** 2 if d else n * (n - 1)
+        return Fraction(fan * sector_dim(n, length - 1, d + 1), n * sector_dim(n, length, d))
+
+    def siblings(d):
+        return (n - 2 if d >= 2 else n - 1) * p(d) if d else Fraction(0)
+
+    depths = range(length % 2, length + 1, 2)
+    diag = {d: mp(1 - Fraction(1, n) - siblings(d)) for d in depths}
+    off2 = {d: mp(grand(d) * p(d + 2)) for d in depths[:-1]}
+
+    def block(top, top_siblings, radial):
+        rows = range(top, length + 1, 2)
+        head = mp(1 - Fraction(1, n) - top_siblings)
+        return [head] + [diag[d] for d in rows[1:]], [off2[d] for d in rows[:-1]], radial
+
+    out = [block(length % 2, siblings(length % 2), True)]
+    for j in range(length):
+        top = j + 1 if (length - j - 1) % 2 == 0 else j + 2
+        if n == 2 and j >= 1:
+            continue
+        out.append(block(top, -p(top) if top == j + 1 else siblings(top), False))
+    return out
+
+
+def _sturm_count(diag, off2, x):
+    """Number of eigenvalues below ``x`` of a symmetric tridiagonal."""
+    count, q = 0, None
+    for i, d in enumerate(diag):
+        q = d - x if i == 0 else d - x - off2[i - 1] / q
+        if q == 0:
+            q = mpmath.mpf(10) ** (-2 * mpmath.mp.dps)
+        count += q < 0
+    return count
+
+
+def _oracle_gap(n, length, guess):
+    """Smallest ``min(mu, 2 - mu)`` over the nonzero generator eigenvalues
+    of every block, by Sturm-count bisection at 60 digits. ``guess`` only
+    places the bracket: Sturm counts confirm that no eigenvalue lies
+    below ``guess / 1000``, and Gershgorin discs that none lies above
+    ``2 - 2 guess``."""
+    with mpmath.workdps(60):
+        top = 2 * mpmath.mpf(guess)
+        floor = top / 2000
+        best = None
+        for diag, off2, radial in _exact_blocks(n, length):
+            root = [0.0] + [math.sqrt(float(c)) for c in off2] + [0.0]
+            disc = max(float(d) + root[i] + root[i + 1] for i, d in enumerate(diag))
+            assert disc < 2 - 2 * guess - 1e-9
+            zero = 1 if radial else 0  # the radial block's stationary mode
+            if _sturm_count(diag, off2, top) == zero:
+                continue
+            assert _sturm_count(diag, off2, floor) == zero
+            lo, hi = floor, top
+            for _ in range(80):  # bisect in log scale
+                mid = mpmath.sqrt(lo * hi)
+                if _sturm_count(diag, off2, mid) > zero:
+                    hi = mid
+                else:
+                    lo = mid
+            best = hi if best is None else min(best, hi)
+        assert best is not None, "no eigenvalue below twice the guess"
+        return float(best)
+
+
+class TestLumpedBlocks:
+    @pytest.mark.parametrize(
+        "n,length",
+        [(2, 5), (2, 8), (3, 6), (3, 7), (3, 8), (4, 6), (5, 5)],
+    )
+    def test_spectrum_with_multiplicities_is_the_chain_spectrum(self, n, length):
+        blocks = lumped_blocks(n, length)
+        vals = np.sort(np.concatenate(
+            [np.repeat(_block_spectrum(b), b.multiplicity) for b in blocks]
+        ))
+        full = np.linalg.eigvals(build_lumped(n, length).matrix.toarray())
+        assert np.abs(full.imag).max() < 1e-12
+        assert vals.size == full.size
+        assert np.abs(vals - np.sort(full.real)).max() < 1e-12
+
+    def test_block_shapes(self):
+        blocks = lumped_blocks(3, 7)
+        assert [b.top for b in blocks] == [1, 1, 3, 3, 5, 5, 7, 7]
+        assert [b.multiplicity for b in blocks] == [1, 2, 3, 6, 12, 24, 48, 96]
+        assert [b.up.size for b in blocks] == [4, 4, 3, 3, 2, 2, 1, 1]
+        # only the top row of a non-radial block leaks
+        assert not blocks[0].leak.any()
+        for b in blocks[1:]:
+            assert b.leak[0] > 0 and not b.leak[1:].any()
+        # at N=2 only the radial block and block 0 remain
+        assert len(lumped_blocks(2, 9)) == 2
+
+    def test_radial_block_holds_the_stationary_mode(self):
+        top = _block_spectrum(lumped_blocks(3, 10)[0])[-1]
+        assert top == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n,length", [(2, 9), (3, 8), (3, 9), (5, 6), (3, 300)])
+    def test_radial_difference_form(self, n, length):
+        # the radial block never holds the gap at these sizes, so its
+        # difference form is checked against the radial block directly
+        radial = lumped_blocks(n, length)[0]
+        mu = np.sort(1.0 - _block_spectrum(radial))[1:]  # drop the zero
+        up, down, leak = spectra._radial_dual(radial)
+        dual = sla.eigh_tridiagonal(
+            up + down + leak, np.sqrt(down[:-1] * up[1:]), eigvals_only=True
+        )
+        assert np.abs(dual - mu).max() < 1e-12
+        lo, hi, _ = spectra._leaky_bracket(up, down, leak)
+        assert lo <= hi and abs(0.5 * (lo + hi) - mu[0]) < 1e-12
+
+    @pytest.mark.parametrize("length", range(6, 15))
+    def test_gap_matches_the_chain(self, length):
+        # a dense cutoff below 2^11 keeps L=11 off a 4095-state eigh
+        res = lumped_gap(3, length)
+        assert res.method == "tridiagonal"
+        assert res.gap == pytest.approx(
+            spectral_gap(build_lumped(3, length), dense_cutoff=1024).gap, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("length", range(1, 16, 2))
+    def test_two_symbol_gap_is_one_over_length(self, length):
+        assert lumped_gap(2, length).gap == pytest.approx(1 / length, abs=1e-12)
+
+    @pytest.mark.parametrize("n,length", [(3, 1), (4, 1), (16, 1), (3, 2)])
+    def test_short_chains(self, n, length):
+        ref = spectral_gap(build_lumped(n, length)).gap
+        assert lumped_gap(n, length).gap == pytest.approx(ref, abs=1e-12)
+
+    @pytest.mark.parametrize("length", [200, 400, 600])
+    def test_matches_high_precision_oracle(self, length):
+        res = lumped_gap(3, length)
+        exact = _oracle_gap(3, length, res.gap)
+        assert abs(res.gap - exact) <= 1e-10 * exact
+        assert abs(res.gap - exact) <= res.precision * exact
+        assert res.precision < 1e-11
+
+    def test_far_below_double_precision(self):
+        # the values a float 1 - lambda cannot resolve
+        assert lumped_gap(3, 400).gap == pytest.approx(2.80843405897813e-14, rel=1e-10)
+        assert lumped_gap(3, 600).gap == pytest.approx(1.20244028734082e-19, rel=1e-10)
+
+    def test_shape_at_large_length(self):
+        # gap ~ rho^L L^-3/2 with a prefactor still climbing at L=100-400:
+        # the constant rises, the local exponent of L falls toward -3/2
+        rho = tree_walk_spectral_radius(3)
+        lengths = range(100, 401, 20)
+        gaps = [lumped_gap(3, length).gap for length in lengths]
+        consts = [g / (rho**L * L**-1.5) for g, L in zip(gaps, lengths)]
+        assert all(b > a for a, b in zip(consts, consts[1:]))
+        assert max(consts) / min(consts) < 2.0
+        logs = [math.log(g) - L * math.log(rho) for g, L in zip(gaps, lengths)]
+        slopes = [
+            (logs[k + 1] - logs[k]) / math.log(lengths[k + 1] / lengths[k])
+            for k in range(len(logs) - 1)
+        ]
+        assert all(b < a for a, b in zip(slopes, slopes[1:]))
+        assert all(-1.5 < s < -1.2 for s in slopes)
+
+    def test_bad_size(self):
+        with pytest.raises(UsageError):
+            lumped_gap(1, 4)
+        with pytest.raises(UsageError):
+            lumped_blocks(3, 0)
+
+
+class TestLumpedCutExpansions:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("length", [7, 8, 9])
+    def test_closed_forms_equal_subset_expansion(self, n, length):
+        closed = lumped_cut_expansions(n, length)
+        built = cut_expansions(build_lumped(n, length))
+        assert list(closed) == list(built)
+        for label, phi in closed.items():
+            assert isinstance(phi, Fraction)
+            assert phi == built[label], label
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8])
+    def test_every_charge_cut(self, length):
+        chain = build_lumped(2, length)
+        for q in range(2 - length, length + 1, 2):
+            assert lumped_charge_expansion(2, length, q) == subset_expansion(
+                chain, n2_charge_subset(chain, q)
+            )
+
+    def test_charge_cut_errors(self):
+        with pytest.raises(UsageError, match="two-symbol"):
+            lumped_charge_expansion(3, 4, 2)
+        with pytest.raises(UsageError, match="parity or range"):
+            lumped_charge_expansion(2, 4, 1)
+        with pytest.raises(UsageError, match="nonempty and proper"):
+            lumped_charge_expansion(2, 4, -4)
+
+    def test_sandwich_is_shared(self):
+        # the chain source and the closed forms give the same report
+        chain = build_lumped(2, 7)
+        gap = lumped_gap(2, 7)
+        a = cheeger_check(chain, gap=gap)
+        b = cheeger_bounds(lumped_cut_expansions(2, 7), gap, 2)
+        assert a == b
+        assert cheeger_bounds({}, gap, 2) is None

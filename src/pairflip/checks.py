@@ -206,7 +206,7 @@ def check_gaps() -> list[CheckResult]:
     )
     chain = build_lumped(3, 6)
     root = np.sqrt(chain.stationary)
-    sym = (chain.matrix.multiply(root[:, None]) / root[None, :]).toarray()
+    sym = root[:, None] * chain.matrix.toarray() / root[None, :]
     blocks = np.concatenate([
         np.repeat(
             scipy.linalg.eigh_tridiagonal(

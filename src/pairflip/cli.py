@@ -132,20 +132,24 @@ def _build_chain(args: argparse.Namespace):
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    # the lumped chain's gap and cuts come from its blocks and closed
-    # forms; it is built only to be exported
-    lumped = args.chain == "lumped"
-    GateKind.parse(args.gate)  # a bad --gate fails whatever the chain
-    chain = _build_chain(args) if not lumped or args.export_matrix else None
-    if lumped:
+    if args.chain == "lumped":
+        # the gap and the cuts come from the chain's blocks and closed
+        # forms; the chain is built only to be exported
+        GateKind.parse(args.gate)  # a bad --gate fails whatever the chain
+        chain = _build_chain(args) if args.export_matrix else None
         result = lumped_gap(args.n, args.length)
+        report = None if args.no_cheeger else cheeger_bounds(
+            lumped_cut_expansions(args.n, args.length), result, args.n
+        )
     else:
+        chain = _build_chain(args)
         result = spectral_gap(
             chain,
             tol=args.tol,
             dense_cutoff=args.dense_cutoff,
             max_iterations=args.max_iterations,
         )
+        report = None if args.no_cheeger else cheeger_check(chain, gap=result)
     payload: dict[str, Any] = {
         "n": args.n,
         "length": args.length,
@@ -160,14 +164,6 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "cheeger_witness": None,
         "phi_min": None,
     }
-    if args.no_cheeger:
-        report = None
-    elif lumped:
-        report = cheeger_bounds(
-            lumped_cut_expansions(args.n, args.length), result, args.n
-        )
-    else:
-        report = cheeger_check(chain, gap=result)
     if report is not None:
         payload.update(
             cheeger_upper=report.upper,

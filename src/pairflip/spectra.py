@@ -15,8 +15,9 @@ dominant M-matrix, whose smallest eigenvalue inverse iteration finds
 through a subtraction-free elimination (Alfa, Xue & Ye, Math. Comp. 71,
 2002), so a gap far below double precision comes out right.
 
-Every other chain is reduced to one matrix ``A`` and a unit vector ``r``
-that is a left and right eigenvector of ``A`` for the eigenvalue 1.
+A chain given as a matrix, a built lumped chain included, is reduced to
+one matrix ``A`` and a unit vector ``r`` that is a left and right
+eigenvector of ``A`` for the eigenvalue 1.
 Reversible chains (the lumped chain, and the nonlocal chain through its
 sector compression) give the symmetric ``A = D^{1/2} T D^{-1/2}``, ``D``
 the diagonal of the stationary law, with ``r`` proportional to its
@@ -71,7 +72,7 @@ from .walks import (
 DENSE_CUTOFF = 4096
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 10**6
-EPS = float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MAX_SOLVES = 500  # inverse-iteration solves per lumped block
 
@@ -82,7 +83,7 @@ class GapResult:
 
     ``precision`` estimates the relative error of ``gap``; it is
     ``inf`` when ``1 - |lambda_2|`` rounded to zero or below and the gap
-    was clamped to 0.
+    was clamped to 0, and NaN (unknown) on a result built by hand.
     """
 
     gap: float
@@ -154,7 +155,7 @@ def _gap_result(
         method=method,
         residual=residual,
         iterations=iterations,
-        precision=(residual + dim * EPS) / gap if gap > 0 else math.inf,
+        precision=(residual + dim * _EPS) / gap if gap > 0 else math.inf,
     )
 
 
@@ -404,7 +405,7 @@ def _leaky_bracket(
         if np.isnan(ratio).any():  # the iterate left the float range
             break
         lo, hi = max(lo, float(ratio.min())), min(hi, float(ratio.max()))
-        if hi - lo >= width or hi - lo <= m * EPS * lo or lo > ceiling:
+        if hi - lo >= width or hi - lo <= m * _EPS * lo or lo > ceiling:
             break
         width = hi - lo
         top = max(y)
@@ -455,7 +456,7 @@ def lumped_gap(n: int, length: int) -> GapResult:
     solves = 0
     for k in sorted(range(len(ends)), key=lambda k: ends[k][0]):
         size = generators[k][0].size
-        if best is not None and ends[k][0] - 4 * size * EPS > best[1]:
+        if best is not None and ends[k][0] - 4 * size * _EPS > best[1]:
             break
         lo, hi, used = _leaky_bracket(
             *generators[k], ceiling=math.inf if best is None else best[1]
@@ -469,7 +470,7 @@ def lumped_gap(n: int, length: int) -> GapResult:
         raise NumericError(f"no bracket around the lumped gap: [{lo}, {hi}]")
     gap = 0.5 * (lo + hi)
     if neg_gap < gap:
-        slack = 4 * generators[neg_k][0].size * EPS
+        slack = 4 * generators[neg_k][0].size * _EPS
         return GapResult(
             gap=neg_gap,
             method="tridiagonal",
@@ -482,7 +483,7 @@ def lumped_gap(n: int, length: int) -> GapResult:
         method="tridiagonal",
         residual=hi - lo,
         iterations=solves,
-        precision=(hi - lo) / (hi + lo) + 10 * size * EPS,
+        precision=(hi - lo) / (hi + lo) + 10 * size * _EPS,
     )
 
 

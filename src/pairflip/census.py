@@ -55,6 +55,15 @@ def tree_walk_spectral_radius(n: int) -> float:
 # Row cache for the dimension DP, keyed by alphabet size. Rows are immutable
 # tuples; the list only ever grows, so sharing across callers is safe.
 _ROWS: dict[int, list[tuple[int, ...]]] = {}
+_ROWS_CAP_BYTES = 1 << 30
+
+
+def _rows_bytes(n: int, length: int) -> float:
+    """Bytes of DP rows 0..length, estimated from above: row m holds m+1
+    tuple slots and m/2+1 ints below N^m, each int 32 bytes plus 4 per
+    30 bits."""
+    m = length + 1
+    return m * (88 + 12 * m) + math.log2(n) * m * m * (m / 45 + 1 / 15)
 
 
 def _dims_row(n: int, length: int) -> tuple[int, ...]:
@@ -63,10 +72,17 @@ def _dims_row(n: int, length: int) -> tuple[int, ...]:
     Recurrence over the last site: a string lands in a depth-d sector iff its
     length-(L-1) prefix sits at depth d-1 (one way to extend) or d+1 (the N-1
     extensions that cancel differently), with the depth-0 row absorbing all N
-    extensions of depth-1 prefixes.
+    extensions of depth-1 prefixes. The cached rows grow like L^3 in memory;
+    rows that would pass a fixed cap raise ResourceCapError before any is built.
     """
     rows = _ROWS.setdefault(n, [(1,)])
     while len(rows) <= length:
+        # checked only while the cache grows, off the cached lookup's path
+        if (need := _rows_bytes(n, length)) > _ROWS_CAP_BYTES:
+            raise ResourceCapError(
+                f"sector dimensions up to N={n}, L={length} need about "
+                f"{need / 2**30:.3g} GiB, above the cap of 1 GiB"
+            )
         prev = rows[-1]
         m = len(rows)
         nxt = [0] * (m + 1)
@@ -134,18 +150,12 @@ class SectorCensus:
 
 
 def sector_dims(n: int, length: int) -> SectorCensus:
-    """Census of all sectors: exact big-integer dimensions plus multiplicities.
-
-    Production path is the integer recurrence; for a two-symbol alphabet the
-    tree is a line and the dimensions are plain binomials, returned directly.
-    """
+    """Census of all sectors: exact big-integer dimensions plus multiplicities,
+    from the integer recurrence (binomials at N=2)."""
     check_size(n, length, 0)
     valid = range(length % 2, length + 1, 2)
-    if n == 2:
-        dims = {d: math.comb(length, (length + d) // 2) for d in valid}
-    else:
-        row = _dims_row(n, length)
-        dims = {d: row[d] for d in valid}
+    row = _dims_row(n, length)
+    dims = {d: row[d] for d in valid}
     mult = {d: multiplicity(n, d) for d in valid}
     return SectorCensus(n=n, length=length, dims=dims, multiplicity=mult)
 
@@ -317,7 +327,8 @@ def cone_stats(n: int, length: int, depth: int) -> ConeStats:
     flow = Fraction((n - 1) * _dims_row(n, length - 1)[depth - 1], n * volume)
 
     v = (n - 2.0) / n
-    x = depth / length - v
+    # exact, so that the ballistic branch never sees x <= 0 from rounding
+    x = float(Fraction(depth * n - (n - 2) * length, n * length))
     log_vol = (2 - depth) * math.log(n - 1.0) + (length - 1) * math.log(n)
     log_phi = math.log(2.0 * (n - 1)) - 2.0 * math.log(n) + x * (1.0 - v)
     # ballistic branch for d above the drift depth, diffusive at or below it

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import io as _io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -39,11 +40,9 @@ from .spectra import (
     DEFAULT_TOL,
     DENSE_CUTOFF,
     MAX_ITERATIONS,
-    cheeger_bounds,
+    charge_expansion,
     cheeger_check,
-    lumped_charge_expansion,
-    lumped_cone_expansion,
-    lumped_cut_expansions,
+    cut_expansions,
     lumped_gap,
     spectral_gap,
 )
@@ -87,13 +86,11 @@ def _json_text(payload: Any) -> str:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     n, length = args.n, args.length
+    table = census.sector_dims(n, length)
     rows = ["d,multiplicity,dim_exact,dim_asymptotic,cone_volume,"
             "cone_expansion_exact,cone_expansion_asymptotic"]
-    for d in range(length % 2, length + 1, 2):
-        dim = census.sector_dim(n, length, d)
-        if dim == 0:
-            continue
-        if n < 3:
+    for d, dim in table.dims.items():
+        if n < 3 or length == 0:
             dim_asym = ""
         elif d == 0:
             dim_asym = _fmt_float(census.k0_asymptotic(n, length))
@@ -110,7 +107,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
             cone_cells = ["", "", ""]
         rows.append(
             ",".join(
-                [str(d), str(census.multiplicity(n, d)), str(dim), dim_asym]
+                [str(d), str(table.multiplicity[d]), str(dim), dim_asym]
                 + cone_cells
             )
         )
@@ -132,16 +129,7 @@ def _build_chain(args: argparse.Namespace):
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
-    if args.chain == "lumped":
-        # the gap and the cuts come from the chain's blocks and closed
-        # forms; the chain is built only to be exported
-        GateKind.parse(args.gate)  # a bad --gate fails whatever the chain
-        chain = _build_chain(args) if args.export_matrix else None
-        result = lumped_gap(args.n, args.length)
-        report = None if args.no_cheeger else cheeger_bounds(
-            lumped_cut_expansions(args.n, args.length), result, args.n
-        )
-    else:
+    if args.chain == "local":
         chain = _build_chain(args)
         result = spectral_gap(
             chain,
@@ -149,7 +137,13 @@ def _cmd_gap(args: argparse.Namespace) -> int:
             dense_cutoff=args.dense_cutoff,
             max_iterations=args.max_iterations,
         )
-        report = None if args.no_cheeger else cheeger_check(chain, gap=result)
+    else:
+        # the nonlocal chain shares the lumped chain's nonzero spectrum,
+        # which comes from its blocks; the chain is built only to be exported
+        GateKind.parse(args.gate)  # a bad --gate fails whatever the chain
+        chain = _build_chain(args) if args.export_matrix else None
+        result = lumped_gap(args.n, args.length)
+    report = None if args.no_cheeger else cheeger_check(args.n, args.length, result)
     payload: dict[str, Any] = {
         "n": args.n,
         "length": args.length,
@@ -191,15 +185,15 @@ def _cmd_expansion(args: argparse.Namespace) -> int:
     n, length = args.n, args.length
     candidates: dict[str, Fraction] = {}
     if args.depth is not None:
-        candidates[f"cone d={args.depth}"] = lumped_cone_expansion(
+        candidates[f"cone d={args.depth}"] = census.cone_stats(
             n, length, args.depth
-        )
+        ).boundary_flow
     if args.charge is not None:
-        candidates[f"charge q={args.charge}"] = lumped_charge_expansion(
+        candidates[f"charge q={args.charge}"] = charge_expansion(
             n, length, args.charge
         )
     if not candidates:
-        candidates = lumped_cut_expansions(n, length)
+        candidates = cut_expansions(n, length)
     if not candidates:
         raise UsageError(f"no candidate cuts exist for N={n}, L={length}")
     witness, phi_min = min(candidates.items(), key=lambda kv: kv[1])
@@ -358,6 +352,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"bad --curve-times value {args.curve_times!r}"
             ) from None
+        if not all(math.isfinite(t) for t in times):
+            raise UsageError(f"--curve-times must be finite, got {args.curve_times!r}")
         payload["entropy_curve"] = [
             dict(
                 t=t,
@@ -396,8 +392,10 @@ def _cmd_escape(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = None
-    if args.suite:
+    if args.suite is not None:
         suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+        if not suites:
+            raise UsageError(f"--suite names no suite: {args.suite!r}")
     results = run_checks(suites)
     failed = 0
     for r in results:
@@ -452,14 +450,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--exact", action="store_true",
                    help="carry exact rational rows (small sizes)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="ARPACK tolerance (local and nonlocal chains)")
+                   help="ARPACK tolerance (local chain)")
     p.add_argument("--dense-cutoff", type=int, default=DENSE_CUTOFF,
-                   help="largest dense solve (local and nonlocal chains)")
+                   help="largest dense solve (local chain)")
     p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS,
-                   help="ARPACK iteration cap (local and nonlocal chains)")
+                   help="ARPACK iteration cap (local chain)")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                    help="largest state (or, lumped, sector) count to build; "
-                        "for the lumped chain it limits only --export-matrix")
+                        "for the lumped and nonlocal chains it limits only "
+                        "--export-matrix")
     p.add_argument("--no-cheeger", action="store_true",
                    help="skip the conductance comparison")
     p.add_argument("--export-matrix", help="also write the matrix in COO text")
@@ -473,8 +472,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--depth", type=int, help="single cone cut at this depth")
     p.add_argument("--charge", type=int,
                    help="two-symbol charge-tail cut at this value")
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                   help="no effect: expansions come from closed forms")
     _add_common(p)
     p.set_defaults(func=_cmd_expansion)
     registry["expansion"] = p
@@ -613,11 +610,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             sub.set_defaults(**_typed_defaults(sub, _load_config_file(config_path)))
         args = parser.parse_args(argv)
         args.started = time.perf_counter()
-        return args.func(args)
+        # exact counts can run past the int-to-str digit cap of Python >= 3.10.7
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            return args.func(args)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     except UsageError as exc:
         print(f"pairflip: error: {exc}", file=sys.stderr)
         return 1
-    except NumericError as exc:
+    except (NumericError, OverflowError) as exc:
+        # OverflowError: a float, or an int converted to one, past the largest double
         print(f"pairflip: numerical failure: {exc}", file=sys.stderr)
         return 2
     except ResourceCapError as exc:

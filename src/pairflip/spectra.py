@@ -13,7 +13,9 @@ recomputes the slowest modes with relative accuracy (method
 ``"tridiagonal"``): each block generator ``I - B`` is a diagonally
 dominant M-matrix, whose smallest eigenvalue inverse iteration finds
 through a subtraction-free elimination (Alfa, Xue & Ye, Math. Comp. 71,
-2002), so a gap far below double precision comes out right.
+2002), so a gap far below double precision comes out right. The
+blocks also give the gap of the nonlocal chain ``B R S``, which has the
+nonzero spectrum of the lumped chain ``S B R``.
 
 A chain given as a matrix, a built lumped chain included, is reduced to
 one matrix ``A`` and a unit vector ``r`` that is a left and right
@@ -36,10 +38,11 @@ Expansion of a subset R uses the probability-flow convention
 
 which for the doubly stochastic full chains reduces to the plain
 average outflow (1/|R|) sum_{i in R, j notin R} T[i, j]. The Cheeger
-sandwich takes its candidate expansions from one of two sources:
-:func:`subset_expansion` over :func:`candidate_cuts` of a built chain,
-or the closed forms of :func:`lumped_cut_expansions`, which equal the
-first on the lumped chain exactly and need no chain.
+cuts (cones and, at N=2, charge tails) are unions of sectors, which
+only the boundary update crosses, so each has one expansion in all
+three chains: :func:`cut_expansions` gives it from closed forms, and
+:func:`subset_expansion` over :func:`candidate_cuts` of a built chain
+is the oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -563,6 +566,13 @@ def cone_subset(
     return np.flatnonzero(in_cone(*_basis_words(chain), anchor.irr))
 
 
+def _check_charge_cut(n: int | None, length: int, q: int) -> None:
+    if n != 2:
+        raise UsageError("charge cuts are a two-symbol construction")
+    if (length - q) % 2 or not -length <= q <= length:
+        raise UsageError(f"charge {q} has wrong parity or range for L={length}")
+
+
 def n2_charge_subset(chain: StochasticChain, q: int) -> np.ndarray:
     """Indices with signed two-symbol charge at least ``q``.
 
@@ -571,10 +581,7 @@ def n2_charge_subset(chain: StochasticChain, q: int) -> np.ndarray:
     constant on sectors.
     """
     n, length = chain.n, chain.length
-    if n != 2:
-        raise UsageError("charge cuts are a two-symbol construction")
-    if (length - q) % 2 or not -length <= q <= length:
-        raise UsageError(f"charge {q} has wrong parity or range for L={length}")
+    _check_charge_cut(n, length, q)
     # pair deletions keep the charge, so it is read off the irreducible
     # string: symbol 1 counts +1 and symbol 2 counts -1, with weight -1 on
     # odd sites
@@ -598,12 +605,15 @@ class CheegerReport:
     lower_certified: bool
 
 
-def _cone_depths(length: int) -> range:
-    return range(2 if length % 2 == 0 else 3, length + 1, 2)
-
-
-def _charge_values(length: int) -> range:
-    return range(1 if length % 2 else 2, length + 1, 2)
+def _cuts(n: int, length: int, cone, charge) -> dict:
+    """The candidate family under its labels: a cone at every depth that
+    fits, then, at N=2, every charge tail from the smallest positive
+    charge; ``cone`` and ``charge`` give the entry of a depth and a charge."""
+    out = {f"cone d={d}": cone(d) for d in range(2 + length % 2, length + 1, 2)}
+    if n == 2:
+        for q in range(2 - length % 2, length + 1, 2):
+            out[f"charge q={q}"] = charge(q)
+    return out
 
 
 def candidate_cuts(chain: StochasticChain) -> dict[str, np.ndarray]:
@@ -612,29 +622,11 @@ def candidate_cuts(chain: StochasticChain) -> dict[str, np.ndarray]:
     n, length = chain.n, chain.length
     if n is None or length is None:
         raise UsageError("candidate cuts need a built chain with n and length")
-    cuts = {f"cone d={depth}": cone_subset(chain, depth) for depth in _cone_depths(length)}
-    if n == 2:
-        for q in _charge_values(length):
-            cuts[f"charge q={q}"] = n2_charge_subset(chain, q)
-    return cuts
+    return _cuts(n, length, lambda depth: cone_subset(chain, depth),
+                 lambda q: n2_charge_subset(chain, q))
 
 
-def cut_expansions(chain: StochasticChain) -> dict[str, Fraction | float]:
-    """:func:`subset_expansion` of every :func:`candidate_cuts` cut."""
-    return {
-        label: subset_expansion(chain, cut)
-        for label, cut in candidate_cuts(chain).items()
-    }
-
-
-def lumped_cone_expansion(n: int, length: int, depth: int) -> Fraction:
-    """Expansion of the depth-``depth`` cone of the lumped chain, which
-    is the cone's exact boundary flow per state from the census."""
-    check_size(n, length)
-    return cone_stats(n, length, depth).boundary_flow
-
-
-def lumped_charge_expansion(n: int, length: int, q: int) -> Fraction:
+def charge_expansion(n: int, length: int, q: int) -> Fraction:
     """Expansion of the two-symbol cut of signed charge at least ``q``.
 
     For ``q >= 1`` a fraction ``(N-1)/N`` of the cut's boundary states
@@ -642,11 +634,7 @@ def lumped_charge_expansion(n: int, length: int, q: int) -> Fraction:
     flow into it, which charge reversal maps to the flow out of the cut
     at ``2 - q``.
     """
-    check_size(n, length)
-    if n != 2:
-        raise UsageError("charge cuts are a two-symbol construction")
-    if (length - q) % 2 or not -length <= q <= length:
-        raise UsageError(f"charge {q} has wrong parity or range for L={length}")
+    _check_charge_cut(n, length, q)
     if q == -length:
         raise UsageError("subset must be nonempty and proper")
     if q >= 1:
@@ -656,28 +644,20 @@ def lumped_charge_expansion(n: int, length: int, q: int) -> Fraction:
     return Fraction(boundary, 2 * (2**length - size))
 
 
-def lumped_cut_expansions(n: int, length: int) -> dict[str, Fraction]:
-    """Exact expansions of the lumped chain's :func:`candidate_cuts`, in
-    the same order and under the same labels, from closed forms."""
+def cut_expansions(n: int, length: int) -> dict[str, Fraction]:
+    """Exact expansions of the :func:`candidate_cuts` of the local,
+    nonlocal and lumped chains alike, under the same labels, from closed
+    forms (a cone's is its census boundary flow)."""
     check_size(n, length)
-    out = {
-        f"cone d={depth}": lumped_cone_expansion(n, length, depth)
-        for depth in _cone_depths(length)
-    }
-    if n == 2:
-        for q in _charge_values(length):
-            out[f"charge q={q}"] = lumped_charge_expansion(n, length, q)
-    return out
+    return _cuts(n, length, lambda depth: cone_stats(n, length, depth).boundary_flow,
+                 lambda q: charge_expansion(n, length, q))
 
 
-def cheeger_bounds(
-    candidates: Mapping[str, Fraction | float],
-    gap: GapResult,
-    n: int | None,
-    *,
-    tol: float = 1e-9,
+def cheeger_check(
+    n: int, length: int, gap: GapResult, *, tol: float = 1e-9
 ) -> CheegerReport | None:
-    """Sandwich a gap between candidate-cut expansions.
+    """Sandwich the gap of a length-``length`` chain over ``n`` symbols
+    between the expansions of its candidate cuts.
 
     With no candidates (a chain too short for any cut) there is nothing
     to compare and the result is None. The upper bound ``gap <= 2
@@ -686,7 +666,9 @@ def cheeger_bounds(
     candidate family contains the minimizing cut, and is otherwise
     reported as a witness value only.
     """
-    floats = {label: float(phi) for label, phi in candidates.items()}
+    floats = {
+        label: float(phi) for label, phi in cut_expansions(n, length).items()
+    }
     if not floats:
         return None
     witness, phi_min = min(floats.items(), key=lambda kv: kv[1])
@@ -711,21 +693,6 @@ def cheeger_bounds(
         lower_witness=lower,
         lower_certified=certified,
     )
-
-
-def cheeger_check(
-    chain: StochasticChain,
-    *,
-    tol: float = 1e-9,
-    gap: GapResult | None = None,
-) -> CheegerReport | None:
-    """:func:`cheeger_bounds` with the expansions of a built chain's
-    :func:`candidate_cuts`; the gap is solved when not given."""
-    candidates = cut_expansions(chain)
-    if not candidates:
-        return None
-    result = gap if gap is not None else spectral_gap(chain)
-    return cheeger_bounds(candidates, result, chain.n, tol=tol)
 
 
 def evolve_exact(

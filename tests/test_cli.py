@@ -6,12 +6,14 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pairflip.census
 import pairflip.chains
 import pairflip.cli
 import pairflip.spectra
@@ -25,22 +27,42 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def no_lumped_chain(monkeypatch):
-    """Make every route to a built lumped chain, a matrix gap or a
-    subset expansion raise."""
-
+def _forbid(monkeypatch, targets, what):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the lumped path built or solved a chain")
+        raise AssertionError(f"the command {what}")
 
-    for module, name in [
-        (pairflip.cli, "build_lumped"),
-        (pairflip.chains, "build_lumped"),
-        (pairflip.cli, "spectral_gap"),
-        (pairflip.spectra, "spectral_gap"),
-        (pairflip.spectra, "subset_expansion"),
-    ]:
+    for module, name in targets:
         monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.fixture
+def no_chain_cuts(monkeypatch):
+    """Make every cut or expansion taken from a built chain raise."""
+    _forbid(
+        monkeypatch,
+        [(pairflip.spectra, name) for name in (
+            "candidate_cuts", "cone_subset", "n2_charge_subset", "subset_expansion"
+        )],
+        "computed a cut from a chain",
+    )
+
+
+@pytest.fixture
+def no_lumped_chain(monkeypatch, no_chain_cuts):
+    """Also make every route to a built lumped or nonlocal chain and to a
+    matrix gap raise."""
+    _forbid(
+        monkeypatch,
+        [
+            (pairflip.cli, "build_lumped"),
+            (pairflip.chains, "build_lumped"),
+            (pairflip.cli, "build_full_nonlocal"),
+            (pairflip.chains, "build_full_nonlocal"),
+            (pairflip.cli, "spectral_gap"),
+            (pairflip.spectra, "spectral_gap"),
+        ],
+        "built or solved a chain",
+    )
 
 
 class TestCensusCommand:
@@ -135,6 +157,39 @@ class TestCensusCommand:
         run_cli(capsys, "census", "--n", "3", "--length", "8", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_counts_past_the_int_to_str_digit_cap(self, capsys):
+        # dimensions of about 4800 digits, and the asymptotic cone branch
+        # at an alphabet where (N-2)/N rounds to 1
+        digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+        before = digit_cap()
+        code, out, err = run_cli(
+            capsys, "census", "--n", str(10**60), "--length", "80"
+        )
+        assert code == 0 and err == ""
+        assert digit_cap() == before  # the command puts the cap back
+        # depth 80: N (N-1)^79 sectors of one state each
+        d, mult, dim = out.splitlines()[-1].split(",")[:3]
+        assert (d, dim) == ("80", "1")
+        assert len(mult) == 4800 and mult.startswith("99") and mult.endswith("0" * 60)
+
+    def test_alphabet_past_the_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "census", "--n", str(10**400), "--length", "3"
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "numerical failure" in err
+
+    def test_negative_length_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "census", "--n", "3", "--length", "-1")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "length" in err
+
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_zero_length_has_one_empty_sector(self, capsys, n):
+        code, out, err = run_cli(capsys, "census", "--n", n, "--length", "0")
+        assert code == 0 and err == ""
+        assert out.splitlines() == [self.HEADER, "0,1,1,,,,"]
+
 
 class TestGapCommand:
     def test_lumped_gap_schema(self, capsys):
@@ -182,13 +237,37 @@ class TestGapCommand:
         assert d["phi_min"] == 5 / 32
 
     def test_state_cap_limits_only_the_export(self, capsys, tmp_path):
-        argv = ("gap", "--n", "3", "--length", "20")
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0 and json.loads(out)["gap"] > 0
-        code, _, err = run_cli(
-            capsys, *argv, "--export-matrix", str(tmp_path / "m.txt")
+        for chain in ("lumped", "nonlocal"):
+            argv = ("gap", "--n", "3", "--length", "20", "--chain", chain)
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["gap"] > 0
+            code, _, err = run_cli(
+                capsys, *argv, "--export-matrix", str(tmp_path / "m.txt")
+            )
+            assert code == 3 and "cap" in err
+
+    def test_nonlocal_gap_builds_no_chain(self, capsys, no_lumped_chain):
+        code, out, err = run_cli(
+            capsys, "gap", "--n", "3", "--length", "8", "--chain", "nonlocal"
         )
-        assert code == 3 and "cap" in err
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["method"] == "tridiagonal"
+        # the sector compression of the built chain gives 0.04089341919764544
+        assert d["gap"] == pytest.approx(0.04089341919764544, rel=1e-12)
+        assert d["cheeger_witness"] == "cone d=2"
+        assert d["phi_min"] == float(cone_stats(3, 8, 2).boundary_flow)
+
+    def test_local_gap_takes_no_cut_from_the_chain(self, capsys, no_chain_cuts):
+        code, out, err = run_cli(
+            capsys, "gap", "--n", "3", "--length", "6", "--chain", "local"
+        )
+        assert code == 0 and err == ""
+        d = json.loads(out)
+        assert d["method"] == "dense"
+        assert d["cheeger_witness"] == "cone d=2"
+        assert d["phi_min"] == float(cone_stats(3, 6, 2).boundary_flow)
+        assert d["gap"] <= d["cheeger_upper"]
 
     def test_lumped_gap_below_the_float_range(self, capsys):
         # rho^L L^-3/2 at N=1000, L=300 is far below 1e-308
@@ -530,6 +609,28 @@ class TestBoundsCommand:
         assert curve[1]["value"] > curve[0]["value"]
         assert curve[0]["valid"] is True
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "3", "--length", "1001", "--gammas", "0.9"),
+            ("--n", "1000000", "--length", "60"),
+        ],
+    )
+    def test_bound_past_the_float_range(self, capsys, argv):
+        # a lower bound on a time cannot be rounded to inf
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "numerical failure" in err
+
+    @pytest.mark.parametrize("times", ["nan", "inf", "1,-inf"])
+    def test_non_finite_curve_times(self, capsys, times):
+        # json would write them as NaN or Infinity, which is not JSON
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "3", "--length", "4", "--curve-times", times
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "finite" in err
+
 
 class TestEscapeCommand:
     def test_escape_payload(self, capsys):
@@ -621,6 +722,12 @@ class TestVerifyCommand:
         assert code == 1
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("suite", [",", "", " , "])
+    def test_empty_suite_list(self, capsys, suite):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 1 and out == ""
+        assert "names no suite" in err
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
@@ -636,14 +743,40 @@ class TestExitCodes:
         assert "cap" in err.lower()
 
     def test_numeric_failure(self, capsys):
-        # the lumped chain runs no ARPACK; the nonlocal compression does
+        # only the local chain runs ARPACK
         code, _, err = run_cli(
             capsys,
-            "gap", "--n", "3", "--length", "8", "--chain", "nonlocal",
+            "gap", "--n", "3", "--length", "8", "--chain", "local",
             "--dense-cutoff", "4", "--max-iterations", "1", "--tol", "1e-15",
         )
         assert code == 2
         assert "numerical failure" in err
+        assert "eigensolver did not converge" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "--n", "3", "--length", "100000"),
+            ("gap", "--n", "3", "--length", "20000"),
+            ("expansion", "--n", "3", "--length", "100000"),
+            ("census", "--n", "2", "--length", "1000000000"),
+        ],
+    )
+    def test_sector_dimension_memory_cap(self, capsys, argv):
+        # the dimension rows grow like L^3 in memory; a length past the
+        # cap fails at once instead of filling the machine
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "GiB" in err
+
+    def test_long_census_below_the_memory_cap(self, capsys, monkeypatch):
+        # a private row cache, so the 2000 rows are freed after the test
+        monkeypatch.setattr(pairflip.census, "_ROWS", {})
+        code, out, err = run_cli(capsys, "census", "--n", "3", "--length", "2000")
+        assert code == 0 and err == ""
+        assert out.count("\n") == 1 + 1001
 
 
 class TestMonteCarloCommandsProperty:
@@ -746,6 +879,120 @@ class TestGapCommandProperty:
         assert code == 0
         assert err.getvalue().count("\n") <= 1
         assert json.loads(out.getvalue())["gap"] > 0
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _run_captured(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        pytest.MonkeyPatch.context() as mp,
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        # a private row cache per call, so that the dimension rows of many
+        # wide alphabets do not pile up over the examples
+        mp.setattr(pairflip.census, "_ROWS", {})
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.1, 0.5, 0.999, 1.0, -1.0]),
+)
+# every large length passes the dimension rows' memory cap at any
+# alphabet; bounds reaches the odd ones without those rows, so it also
+# gets 1001
+_LENGTHS = st.one_of(
+    st.integers(-3, 80), st.sampled_from([10**5, 10**5 + 1, 10**12])
+)
+_BOUNDS_LENGTHS = st.one_of(_LENGTHS, st.just(1001))
+_ALPHABETS = st.one_of(
+    st.integers(-2, 6), st.integers(7, 10**80), st.just(10**400)
+)
+_WIDE_INTS = st.one_of(st.integers(-6, 30), st.integers(-(10**30), 10**30))
+
+
+class TestSmallCommandsProperty:
+    """census, expansion, bounds and verify --suite end in an exit code,
+    never a traceback, with at most one stderr line."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=_ALPHABETS, length=_LENGTHS)
+    def test_census(self, n, length):
+        code, out, err = _run_captured(
+            ["census", "--n", str(n), "--length", str(length)]
+        )
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and (code == 0) == (err == "")
+        if code == 0:
+            assert out.startswith("d,multiplicity")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=_ALPHABETS,
+        length=_LENGTHS,
+        depth=st.one_of(st.none(), _WIDE_INTS),
+        charge=st.one_of(st.none(), _WIDE_INTS),
+    )
+    def test_expansion(self, n, length, depth, charge):
+        argv = ["expansion", "--n", str(n), "--length", str(length)]
+        if depth is not None:
+            argv += ["--depth", str(depth)]
+        if charge is not None:
+            argv += ["--charge", str(charge)]
+        code, out, err = _run_captured(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and (code == 0) == (err == "")
+        if code == 0:
+            d = _strict_json(out)
+            assert Fraction(d["phi_min"]) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=_ALPHABETS,
+        length=_BOUNDS_LENGTHS,
+        gammas=st.lists(_FLOATS, min_size=1, max_size=3),
+        times=st.one_of(st.none(), st.lists(_FLOATS, min_size=1, max_size=3)),
+        depth=_FLOATS,
+        bipartite=st.booleans(),
+    )
+    def test_bounds(self, n, length, gammas, times, depth, bipartite):
+        argv = ["bounds", "--n", str(n), "--length", str(length),
+                "--gammas", ",".join(map(str, gammas)),
+                f"--curve-depth={depth}"]
+        if times is not None:
+            argv.append("--curve-times=" + ",".join(map(str, times)))
+        if bipartite:
+            argv.append("--bipartite")
+        code, out, err = _run_captured(argv)
+        assert code in (0, 1, 2, 3)
+        assert err.count("\n") <= 1 and (code == 0) == (err == "")
+        if code == 0:
+            assert "NaN" not in out
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        suite=st.one_of(
+            st.lists(
+                st.sampled_from(["census", "bounds", "nonsense", "", " "]),
+                max_size=3,
+            ).map(",".join),
+            st.text(max_size=10),
+        )
+    )
+    def test_verify_suite(self, suite):
+        code, out, err = _run_captured(["verify", f"--suite={suite}"])
+        assert code in (0, 1)
+        assert err.count("\n") <= 1 and (code == 0) == (err == "")
+        if code == 0:
+            assert "FAIL" not in out and "0/0" not in out
 
 
 class TestConfigFile:

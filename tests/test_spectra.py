@@ -28,15 +28,13 @@ from pairflip.errors import NumericError, UsageError
 from pairflip.spectra import (
     candidate_cuts,
     GapResult,
+    charge_expansion,
     cheeger_check,
     cone_subset,
-    cheeger_bounds,
     cut_expansions,
     evolve_exact,
     exact_escape_profile,
     lumped_blocks,
-    lumped_charge_expansion,
-    lumped_cut_expansions,
     lumped_gap,
     n2_charge_subset,
     spectral_gap,
@@ -383,8 +381,7 @@ class TestCheeger:
         # the minimizing cut is the half line; the sandwich holds for
         # the flow values in the report and for the edge-convention
         # value from the closed form
-        ch = build_lumped(2, 7)
-        rep = cheeger_check(ch)
+        rep = cheeger_check(2, 7, spectral_gap(build_lumped(2, 7)))
         assert rep.witness == "charge q=1"
         assert rep.lower_certified
         assert rep.phi_min == pytest.approx(5 / 32)
@@ -394,7 +391,7 @@ class TestCheeger:
 
     @pytest.mark.parametrize("length", [4, 6, 8])
     def test_three_symbol_upper_bound(self, length):
-        rep = cheeger_check(build_lumped(3, length))
+        rep = cheeger_check(3, length, lumped_gap(3, length))
         assert rep.witness.startswith("cone")
         assert not rep.lower_certified
         assert rep.gap.gap <= rep.upper
@@ -402,7 +399,7 @@ class TestCheeger:
         assert set(rep.candidates) == {f"cone d={d}" for d in depths}
 
     def test_candidates_match_census(self):
-        rep = cheeger_check(build_lumped(3, 6))
+        rep = cheeger_check(3, 6, lumped_gap(3, 6))
         for d in (2, 4, 6):
             stats = cone_stats(3, 6, d)
             assert rep.candidates[f"cone d={d}"] == pytest.approx(
@@ -410,10 +407,9 @@ class TestCheeger:
             )
 
     def test_violation_is_loud(self):
-        ch = build_lumped(3, 6)
         fake = GapResult(gap=0.99, method="dense", residual=0.0, iterations=0)
         with pytest.raises(NumericError):
-            cheeger_check(ch, gap=fake)
+            cheeger_check(3, 6, fake)
 
     def test_candidate_cuts(self):
         cuts = candidate_cuts(build_lumped(2, 5))
@@ -423,14 +419,15 @@ class TestCheeger:
         assert np.array_equal(cuts["cone d=3"], cone_subset(build_lumped(2, 5), 3))
 
     def test_too_short_for_any_cut(self):
-        chain = build_lumped(3, 1)
-        assert candidate_cuts(chain) == {}
-        assert cheeger_check(chain) is None
+        assert candidate_cuts(build_lumped(3, 1)) == {}
+        assert cut_expansions(3, 1) == {}
+        assert cheeger_check(3, 1, lumped_gap(3, 1)) is None
 
     def test_custom_chain_rejected(self):
+        # the cuts of a built chain need its alphabet and length
         ch = StochasticChain.from_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(UsageError):
-            cheeger_check(ch)
+            candidate_cuts(ch)
 
 
 class TestEscapeProfile:
@@ -623,6 +620,15 @@ class TestLumpedBlocks:
             spectral_gap(build_lumped(3, length), dense_cutoff=1024).gap, abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "n,length", [(2, 1), (2, 6), (3, 1), (3, 5), (3, 8), (4, 2), (4, 5)]
+    )
+    def test_nonlocal_compression_has_the_block_gap(self, n, length):
+        # the nonlocal chain B R S shares its nonzero spectrum with the
+        # lumped chain S B R, so the gap CLI serves it from the blocks
+        ref = spectral_gap(build_full_nonlocal(n, length)).gap
+        assert lumped_gap(n, length).gap == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
     @pytest.mark.parametrize("length", range(1, 16, 2))
     def test_two_symbol_gap_is_one_over_length(self, length):
         assert lumped_gap(2, length).gap == pytest.approx(1 / length, abs=1e-12)
@@ -669,38 +675,70 @@ class TestLumpedBlocks:
             lumped_blocks(3, 0)
 
 
+def _walked_expansions(chain: StochasticChain) -> dict:
+    """:func:`subset_expansion` of every candidate cut of a built chain."""
+    return {
+        label: subset_expansion(chain, cut)
+        for label, cut in candidate_cuts(chain).items()
+    }
+
+
 class TestLumpedCutExpansions:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("length", [7, 8, 9])
     def test_closed_forms_equal_subset_expansion(self, n, length):
-        closed = lumped_cut_expansions(n, length)
-        built = cut_expansions(build_lumped(n, length))
+        closed = cut_expansions(n, length)
+        built = _walked_expansions(build_lumped(n, length))
         assert list(closed) == list(built)
         for label, phi in closed.items():
             assert isinstance(phi, Fraction)
             assert phi == built[label], label
 
+    @pytest.mark.parametrize(
+        "n,length",
+        [(2, L) for L in range(1, 8)]
+        + [(3, L) for L in range(1, 6)]
+        + [(4, L) for L in range(1, 5)],
+    )
+    def test_closed_forms_equal_full_chains(self, n, length):
+        # every cut is a union of sectors and only the boundary update
+        # crosses it: the local builds (both gates, both layer orders) and
+        # the nonlocal build have the lumped chain's exact expansions
+        closed = cut_expansions(n, length)
+        builds = [
+            build_full_local(n, length, gate, exact=True, reverse_layers=rev)
+            for gate in GateKind
+            for rev in (False, True)
+        ] + [build_full_nonlocal(n, length, exact=True)]
+        for chain in builds:
+            assert _walked_expansions(chain) == closed, chain.kind
+
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8])
     def test_every_charge_cut(self, length):
         chain = build_lumped(2, length)
         for q in range(2 - length, length + 1, 2):
-            assert lumped_charge_expansion(2, length, q) == subset_expansion(
+            assert charge_expansion(2, length, q) == subset_expansion(
                 chain, n2_charge_subset(chain, q)
             )
 
     def test_charge_cut_errors(self):
         with pytest.raises(UsageError, match="two-symbol"):
-            lumped_charge_expansion(3, 4, 2)
+            charge_expansion(3, 4, 2)
         with pytest.raises(UsageError, match="parity or range"):
-            lumped_charge_expansion(2, 4, 1)
+            charge_expansion(2, 4, 1)
         with pytest.raises(UsageError, match="nonempty and proper"):
-            lumped_charge_expansion(2, 4, -4)
+            charge_expansion(2, 4, -4)
 
     def test_sandwich_is_shared(self):
-        # the chain source and the closed forms give the same report
-        chain = build_lumped(2, 7)
+        # the report from the closed forms is the one the walked cuts of a
+        # built chain give
         gap = lumped_gap(2, 7)
-        a = cheeger_check(chain, gap=gap)
-        b = cheeger_bounds(lumped_cut_expansions(2, 7), gap, 2)
-        assert a == b
-        assert cheeger_bounds({}, gap, 2) is None
+        rep = cheeger_check(2, 7, gap)
+        walked = {
+            label: float(phi)
+            for label, phi in _walked_expansions(build_lumped(2, 7)).items()
+        }
+        assert rep.candidates == walked
+        assert rep.witness == min(walked, key=walked.get)
+        assert rep.phi_min == min(walked.values())
+        assert rep.upper == 2 * rep.phi_min

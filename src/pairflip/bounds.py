@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .census import cone_stats, drift_velocity, k0_asymptotic, sector_dim
-from .errors import UsageError
+from .errors import NumericError, UsageError
 from .walks import check_alphabet, check_size
 
 
@@ -185,7 +185,8 @@ def entropy_bound_curve(
     The bipartite variant doubles the time term. Valid only below the
     crossover, ``v L - d >= sqrt(L)``; past it the envelope shape is
     not controlled, so the value is flagged rather than interpolated.
-    At t = 0, d = 0 the envelope is exactly ``L ln n + c``.
+    At t = 0, d = 0 the envelope is exactly ``L ln n + c``. A value past
+    the largest double raises NumericError.
     """
     check_size(n, length)
     if not 0 <= depth <= length:
@@ -203,6 +204,8 @@ def entropy_bound_curve(
         slope *= 2
     static = 1.0 - x * math.log(n - 1) / math.log(n)
     value = length * math.log(n) * (static + t * slope) + c
+    if not math.isfinite(value):
+        raise NumericError(f"entropy envelope at t={t} overflows a double")
     return BoundValue(
         value=value,
         valid=v * length - depth >= math.sqrt(length),

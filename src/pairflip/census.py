@@ -53,7 +53,9 @@ def tree_walk_spectral_radius(n: int) -> float:
 
 
 # Row cache for the dimension DP, keyed by alphabet size. Rows are immutable
-# tuples; the list only ever grows, so sharing across callers is safe.
+# tuples and an alphabet's list only ever grows, so sharing across callers
+# is safe. One cap counts the rows of every alphabet: growing past it first
+# drops the other alphabets' lists (callers holding one keep it).
 _ROWS: dict[int, list[tuple[int, ...]]] = {}
 _ROWS_CAP_BYTES = 1 << 30
 
@@ -73,16 +75,24 @@ def _dims_row(n: int, length: int) -> tuple[int, ...]:
     length-(L-1) prefix sits at depth d-1 (one way to extend) or d+1 (the N-1
     extensions that cancel differently), with the depth-0 row absorbing all N
     extensions of depth-1 prefixes. The cached rows grow like L^3 in memory;
-    rows that would pass a fixed cap raise ResourceCapError before any is built.
+    rows that would pass a fixed cap raise ResourceCapError before any is
+    built, and rows that would pass it together with other alphabets' rows
+    evict those first.
     """
     rows = _ROWS.setdefault(n, [(1,)])
-    while len(rows) <= length:
-        # checked only while the cache grows, off the cached lookup's path
+    if len(rows) <= length:
+        # checked only when the cache grows, off the cached lookup's path
         if (need := _rows_bytes(n, length)) > _ROWS_CAP_BYTES:
             raise ResourceCapError(
                 f"sector dimensions up to N={n}, L={length} need about "
                 f"{need / 2**30:.3g} GiB, above the cap of 1 GiB"
             )
+        others = [m for m in _ROWS if m != n]
+        held = sum(_rows_bytes(m, len(_ROWS[m]) - 1) for m in others)
+        if need + held > _ROWS_CAP_BYTES:
+            for m in others:
+                del _ROWS[m]
+    while len(rows) <= length:
         prev = rows[-1]
         m = len(rows)
         nxt = [0] * (m + 1)

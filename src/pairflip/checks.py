@@ -315,6 +315,7 @@ def check_montecarlo() -> list[CheckResult]:
     # imports deferred: the sampler pulls in the heavier kernels
     from .montecarlo import SimConfig, run_ensemble, sample_cone_states
     from .montecarlo import _StripedSymbols, _dynamics_source, _symbol_range
+    from .montecarlo import _init_rng
     from .montecarlo import cone_escape_mask
 
     out = []
@@ -365,6 +366,18 @@ def check_montecarlo() -> list[CheckResult]:
         _result(
             "montecarlo.cone_sampler_stays_inside",
             not cone_escape_mask(states, 2, (1,)).any(),
+        )
+    )
+    # the batched walk: block b's starts are the same alone or in the batch
+    sizes = [9, 0, 14]
+    batch = sample_cone_states(3, 8, 4, sizes, [_init_rng(15, b) for b in range(3)])
+    alone = [
+        sample_cone_states(3, 8, 4, m, _init_rng(15, b)) for b, m in enumerate(sizes)
+    ]
+    out.append(
+        _result(
+            "montecarlo.cone_sampler_block_invariant",
+            np.array_equal(batch, np.concatenate(alone)),
         )
     )
     return out

@@ -323,7 +323,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     n, length = args.n, args.length
 
     def bound_dict(b) -> dict[str, Any]:
-        return {"value": b.value, "valid": b.valid, "meta": dict(b.meta)}
+        # JSON has no Infinity: the empty thm2 window at N=2 is written as null
+        value = None if not b.valid and math.isinf(b.value) else b.value
+        return {"value": value, "valid": b.valid, "meta": dict(b.meta)}
 
     payload: dict[str, Any] = {"n": n, "length": length}
     if length % 2 == 0:

@@ -18,9 +18,14 @@ halves when k > 256), values at or above the largest multiple of k are
 rejected and the rest reduced mod k.
 
 Reproducibility: trajectories are partitioned into blocks and every
-block owns a counter-based Philox stream keyed ``(seed, block)``
-(initial-state sampling uses a parallel key family and ``Generator``
-draws). ``threads`` splits the blocks into that many contiguous slabs.
+block owns a counter-based Philox stream keyed ``(seed, block)``.
+Uniform in-cone starts come from a parallel key family: one batched
+conditioned walk steps every block's rows as one array, and block b
+draws its rows' uniform floats from its own Generator, one array per
+quantity: one per row for the sector depth, one per row for each branch
+column, then two per row at each site. So block b's starts depend only
+on ``(seed, b)`` and the config. ``threads`` splits the blocks into
+that many contiguous slabs.
 A slab holds its states site-major (Fortran order, so ``states.T`` is a
 C-ordered ``(L, M)`` array) and draws each block's values a chunk of
 steps ahead, from that block's own stream; accepted values a draw does
@@ -660,53 +665,132 @@ def estimate_tq(
 # uniform sampling inside a cone
 
 
+def _block_floats(
+    rngs: Sequence[np.random.Generator], sizes: Sequence[int], rows: int = 0
+) -> np.ndarray:
+    """Uniform floats for every block's columns, concatenated in block order:
+    ``rng.random(m)`` from each block, or ``rng.random((rows, m))``."""
+    parts = [g.random((rows, m) if rows else m) for g, m in zip(rngs, sizes)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+
+
+def _toward_table(n: int, length: int) -> np.ndarray:
+    """Toward-step probabilities by steps left and distance to the target.
+
+    Entry ``[rem, r]`` for ``r >= 1`` is ``A(rem-1, r-1) / A(rem, r)``: the
+    one neighbor toward the target has weight A(rem-1, r-1), each of the
+    N-1 others A(rem-1, r+1), and their sum is A(rem, r). int / int rounds
+    correctly, so this is float(Fraction(...)). Column 0 holds 1/N (see
+    ``_conditioned_walk``); unreachable entries are 0, out to r = 2L, so
+    that a walk gone astray ends in the missed-target check.
+    """
+    dims = sector_dim_rows(n, length)
+    table = np.zeros((length + 1, 2 * length + 1))
+    table[:, 0] = 1 / n
+    for rem in range(1, length + 1):
+        for r in range(2 - rem % 2, rem + 1, 2):
+            table[rem, r] = dims[rem - 1][r - 1] / dims[rem][r]
+    return table
+
+
+def _other_symbol(v: np.ndarray, n: int, toward: np.ndarray) -> np.ndarray:
+    """``c + 1 + (c + 1 >= toward)`` with ``c = floor(v (N-1))``: uniform
+    over the N-1 symbols other than ``toward``, to within 2^-53."""
+    c = (v * (n - 1)).astype(toward.dtype)
+    c += 1
+    c += c >= toward
+    return c
+
+
+def _conditioned_walk(
+    n: int,
+    length: int,
+    words: np.ndarray,
+    depths: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    sizes: Sequence[int],
+) -> np.ndarray:
+    """Uniform members of given sectors, one row each, by walks conditioned
+    on their endpoints.
+
+    Row i walks to the sector ``words[i, :depths[i]]``. Walk counts between
+    tree vertices depend only on their distance and equal the sector
+    dimensions, so each site steps toward the target with probability
+    ``_toward_table[rem, r]`` and otherwise to one of the N-1 other
+    neighbors, uniformly. At the target (r = 0) every neighbor is one step
+    farther, so the step is uniform over the N symbols: symbol 1 with
+    probability 1/N, else ``c + 2``.
+
+    All rows step together. Block b owns the next ``sizes[b]`` rows and
+    draws their values from ``rngs[b]``, one site at a time: a ``(2,
+    sizes[b])`` float array, one row deciding toward or not and the other
+    which other symbol.
+    """
+    m = len(depths)
+    dtype = state_dtype(n)
+    table = _toward_table(n, length)
+    width = length + 1
+    cols = np.arange(width)
+    # target words and stacks as flat (m, width) arrays, read at base + k
+    base = np.arange(m) * width
+    # the target words, zero from each row's depth on: a zero never
+    # matches a symbol
+    target = np.zeros((m, width), dtype)
+    target[:, : words.shape[1]] = np.where(
+        cols[: words.shape[1]] < depths[:, None], words, 0
+    )
+    target = target.ravel()
+    # reduced prefix, top at column sp; column 0 is a zero sentinel
+    stack = np.zeros(m * width, dtype)
+    sp = np.zeros(m, np.int64)
+    common = np.zeros(m, np.int64)  # common prefix of stack and target
+    out = np.empty((length, m), dtype)
+    for i in range(length):
+        u, v = _block_floats(rngs, sizes, 2)
+        top_at = base + sp
+        top = stack[top_at]
+        ahead = target[base + common]
+        on_path = common == sp
+        # toward the target: its next symbol on the path, else back down;
+        # at the target the padding gives 0, stood in for by symbol 1
+        toward = np.where(on_path, ahead, top)
+        np.maximum(toward, 1, out=toward)
+        p = table[length - i].take(sp + depths - 2 * common)
+        sym = np.where(u < p, toward, _other_symbol(v, n, toward))
+        out[i] = sym
+        # emitting the top symbol cancels it; any other symbol extends
+        pop = top == sym
+        stack[top_at + 1] = sym  # above the top, so harmless on a pop
+        common += on_path & ~pop & (sym == ahead)
+        sp += 1 - 2 * pop
+        np.minimum(common, sp, out=common)
+    stack = stack.reshape(m, width)[:, 1:]
+    target = target.reshape(m, width)[:, :length]
+    missed = (sp != depths) | (
+        (stack != target) & (cols[:length] < depths[:, None])
+    ).any(axis=1)
+    if missed.any():
+        raise NumericError("conditioned walk missed its target sector")
+    return np.ascontiguousarray(out.T)
+
+
 def sample_sector_string(
     target: SectorId, length: int, rng: np.random.Generator
 ) -> tuple[int, ...]:
     """Uniform member of a sector, by a walk conditioned on its endpoint.
 
-    Walk counts between tree vertices depend only on their distance,
-    and equal the sector dimensions, so each step compares the counts
-    of the one neighbor toward the target against the ``N-1`` neighbors
-    away from it.
+    The one-row case of the batched walk of ``sample_cone_states``.
     """
-    n = target.alphabet_size
     q = target.irr
     if (length - len(q)) % 2 or len(q) > length:
         raise UsageError(
             f"sector depth {len(q)} unreachable at length {length}"
         )
-    dims = sector_dim_rows(n, length)
-    path: list[int] = []
-    out: list[int] = []
-    common = 0  # length of the common prefix of path and target
-    for remaining in range(length, 0, -1):
-        r = len(path) + len(q) - 2 * common
-        if r == 0:
-            # at the target every neighbor is one step farther: uniform
-            sym = int(rng.integers(1, n + 1))
-        else:
-            # the one neighbor toward the target has weight A(rem-1, r-1),
-            # each of the n-1 others A(rem-1, r+1); their sum is A(rem, r).
-            # int / int rounds correctly, so this is float(Fraction(...))
-            toward_sym = q[common] if common == len(path) else path[-1]
-            if rng.random() < dims[remaining - 1][r - 1] / dims[remaining][r]:
-                sym = toward_sym
-            else:
-                c = int(rng.integers(0, n - 1))  # uniform over the others
-                sym = c + 1 + (c + 1 >= toward_sym)
-        # emitting the top symbol cancels it; any other symbol extends
-        if path and sym == path[-1]:
-            path.pop()
-            common = min(common, len(path))
-        else:
-            if common == len(path) < len(q) and sym == q[common]:
-                common += 1
-            path.append(sym)
-        out.append(sym)
-    if tuple(path) != q:
-        raise NumericError("conditioned walk missed its target sector")
-    return tuple(out)
+    words = np.array([q], dtype=np.int64)
+    out = _conditioned_walk(
+        target.alphabet_size, length, words, np.array([len(q)]), [rng], [1]
+    )
+    return tuple(int(s) for s in out[0])
 
 
 def _cone_sector_table(
@@ -726,8 +810,8 @@ def sample_cone_states(
     n: int,
     length: int,
     depth: int,
-    count: int,
-    rng: np.random.Generator,
+    count: int | Sequence[int],
+    rng: np.random.Generator | Sequence[np.random.Generator],
     anchor: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """Uniform states of the cone below ``anchor``, rejection free.
@@ -735,7 +819,14 @@ def sample_cone_states(
     Picks the sector first (mass proportional to its dimension times
     the number of cone sectors at that depth), extends the anchor by a
     uniform non-backtracking branch, then samples a uniform member of
-    that sector.
+    that sector by the conditioned walk.
+
+    ``count`` and ``rng`` are one block's size and Generator, or
+    sequences of them: block b's ``count[b]`` rows come from ``rng[b]``
+    alone, whatever the other blocks are, and the blocks' rows are
+    concatenated in order. Each block draws one float per row for the
+    depth, one per row for each branch column below the anchor down to
+    depth L, then the walk's values (see ``_conditioned_walk``).
     """
     check_cone_depth(depth, length)
     if anchor is None:
@@ -743,19 +834,25 @@ def sample_cone_states(
     SectorId(anchor, n)  # validates irreducibility
     if len(anchor) != depth - 1:
         raise UsageError("anchor must sit one level above the cone depth")
+    sizes = [count] if isinstance(count, (int, np.integer)) else list(count)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if not sizes or len(sizes) != len(rngs):
+        raise UsageError(f"{len(sizes)} block sizes for {len(rngs)} generators")
+    if any(m < 0 for m in sizes):
+        raise UsageError("block sizes must be nonnegative")
     depths, probs = _cone_sector_table(n, length, depth)
     cum = np.cumsum([float(p) for p in probs])
     cum[-1] = 1.0
-    out = np.empty((count, length), dtype=state_dtype(n))
-    for k in range(count):
-        dd = depths[int(np.searchsorted(cum, rng.random(), side="right"))]
-        irr = list(anchor)
-        while len(irr) < dd:
-            prev = irr[-1] if irr else 0  # 0: every symbol may follow
-            c = int(rng.integers(0, n - (prev > 0)))
-            irr.append(c + 1 + (0 < prev <= c + 1))
-        out[k] = sample_sector_string(SectorId(tuple(irr), n), length, rng)
-    return out
+    u = _block_floats(rngs, sizes)
+    dd = np.array(depths)[np.searchsorted(cum, u, side="right")]
+    # the anchor, then a uniform non-backtracking branch down to depth L;
+    # the walk reads each row's word only up to its depth
+    words = np.empty((len(dd), depths[-1]), state_dtype(n))
+    words[:, : len(anchor)] = anchor
+    for j in range(len(anchor), depths[-1]):
+        v = _block_floats(rngs, sizes)
+        words[:, j] = _other_symbol(v, n, words[:, j - 1])
+    return _conditioned_walk(n, length, words, dd, rngs, sizes)
 
 
 @dataclass(frozen=True)
@@ -786,11 +883,10 @@ def cone_escape_probability(
         raise UsageError("sample times must be nonnegative")
     obs = f"cone_escape:{depth}"
     cfg = replace(cfg, observables=(obs,), t_max=times[-1], initial=None)
-    starts = [
-        sample_cone_states(cfg.n, cfg.length, depth, m, _init_rng(cfg.seed, b))
-        for b, m in enumerate(_block_sizes(cfg.n_trajectories, cfg.blocks))
-    ]
-    series = _run_blocks(cfg, starts)
+    sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
+    rngs = [_init_rng(cfg.seed, b) for b in range(cfg.blocks)]
+    states = sample_cone_states(cfg.n, cfg.length, depth, sizes, rngs)
+    series = _run_blocks(cfg, np.split(states, np.cumsum(sizes)[:-1]))
     flow = float(cone_stats(cfg.n, cfg.length, depth).boundary_flow)
     sel = np.array(times, dtype=np.int64)
     prob = series.means[obs][sel]

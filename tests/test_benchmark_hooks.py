@@ -51,3 +51,21 @@ def test_tracer_installs_records_and_closes(capsys):
         "spectra.spectral_gap",
         "spectra.cheeger_check",
     } <= names
+
+
+def test_traced_escape_records_the_cone_sampler(capsys):
+    # the sampler's span feeds montecarlo.sample_cone_states_s: a renamed or
+    # inlined sampler must fail here, not read 0 in a traced benchmark run
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        argv = ["escape", "--n", "3", "--length", "8", "--depth", "2",
+                "--times", "0,1", "--trajectories", "200", "--blocks", "4",
+                "--gate", "tl", "--threads", "2"]
+        assert pairflip.cli.main(argv) == 0
+    finally:
+        tracer.close()
+    capsys.readouterr()
+    sampled = [s for s in tracer.spans if s.name == "montecarlo.sample_cone_states"]
+    assert len(sampled) == 1  # one batched call per run
+    assert spans.layer_metrics(tracer.spans, 1)["montecarlo.sample_cone_states_s"] > 0

@@ -50,6 +50,23 @@ class TestSectorDims:
             row = [census.sector_dim(n, length, d) for d in range(length % 2, length + 1, 2)]
             assert all(a > b for a, b in zip(row, row[1:]))
 
+    def test_row_cap_counts_every_alphabet(self, monkeypatch):
+        # one cap for the rows of all alphabets: growing past it drops the
+        # other alphabets first, and one alphabet alone past it still raises
+        monkeypatch.setattr(census, "_ROWS", {})
+        cap = census._rows_bytes(3, 60) + census._rows_bytes(4, 30)
+        monkeypatch.setattr(census, "_ROWS_CAP_BYTES", cap)
+        assert census.sector_dim(3, 60, 0) == census.sector_dims(3, 60).dims[0]
+        assert census.sector_dim(4, 30, 2) > 0
+        assert set(census._ROWS) == {3, 4}  # both fit under the cap
+        census.sector_dim(4, 40, 0)
+        assert set(census._ROWS) == {4}
+        row = census.sector_dim_rows(3, 20)[20]
+        assert set(census._ROWS) == {3, 4}
+        assert row == tuple(census.sector_dim(3, 20, d) for d in range(21))
+        with pytest.raises(ResourceCapError):
+            census.sector_dim(5, 100, 0)
+
     def test_sector_dim_out_of_range(self):
         assert census.sector_dim(3, 4, 3) == 0
         assert census.sector_dim(3, 4, 6) == 0

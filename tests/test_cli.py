@@ -622,6 +622,21 @@ class TestBoundsCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "numerical failure" in err
 
+    def test_empty_thm2_window_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n", "2", "--length", "4")
+        assert code == 0
+        d = _strict_json(out)
+        assert d["thm2"][0]["value"] is None
+        assert d["thm2"][0]["valid"] is False
+
+    def test_curve_past_the_float_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "3", "--length", "40",
+            "--curve-times", "1e308", "--curve-depth", "13",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "numerical failure" in err
+
     @pytest.mark.parametrize("times", ["nan", "inf", "1,-inf"])
     def test_non_finite_curve_times(self, capsys, times):
         # json would write them as NaN or Infinity, which is not JSON
@@ -645,6 +660,15 @@ class TestEscapeCommand:
         assert d["flow"] == pytest.approx(
             float(cone_stats(3, 6, 2).boundary_flow)
         )
+
+    def test_output_independent_of_threads(self, capsys):
+        argv = ("escape", "--n", "3", "--length", "8", "--depth", "2",
+                "--times", "0,1,3", "--trajectories", "700", "--blocks", "7",
+                "--gate", "tl", "--seed", "5")
+        code1, out1, _ = run_cli(capsys, *argv, "--threads", "1")
+        code2, out2, _ = run_cli(capsys, *argv, "--threads", "2")
+        assert code1 == code2 == 0
+        assert out1 == out2
 
     def test_bad_depth(self, capsys):
         code, _, _ = run_cli(
@@ -700,6 +724,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
         assert code == 0
         assert "ok   montecarlo.symbol_stream_chunk_invariant: ok" in out.splitlines()
+
+    def test_cone_sampler_block_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
+        assert code == 0
+        assert "ok   montecarlo.cone_sampler_block_invariant: ok" in out.splitlines()
 
     def test_local_iterative_check_listed_and_passing(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "gaps")
@@ -975,7 +1004,8 @@ class TestSmallCommandsProperty:
         assert code in (0, 1, 2, 3)
         assert err.count("\n") <= 1 and (code == 0) == (err == "")
         if code == 0:
-            assert "NaN" not in out
+            _strict_json(out)  # no NaN and no Infinity
+            assert "NaN" not in out and "Infinity" not in out
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -19,6 +19,8 @@ from pairflip.montecarlo import (
     ConeEscapeResult,
     SimConfig,
     _block_sizes,
+    _conditioned_walk,
+    _init_rng,
     _StripedSymbols,
     _dynamics_rng,
     _dynamics_source,
@@ -39,7 +41,13 @@ from pairflip.montecarlo import (
     step,
     step_states,
 )
-from pairflip.walks import SectorId, SpinString, _canonical_anchor, reduce_symbols
+from pairflip.walks import (
+    SectorId,
+    SpinString,
+    _canonical_anchor,
+    all_states,
+    reduce_symbols,
+)
 
 
 def _staggered_count(states: np.ndarray, symbol: int) -> np.ndarray:
@@ -350,15 +358,15 @@ class TestSectorSampler:
             assert reduce_symbols(s) == ()
 
     def test_uniform_over_members(self):
-        # chi-square against the uniform law on all 47 members
+        # chi-square against the uniform law on all 47 members, drawn in
+        # one batched walk
         dim = sector_dim(3, 6, 2)
         assert dim == 47
         rng = np.random.default_rng(16)
         draws = 47_000
-        counts = Counter(
-            sample_sector_string(SectorId((1, 2), 3), 6, rng)
-            for _ in range(draws)
-        )
+        words = np.tile([1, 2], (draws, 1))
+        arr = _conditioned_walk(3, 6, words, np.full(draws, 2), [rng], [draws])
+        counts = Counter(map(tuple, arr.tolist()))
         assert len(counts) == dim
         observed = np.array(sorted(counts.values()), dtype=float)
         res = stats.chisquare(observed)
@@ -420,6 +428,80 @@ class TestConeSampler:
         a = sample_cone_states(3, 8, 2, 50, np.random.default_rng(21))
         b = sample_cone_states(3, 8, 2, 50, np.random.default_rng(21))
         assert np.array_equal(a, b)
+
+    def test_one_row_walk_is_sample_sector_string(self):
+        target = SectorId((2, 3, 1), 3)
+        words = np.array([target.irr])
+        rng = np.random.default_rng(22)
+        row = _conditioned_walk(3, 9, words, np.array([3]), [rng], [1])
+        assert tuple(row[0].tolist()) == sample_sector_string(
+            target, 9, np.random.default_rng(22)
+        )
+
+    def test_exact_law_over_the_cone(self):
+        # every one of the 2006 states of the N=3, L=8, d=2 cone, against
+        # the uniform law, drawn in four blocks of one batch
+        st = cone_stats(3, 8, 2)
+        assert st.volume == 2006
+        every = all_states(3, 8)
+        members = every[~cone_escape_mask(every, 2, (1,))]
+        assert len(members) == 2006
+        sizes = [50_000] * 4
+        arr = sample_cone_states(3, 8, 2, sizes, [_init_rng(90, b) for b in range(4)])
+        code = arr.astype(np.int64) @ 3 ** np.arange(8)
+        member_codes = members.astype(np.int64) @ 3 ** np.arange(8)
+        assert np.isin(code, member_codes).all()
+        cells = np.searchsorted(np.sort(member_codes), code)
+        counts = np.bincount(cells, minlength=2006)
+        res = stats.chisquare(counts)
+        assert res.pvalue > 1e-4
+
+    def test_block_invariance(self):
+        # block b's rows do not depend on the other blocks, empty ones too
+        sizes = [7, 0, 13, 5]
+        batch = sample_cone_states(
+            3, 10, 4, sizes, [_init_rng(31, b) for b in range(4)]
+        )
+        assert batch.shape == (25, 10)
+        ends = np.cumsum(sizes)
+        for b, m in enumerate(sizes):
+            alone = sample_cone_states(3, 10, 4, m, _init_rng(31, b))
+            assert np.array_equal(batch[ends[b] - m : ends[b]], alone)
+
+    @pytest.mark.parametrize(
+        "n, length, depth, anchor",
+        [
+            (2, 8, 2, None),
+            (2, 9, 3, (2, 1)),
+            (5, 7, 3, None),
+            (3, 9, 3, None),
+            (4, 8, 4, (3, 1, 4)),
+        ],
+    )
+    def test_in_cone(self, n, length, depth, anchor):
+        sizes = [40, 60]
+        arr = sample_cone_states(
+            n, length, depth, sizes, [_init_rng(41, b) for b in range(2)], anchor
+        )
+        anchor = _canonical_anchor(depth) if anchor is None else anchor
+        stack, sp = reduce_states(arr)
+        assert not cone_escape_mask(arr, depth, anchor).any()
+        assert ((length - sp) % 2 == 0).all()
+
+    def test_tl_escape_starts_in_cone(self):
+        cfg = SimConfig(n=3, length=8, t_max=1, n_trajectories=400, seed=42,
+                        blocks=4, gate=GateKind.TEMPERLEY_LIEB)
+        res = cone_escape_probability(cfg, 2, [0, 1])
+        assert res.probability[0] == 0.0
+
+    def test_block_arguments_must_pair_up(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(UsageError):
+            sample_cone_states(3, 6, 2, [10, 10], [rng])
+        with pytest.raises(UsageError):
+            sample_cone_states(3, 6, 2, [], [])
+        with pytest.raises(UsageError):
+            sample_cone_states(3, 6, 2, -1, rng)
 
 
 class TestEnsemble:

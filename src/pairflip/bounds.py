@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .census import cone_stats, drift_velocity, k0_asymptotic, sector_dim
+from .census import _k0_log_asymptotic, cone_stats, drift_velocity, sector_dim
 from .errors import NumericError, UsageError
 from .walks import check_alphabet, check_size
 
@@ -54,7 +54,13 @@ def thm1_gap_upper(n: int, length: int) -> BoundValue:
     if length % 2:
         raise UsageError("frozen sectors need an even length")
     exact = Fraction(sector_dim(n, length, 0), n**length)
-    asym = k0_asymptotic(n, length) / n**length if n >= 3 else None
+    # in logs: K_0 and n**L pass the largest double long before their
+    # ratio underflows
+    asym = (
+        math.exp(_k0_log_asymptotic(n, length) - length * math.log(n))
+        if n >= 3
+        else None
+    )
     return BoundValue(
         value=float(exact),
         valid=True,

@@ -269,13 +269,18 @@ def k0_fit_constant(n: int) -> float:
     return _FIT_CACHE[n]
 
 
+def _k0_log_asymptotic(n: int, length: int) -> float:
+    """Natural log of ``k0_asymptotic``, finite where the value overflows."""
+    log_base = math.log(2.0) + 0.5 * math.log(n - 1.0)
+    return math.log(k0_fit_constant(n)) + length * log_base - 1.5 * math.log(length)
+
+
 def k0_asymptotic(n: int, length: int) -> float:
     """Asymptotic trivial-sector dimension c * L^(-3/2) * (2 sqrt(N-1))^L."""
     if n < 3:
         raise UsageError(f"asymptotic form needs N >= 3, got {n}")
     check_size(n, length)
-    log_base = math.log(2.0) + 0.5 * math.log(n - 1.0)
-    return _exp(math.log(k0_fit_constant(n)) + length * log_base - 1.5 * math.log(length))
+    return _exp(_k0_log_asymptotic(n, length))
 
 
 def kd_asymptotic(n: int, length: int, depth: int) -> float:

@@ -315,8 +315,7 @@ def check_montecarlo() -> list[CheckResult]:
     # imports deferred: the sampler pulls in the heavier kernels
     from .montecarlo import SimConfig, run_ensemble, sample_cone_states
     from .montecarlo import _StripedSymbols, _dynamics_source, _symbol_range
-    from .montecarlo import _init_rng
-    from .montecarlo import cone_escape_mask
+    from .montecarlo import _INIT_KEY_OFFSET, _philox, cone_escape_mask
 
     out = []
     cfg = SimConfig(n=2, length=6, t_max=5, n_trajectories=600, seed=12, blocks=6)
@@ -361,18 +360,20 @@ def check_montecarlo() -> list[CheckResult]:
         for _ in range(steps):
             same &= np.array_equal(alone.draw(length, m), ahead.draw(length, m))
     out.append(_result("montecarlo.symbol_stream_chunk_invariant", bool(same)))
-    states = sample_cone_states(3, 6, 2, 500, np.random.default_rng(0))
+    states = sample_cone_states(3, 6, 2, [500], [np.random.default_rng(0)])
     out.append(
         _result(
             "montecarlo.cone_sampler_stays_inside",
-            not cone_escape_mask(states, 2, (1,)).any(),
+            not cone_escape_mask(states, 2).any(),
         )
     )
     # the batched walk: block b's starts are the same alone or in the batch
     sizes = [9, 0, 14]
-    batch = sample_cone_states(3, 8, 4, sizes, [_init_rng(15, b) for b in range(3)])
+    starts = [_philox(15, _INIT_KEY_OFFSET + b) for b in range(3)]
+    batch = sample_cone_states(3, 8, 4, sizes, starts)
     alone = [
-        sample_cone_states(3, 8, 4, m, _init_rng(15, b)) for b, m in enumerate(sizes)
+        sample_cone_states(3, 8, 4, [m], [_philox(15, _INIT_KEY_OFFSET + b)])
+        for b, m in enumerate(sizes)
     ]
     out.append(
         _result(

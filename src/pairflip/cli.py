@@ -419,14 +419,19 @@ def _add_common(sub: _Parser) -> None:
     sub.add_argument("--out", help="artifact path (stdout if omitted)")
 
 
-def _add_sim_flags(sub: _Parser) -> None:
+def _add_ensemble_flags(sub: _Parser) -> None:
+    """The flags ``_sim_config`` reads, shared by every Monte Carlo command."""
     sub.add_argument("--gate", default="pf", help="pf or tl")
     sub.add_argument("--trajectories", type=int, default=10_000)
-    sub.add_argument("--t-max", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--gamma", type=float, default=0.1)
     sub.add_argument("--blocks", type=int, default=100)
     sub.add_argument("--threads", type=int, default=1)
+
+
+def _add_sim_flags(sub: _Parser) -> None:
+    _add_ensemble_flags(sub)
+    sub.add_argument("--t-max", type=int, required=True)
+    sub.add_argument("--gamma", type=float, default=0.1)
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -518,11 +523,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--times", required=True, help="comma list of sample times")
-    p.add_argument("--gate", default="pf")
-    p.add_argument("--trajectories", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--blocks", type=int, default=100)
-    p.add_argument("--threads", type=int, default=1)
+    _add_ensemble_flags(p)
     _add_common(p)
     p.set_defaults(func=_cmd_escape)
     registry["escape"] = p

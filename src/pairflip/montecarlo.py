@@ -17,19 +17,30 @@ The values are exact: raw Philox words are read as bytes (16-bit
 halves when k > 256), values at or above the largest multiple of k are
 rejected and the rest reduced mod k.
 
-Reproducibility: trajectories are partitioned into blocks and every
-block owns a counter-based Philox stream keyed ``(seed, block)``.
-Uniform in-cone starts come from a parallel key family: one batched
-conditioned walk steps every block's rows as one array, and block b
-draws its rows' uniform floats from its own Generator, one array per
-quantity: one per row for the sector depth, one per row for each branch
-column, then two per row at each site. So block b's starts depend only
-on ``(seed, b)`` and the config. ``threads`` splits the blocks into
-that many contiguous slabs.
-A slab holds its states site-major (Fortran order, so ``states.T`` is a
-C-ordered ``(L, M)`` array) and draws each block's values a chunk of
-steps ahead, from that block's own stream; accepted values a draw does
-not use wait for the next, so draw-ahead does not change any value.
+Reproducibility: trajectories are partitioned into blocks, and every
+stream is a counter-based Philox Generator built by ``_philox(seed,
+key)``, in three key families:
+
+- ``(seed, b)``: block b's dynamics, read as symbols through its
+  ``_dynamics_source``;
+- ``(seed, 2^63 + b)``: block b's uniform in-cone starts, read with
+  ``Generator.random`` only;
+- ``(seed, 2^63 - 1)``: the block bootstrap of ``estimate_tq``, read
+  with ``Generator.integers``.
+
+One batched conditioned walk steps every block's starts as one array,
+and block b draws its rows' floats from its own start stream, one array
+per quantity: one per row for the sector depth, one per row for each
+branch column, then two per row at each site. So block b's starts
+depend only on ``(seed, b)`` and the config. ``threads`` splits the
+blocks into that many contiguous slabs.
+
+``step_states`` takes a symbol source, never a Generator: a block's
+``_dynamics_source`` or a slab's ``_StripedSymbols``. A slab holds its
+states site-major (Fortran order, so ``states.T`` is a C-ordered
+``(L, M)`` array) and draws each block's values a chunk of steps
+ahead, from that block's own source; accepted values a draw does not
+use wait for the next, so draw-ahead does not change any value.
 Results are reduced in fixed block order, so output is bit-identical
 for a given config regardless of thread count.
 """
@@ -63,8 +74,8 @@ from .walks import (
 # States are int8 arrays, so the largest alphabet a simulation takes is 127.
 MAX_SIM_ALPHABET = int(np.iinfo(np.int8).max)
 
-_INIT_KEY_OFFSET = 1 << 63  # separates init streams from dynamics streams
-_BOOT_KEY = (1 << 63) - 1  # bootstrap stream block index
+_INIT_KEY_OFFSET = 1 << 63  # start stream keys, apart from the dynamics keys
+_BOOT_KEY = (1 << 63) - 1  # the bootstrap stream's key
 
 KNOWN_OBSERVABLES = ("charge", "depth", "match_site", "cone_escape")
 _CHARGE = "charge:1"  # the observable of first passages
@@ -111,6 +122,8 @@ class SimConfig:
             if len(self.initial) != self.length:
                 raise UsageError("initial state has the wrong length")
             SpinString(tuple(self.initial), self.n)
+        if not self.observables:
+            raise UsageError("need at least one observable")
         for k, obs in enumerate(self.observables):
             _parse_observable(obs, self.n, self.length)
             if obs in self.observables[:k]:
@@ -168,17 +181,14 @@ def _parse_observable(text: str, n: int, length: int) -> _Observable:
 # stepping kernels
 
 
-def _dynamics_rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
-    )
+def _philox(seed: int, key: int) -> np.random.Generator:
+    """The Philox stream keyed ``(seed, key)``.
 
-
-def _init_rng(seed: int, block: int) -> np.random.Generator:
+    Keys ``b`` are block b's dynamics, ``_INIT_KEY_OFFSET + b`` its
+    starts and ``_BOOT_KEY`` the bootstrap.
+    """
     return np.random.Generator(
-        np.random.Philox(
-            key=np.array([seed, _INIT_KEY_OFFSET + block], dtype=np.uint64)
-        )
+        np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
     )
 
 
@@ -235,16 +245,7 @@ class _SymbolSource:
 
 def _dynamics_source(seed: int, block: int, k: int) -> _SymbolSource:
     """Block ``block``'s symbol stream: raw words of its ``(seed, block)`` Philox."""
-    return _SymbolSource(_dynamics_rng(seed, block).bit_generator, k)
-
-
-def _draw(rng, k: int, rows: int, cols: int) -> np.ndarray:
-    """``(rows, cols)`` uniform values below ``k``; a Generator gets a fresh source."""
-    if isinstance(rng, np.random.Generator):
-        rng = _SymbolSource(rng.bit_generator, k)
-    if rng.k != k:
-        raise ValueError(f"symbol source draws below {rng.k}, the step needs {k}")
-    return rng.draw(rows, cols)
+    return _SymbolSource(_philox(seed, block).bit_generator, k)
 
 
 def _apply_gate(
@@ -292,59 +293,32 @@ def _apply_layers(
         row += len(pairs)
 
 
-def resample_boundary(
-    states: np.ndarray, rng: np.random.Generator, n: int
-) -> None:
-    """Uniformly redraw the last site of every trajectory, in place."""
-    states[:, -1] = _draw(rng, n, 1, states.shape[0])[0] + 1
-
-
-def apply_gate_layers(
-    states: np.ndarray, rng: np.random.Generator, n: int, gate: GateKind
-) -> None:
-    """Even layer then odd layer, vectorized over disjoint pairs."""
-    m, length = states.shape
-    if length > 1:
-        u = _draw(rng, _symbol_range(n, gate), length - 1, m)
-        _apply_layers(states.T, u, n, gate)
-
-
 def step_states(
-    states: np.ndarray, rng: np.random.Generator, n: int, gate: GateKind
+    states: np.ndarray,
+    source: _SymbolSource | _StripedSymbols,
+    n: int,
+    gate: GateKind,
 ) -> None:
     """One full update: boundary resample, even layer, odd layer.
 
     The step draws L values per trajectory, as an ``(L, M)`` array (see
-    the module docstring). ``rng`` is a Generator, read through a fresh
-    symbol source, or a symbol source: a block's stream or a slab's
-    draw-ahead.
+    the module docstring), from ``source``: a block's symbol source
+    (``_dynamics_source``) or a slab's draw-ahead (``_StripedSymbols``).
     """
     m, length = states.shape
-    u = _draw(rng, _symbol_range(n, gate), length, m)
+    k = _symbol_range(n, gate)
+    if source.k != k:
+        raise ValueError(f"symbol source draws below {source.k}, the step needs {k}")
+    u = source.draw(length, m)
     sites = states.T
     sites[-1] = (u[-1] if gate is GateKind.PAIR_FLIP else u[-1] % n) + 1
     _apply_layers(sites, u[:-1], n, gate)
 
 
-def step(
-    state: SpinString,
-    rng: np.random.Generator,
-    gate: GateKind = GateKind.PAIR_FLIP,
-) -> SpinString:
-    """Single-trajectory convenience wrapper around the batch kernel."""
-    _check_sim_alphabet(state.alphabet_size)
-    arr = np.array([state.symbols], dtype=np.int8)
-    step_states(arr, rng, state.alphabet_size, gate)
-    return SpinString(tuple(int(x) for x in arr[0]), state.alphabet_size)
-
-
-def cone_escape_mask(
-    states: np.ndarray, depth: int, anchor: tuple[int, ...]
-) -> np.ndarray:
-    """True where a state lies outside the depth-``depth`` cone below ``anchor``."""
-    if len(anchor) != depth - 1:
-        raise UsageError("anchor must sit one level above the cone depth")
-    return ~in_cone(*reduce_states(states), anchor)
+def cone_escape_mask(states: np.ndarray, depth: int) -> np.ndarray:
+    """True where a state lies outside the depth-``depth`` cone below the
+    canonical anchor 1,2,1,..."""
+    return ~in_cone(*reduce_states(states), _canonical_anchor(depth))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +345,8 @@ class EnsembleSeries:
 # holding at most about this many bytes of symbols
 _AHEAD_STEPS = 64
 _AHEAD_BYTES = 1 << 20
+# slabs run side by side this many steps between early-stop checks
+_SEGMENT = 64
 
 
 class _StripedSymbols:
@@ -458,7 +434,7 @@ class _Slab:
             return reduce_states(s)[1].astype(np.float64)
         if obs.kind == "match_site":
             return (s[:, obs.arg - 1] == self.initial[:, obs.arg - 1]).astype(float)
-        return cone_escape_mask(s, obs.arg, _canonical_anchor(obs.arg)).astype(float)
+        return cone_escape_mask(s, obs.arg).astype(float)
 
     def _block_sums(self, vals: np.ndarray) -> np.ndarray:
         sums = [vals[rows].reshape(count, -1).sum(axis=1) for rows, count in self.runs]
@@ -520,15 +496,15 @@ def _run_blocks(
     cfg: SimConfig,
     initial_states: Sequence[np.ndarray],
     *,
-    stop_observable: str | None = None,
-    stop_threshold: float = 0.0,
+    early_stop: bool = False,
     crossings: np.ndarray | None = None,
-    segment: int = 64,
 ) -> EnsembleSeries:
     """Step block ``b`` from ``initial_states[b]`` and reduce in block order.
 
     The nonempty blocks are split into ``cfg.threads`` contiguous slabs,
-    run side by side for ``segment`` steps at a time. ``crossings``, one
+    run side by side for ``_SEGMENT`` steps at a time. With
+    ``early_stop`` the run ends after the first segment in which the
+    ensemble-mean ``charge:1`` reaches half of gamma. ``crossings``, one
     int64 entry per trajectory set to -1 by the caller, receives each
     trajectory's first time t >= 1 with its ``charge:1`` value at or
     below gamma.
@@ -546,16 +522,16 @@ def _run_blocks(
     # slabs own their blocks' streams, so the split cannot change the output
     with ThreadPoolExecutor(len(slabs)) if len(slabs) > 1 else nullcontext() as pool:
         while done < cfg.t_max:
-            chunk = min(segment, cfg.t_max - done)
+            chunk = min(_SEGMENT, cfg.t_max - done)
             run = map if pool is None else pool.map
             list(run(lambda slab: slab.advance(chunk), slabs))
             done += chunk
-            if stop_observable is not None:
+            if early_stop:
                 # the window keeps one earlier time, so it is at least two
                 # wide and its column sums add the blocks in order
-                window = _history(slabs, "sums", stop_observable, checked)
+                window = _history(slabs, "sums", _CHARGE, checked)
                 checked = done
-                if (window.sum(axis=0) / total).min() <= stop_threshold:
+                if (window.sum(axis=0) / total).min() <= 0.5 * cfg.gamma:
                     break
     return _assemble_series(cfg, slabs)
 
@@ -609,17 +585,15 @@ def estimate_tq(
     whose resampled mean never crosses inside the simulated window are
     counted in ``censored_draws`` rather than silently clamped.
     """
+    if n_resamples < 1:
+        raise UsageError(f"need at least one bootstrap resample, got {n_resamples}")
     if _CHARGE not in cfg.observables:
         cfg = replace(cfg, observables=(_CHARGE,) + cfg.observables)
     passages = np.full(cfg.n_trajectories, -1, np.int64) if per_trajectory else None
     # without per-trajectory times, stop once safely below gamma so that
     # bootstrap crossings resolve
     series = _run_blocks(
-        cfg,
-        _shared_starts(cfg),
-        stop_observable=None if per_trajectory else _CHARGE,
-        stop_threshold=0.5 * cfg.gamma,
-        crossings=passages,
+        cfg, _shared_starts(cfg), early_stop=not per_trajectory, crossings=passages
     )
     t_q = _crossing(series.means[_CHARGE], cfg.gamma)
     censored = t_q is None
@@ -629,9 +603,7 @@ def estimate_tq(
         sums = series.block_sums[_CHARGE]
         sizes_arr = series.block_sizes.astype(np.float64)
         nblocks = sums.shape[0]
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([cfg.seed, _BOOT_KEY], dtype=np.uint64))
-        )
+        rng = _philox(cfg.seed, _BOOT_KEY)
         crossings = []
         for start in range(0, n_resamples, 200):
             count = min(200, n_resamples - start)
@@ -810,32 +782,26 @@ def sample_cone_states(
     n: int,
     length: int,
     depth: int,
-    count: int | Sequence[int],
-    rng: np.random.Generator | Sequence[np.random.Generator],
-    anchor: tuple[int, ...] | None = None,
+    sizes: Sequence[int],
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Uniform states of the cone below ``anchor``, rejection free.
+    """Uniform states of the depth-``depth`` cone below the canonical
+    anchor 1,2,1,..., rejection free.
 
     Picks the sector first (mass proportional to its dimension times
     the number of cone sectors at that depth), extends the anchor by a
     uniform non-backtracking branch, then samples a uniform member of
     that sector by the conditioned walk.
 
-    ``count`` and ``rng`` are one block's size and Generator, or
-    sequences of them: block b's ``count[b]`` rows come from ``rng[b]``
-    alone, whatever the other blocks are, and the blocks' rows are
-    concatenated in order. Each block draws one float per row for the
-    depth, one per row for each branch column below the anchor down to
-    depth L, then the walk's values (see ``_conditioned_walk``).
+    Block b's ``sizes[b]`` rows come from ``rngs[b]`` alone, whatever
+    the other blocks are, and the blocks' rows are concatenated in
+    order. Each block draws one float per row for the depth, one per
+    row for each branch column below the anchor down to depth L, then
+    the walk's values (see ``_conditioned_walk``).
     """
+    check_size(n, length)
     check_cone_depth(depth, length)
-    if anchor is None:
-        anchor = _canonical_anchor(depth)
-    SectorId(anchor, n)  # validates irreducibility
-    if len(anchor) != depth - 1:
-        raise UsageError("anchor must sit one level above the cone depth")
-    sizes = [count] if isinstance(count, (int, np.integer)) else list(count)
-    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    anchor = _canonical_anchor(depth)
     if not sizes or len(sizes) != len(rngs):
         raise UsageError(f"{len(sizes)} block sizes for {len(rngs)} generators")
     if any(m < 0 for m in sizes):
@@ -884,7 +850,7 @@ def cone_escape_probability(
     obs = f"cone_escape:{depth}"
     cfg = replace(cfg, observables=(obs,), t_max=times[-1], initial=None)
     sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
-    rngs = [_init_rng(cfg.seed, b) for b in range(cfg.blocks)]
+    rngs = [_philox(cfg.seed, _INIT_KEY_OFFSET + b) for b in range(cfg.blocks)]
     states = sample_cone_states(cfg.n, cfg.length, depth, sizes, rngs)
     series = _run_blocks(cfg, np.split(states, np.cumsum(sizes)[:-1]))
     flow = float(cone_stats(cfg.n, cfg.length, depth).boundary_flow)

@@ -35,7 +35,8 @@ from pairflip.chains import (
 )
 from pairflip.montecarlo import (
     SimConfig,
-    _dynamics_rng,
+    _dynamics_source,
+    _symbol_range,
     cone_escape_probability,
     estimate_tq,
     step_states,
@@ -317,7 +318,8 @@ def test_c10_one_step_law():
         powers = n ** np.arange(length - 1, -1, -1, dtype=np.int64)
         row = chain.exact_rows[int((np.array(start) - 1) @ powers)]
         states = np.tile(np.array(start, dtype=np.int8), (m, 1))
-        step_states(states, _dynamics_rng(100 + k, 0), n, gate)
+        source = _dynamics_source(100 + k, 0, _symbol_range(n, gate))
+        step_states(states, source, n, gate)
         idx = (states.astype(np.int64) - 1) @ powers
         counts = np.bincount(idx, minlength=n**length)
         support = sorted(row)

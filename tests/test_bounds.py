@@ -15,7 +15,7 @@ from pairflip.bounds import (
     thm2_entropy_time_lower,
     thm3_charge_time_lower,
 )
-from pairflip.census import cone_stats, sector_dim
+from pairflip.census import cone_stats, k0_asymptotic, sector_dim
 from pairflip.chains import build_lumped
 from pairflip.errors import UsageError
 from pairflip.spectra import spectral_gap
@@ -56,6 +56,17 @@ class TestGapUpper:
         for length in (40, 60, 80):
             b = thm1_gap_upper(3, length)
             assert 0.8 < b.meta["asymptotic"] / b.value < 1.25
+
+    def test_asymptotic_in_logs_matches_the_ratio(self):
+        # the ratio k0_asymptotic / n**L is finite up to L = 600 at N=3,
+        # and L = 700 passes the largest double in both its parts
+        for length in (2, 40, 100, 300, 600):
+            old = k0_asymptotic(3, length) / 3**length
+            new = thm1_gap_upper(3, length).meta["asymptotic"]
+            assert new == pytest.approx(old, rel=1e-12, abs=0)
+        far = thm1_gap_upper(3, 700)
+        assert math.isfinite(far.value) and far.value > 0
+        assert math.isfinite(far.meta["asymptotic"]) and far.meta["asymptotic"] > 0
 
     def test_two_symbols_skip_asymptotic(self):
         b = thm1_gap_upper(2, 8)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -525,6 +526,28 @@ class TestSimulateCommand:
         )
         assert code == 1
 
+    def test_no_observable(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "3", "--length", "4", "--t-max", "3",
+            "--trajectories", "10", "--blocks", "2", "--observables", "",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "observable" in err
+
+    @pytest.mark.parametrize("resamples", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_resamples_must_be_positive(self, capsys, command, resamples):
+        size = ("--length", "4") if command == "simulate" else ("--lengths", "4")
+        extra = ("--estimate-tq",) if command == "simulate" else ()
+        code, out, err = run_cli(
+            capsys,
+            command, "--n", "2", *size, "--t-max", "200", "--trajectories",
+            "40", "--blocks", "2", "--resamples", resamples, *extra,
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "resample" in err
+
     def test_repeated_observable(self, capsys):
         # a repeated name used to double the time axis
         code, out, err = run_cli(
@@ -613,7 +636,7 @@ class TestBoundsCommand:
         "argv",
         [
             ("--n", "3", "--length", "1001", "--gammas", "0.9"),
-            ("--n", "1000000", "--length", "60"),
+            ("--n", "1000000", "--length", "120"),
         ],
     )
     def test_bound_past_the_float_range(self, capsys, argv):
@@ -621,6 +644,16 @@ class TestBoundsCommand:
         code, out, err = run_cli(capsys, "bounds", *argv)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "numerical failure" in err
+
+    @pytest.mark.parametrize("n, length", [("3", "700"), ("1000000", "60")])
+    def test_gap_bound_past_the_float_range_of_n_to_the_l(self, capsys, n, length):
+        # n**L and K_0 overflow a double, their ratio does not
+        code, out, err = run_cli(capsys, "bounds", "--n", n, "--length", length)
+        assert code == 0 and err == ""
+        thm1 = _strict_json(out)["thm1"]
+        assert math.isfinite(thm1["value"]) and thm1["value"] > 0
+        assert math.isfinite(thm1["meta"]["asymptotic"])
+        assert thm1["meta"]["asymptotic"] > 0
 
     def test_empty_thm2_window_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--n", "2", "--length", "4")
@@ -756,6 +789,58 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--suite", suite)
         assert code == 1 and out == ""
         assert "names no suite" in err
+
+
+class TestMonteCarloFlags:
+    """The Monte Carlo commands' flags: ``(dest, default, type, required)``."""
+
+    ENSEMBLE = {
+        "--gate": ("gate", "pf", None, False),
+        "--trajectories": ("trajectories", 10_000, int, False),
+        "--seed": ("seed", 0, int, False),
+        "--blocks": ("blocks", 100, int, False),
+        "--threads": ("threads", 1, int, False),
+    }
+    COMMON = {
+        "-h": ("help", "==SUPPRESS==", None, False),
+        "--config": ("config", None, None, False),
+        "--out": ("out", None, None, False),
+        "--n": ("n", None, int, True),
+    }
+    TIMES = {
+        "--t-max": ("t_max", None, int, True),
+        "--gamma": ("gamma", 0.1, float, False),
+        "--resamples": ("resamples", 1000, int, False),
+    }
+    EXPECTED = {
+        "simulate": {
+            **COMMON, **ENSEMBLE, **TIMES,
+            "--length": ("length", None, int, True),
+            "--observables": ("observables", "charge:1", None, False),
+            "--initial": ("initial", None, None, False),
+            "--estimate-tq": ("estimate_tq", False, None, False),
+            "--per-trajectory": ("per_trajectory", False, None, False),
+        },
+        "sweep": {
+            **COMMON, **ENSEMBLE, **TIMES,
+            "--lengths": ("lengths", None, None, True),
+        },
+        "escape": {
+            **COMMON, **ENSEMBLE,
+            "--length": ("length", None, int, True),
+            "--depth": ("depth", None, int, True),
+            "--times": ("times", None, None, True),
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(EXPECTED))
+    def test_flags_and_defaults(self, command):
+        _, registry = pairflip.cli.build_parser()
+        actions = {
+            a.option_strings[0]: (a.dest, a.default, a.type, a.required)
+            for a in registry[command]._actions
+        }
+        assert actions == self.EXPECTED[command]
 
 
 class TestExitCodes:

@@ -16,29 +16,27 @@ from pairflip.census import cone_stats, multiplicity, sector_dim
 from pairflip.chains import GateKind, build_full_local, state_index
 from pairflip.errors import UsageError
 from pairflip.montecarlo import (
+    _INIT_KEY_OFFSET,
     ConeEscapeResult,
     SimConfig,
+    _apply_layers,
     _block_sizes,
     _conditioned_walk,
-    _init_rng,
     _StripedSymbols,
-    _dynamics_rng,
     _dynamics_source,
     _parse_observable,
+    _philox,
     _run_blocks,
     _shared_starts,
     _symbol_range,
-    apply_gate_layers,
     cone_escape_mask,
     cone_escape_probability,
     estimate_tq,
     max_charge_state,
     reduce_states,
-    resample_boundary,
     run_ensemble,
     sample_cone_states,
     sample_sector_string,
-    step,
     step_states,
 )
 from pairflip.walks import (
@@ -46,8 +44,14 @@ from pairflip.walks import (
     SpinString,
     _canonical_anchor,
     all_states,
+    in_cone,
     reduce_symbols,
 )
+
+
+def _start_rngs(seed: int, blocks: int) -> list[np.random.Generator]:
+    """The blocks' start streams, as ``cone_escape_probability`` keys them."""
+    return [_philox(seed, _INIT_KEY_OFFSET + b) for b in range(blocks)]
 
 
 def _staggered_count(states: np.ndarray, symbol: int) -> np.ndarray:
@@ -92,6 +96,7 @@ class TestConfig:
             dict(n=2, length=4, t_max=1, observables=("volume",)),
             dict(n=128, length=4, t_max=1),  # past the int8 state limit
             dict(n=2, length=4, t_max=1, observables=("charge:1", "charge:1")),
+            dict(n=2, length=4, t_max=1, observables=()),
         ],
     )
     def test_rejects(self, kwargs):
@@ -138,10 +143,7 @@ class TestObservableParsing:
 class TestStepKernel:
     def _one_step_counts(self, n, length, gate, start, m, seed):
         states = np.tile(np.array(start, dtype=np.int8), (m, 1))
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-        )
-        step_states(states, rng, n, gate)
+        step_states(states, _dynamics_source(seed, 0, _symbol_range(n, gate)), n, gate)
         codes = np.zeros(m, dtype=np.int64)
         for c in range(length):
             codes = codes * n + (states[:, c] - 1)
@@ -177,23 +179,6 @@ class TestStepKernel:
         sigma = np.sqrt(expected * (1 - expected / m))
         assert np.all(np.abs(observed - expected) <= 4.5 * sigma)
 
-    def test_scalar_step_rejects_wide_alphabet(self):
-        # int8 states hold symbols up to 127 only
-        rng = np.random.default_rng(0)
-        with pytest.raises(UsageError):
-            step(SpinString((1, 200, 3), 200), rng)
-        assert len(step(SpinString((1, 127, 3), 127), rng).symbols) == 3
-
-    def test_scalar_step_matches_batch(self):
-        key = np.array([42, 0], dtype=np.uint64)
-        s = SpinString((1, 1, 2, 3, 3), 3)
-        rng1 = np.random.Generator(np.random.Philox(key=key))
-        rng2 = np.random.Generator(np.random.Philox(key=key))
-        out = step(s, rng1)
-        batch = np.array([s.symbols], dtype=np.int8)
-        step_states(batch, rng2, 3, GateKind.PAIR_FLIP)
-        assert out.symbols == tuple(int(x) for x in batch[0])
-
     @staticmethod
     def _irr_words(states):
         stack, sp = reduce_states(states)
@@ -202,58 +187,54 @@ class TestStepKernel:
             for k in range(states.shape[0])
         ]
 
+    @staticmethod
+    def _layers(states, source, n, gate):
+        """Even and odd layer alone, on the next ``(L-1, M)`` symbols."""
+        m, length = states.shape
+        _apply_layers(states.T, source.draw(length - 1, m), n, gate)
+
     def test_layers_preserve_sector(self):
         rng = np.random.default_rng(4)
         states = rng.integers(1, 4, size=(64, 21)).astype(np.int8)
         words0 = self._irr_words(states)
-        grng = np.random.default_rng(5)
+        source = _dynamics_source(5, 0, 3)
         for _ in range(50):
-            apply_gate_layers(states, grng, 3, GateKind.PAIR_FLIP)
+            self._layers(states, source, 3, GateKind.PAIR_FLIP)
         assert self._irr_words(states) == words0
 
     def test_layers_preserve_sector_tl(self):
         rng = np.random.default_rng(6)
         states = rng.integers(1, 5, size=(64, 12)).astype(np.int8)
         words0 = self._irr_words(states)
-        grng = np.random.default_rng(7)
+        source = _dynamics_source(7, 0, 16)
         for _ in range(50):
-            apply_gate_layers(states, grng, 4, GateKind.TEMPERLEY_LIEB)
+            self._layers(states, source, 4, GateKind.TEMPERLEY_LIEB)
         assert self._irr_words(states) == words0
 
     def test_layers_preserve_staggered_charges(self):
         rng = np.random.default_rng(8)
         states = rng.integers(1, 4, size=(200, 14)).astype(np.int8)
         before = {a: _staggered_count(states, a).copy() for a in (1, 2, 3)}
-        grng = np.random.default_rng(9)
-        apply_gate_layers(states, grng, 3, GateKind.PAIR_FLIP)
+        self._layers(states, _dynamics_source(9, 0, 3), 3, GateKind.PAIR_FLIP)
         for a in (1, 2, 3):
             assert np.array_equal(before[a], _staggered_count(states, a))
 
     def test_full_step_charge_moves_by_at_most_one(self):
-        rng = np.random.default_rng(10)
+        source = _dynamics_source(10, 0, 3)
         states = np.tile(
             np.array(max_charge_state(3, 12), dtype=np.int8), (100, 1)
         )
         for _ in range(60):
             q_before = _staggered_count(states, 1)
-            step_states(states, rng, 3, GateKind.PAIR_FLIP)
+            step_states(states, source, 3, GateKind.PAIR_FLIP)
             delta = _staggered_count(states, 1) - q_before
             assert set(np.unique(delta)) <= {-1, 0, 1}
-
-    def test_boundary_resample_touches_only_last_site(self):
-        rng = np.random.default_rng(11)
-        states = rng.integers(1, 4, size=(500, 9)).astype(np.int8)
-        frozen = states[:, :-1].copy()
-        resample_boundary(states, rng, 3)
-        assert np.array_equal(frozen, states[:, :-1])
-        assert set(np.unique(states[:, -1])) <= {1, 2, 3}
 
     def test_trivial_alphabet_is_invariant(self):
         # n=1 only makes sense at the kernel level: everything is frozen
         states = np.ones((10, 6), dtype=np.int8)
-        rng = np.random.default_rng(12)
         for gate in (GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB):
-            apply_gate_layers(states, rng, 1, gate)
+            step_states(states, _dynamics_source(12, 0, 1), 1, gate)
             assert (states == 1).all()
 
     def test_single_site_chain(self):
@@ -281,7 +262,7 @@ class TestSymbolSource:
         vals = _dynamics_source(4, 1, k).draw(500, 7).ravel()
         dtype = np.uint8 if k <= 256 else np.uint16
         span = 1 << (8 * np.dtype(dtype).itemsize)
-        raw = _dynamics_rng(4, 1).bit_generator.random_raw(2000)
+        raw = _philox(4, 1).bit_generator.random_raw(2000)
         raw = raw.astype("<u8").view(dtype).astype(np.int64)
         accepted = raw[raw < span - span % k]
         assert np.array_equal(vals, accepted[: vals.size] % k)
@@ -338,7 +319,7 @@ class TestReduceStates:
         # (1,2,1,2) is already irreducible with prefix (1,); (1,2,2,1)
         # cancels down to the empty word, so it sits outside every cone
         inside = np.array([[1, 2, 1, 2], [1, 2, 2, 1]], dtype=np.int8)
-        mask = cone_escape_mask(inside, 2, (1,))
+        mask = cone_escape_mask(inside, 2)
         assert mask.tolist() == [False, True]
 
 
@@ -381,12 +362,12 @@ class TestSectorSampler:
 
 class TestConeSampler:
     def test_always_in_cone(self):
-        arr = sample_cone_states(3, 7, 3, 500, np.random.default_rng(17))
-        mask = cone_escape_mask(arr, 3, (1, 2))
+        arr = sample_cone_states(3, 7, 3, [500], [np.random.default_rng(17)])
+        mask = cone_escape_mask(arr, 3)
         assert not mask.any()
 
     def test_depth_mix_matches_volume_weights(self):
-        arr = sample_cone_states(3, 6, 2, 30_000, np.random.default_rng(18))
+        arr = sample_cone_states(3, 6, 2, [30_000], [np.random.default_rng(18)])
         _, sp = reduce_states(arr)
         weights = {
             d: Fraction(2 ** (d - 1) * sector_dim(3, 6, d)) for d in (2, 4, 6)
@@ -403,30 +384,22 @@ class TestConeSampler:
         # volume 22 out of 81 states at n=3, length 4
         st = cone_stats(3, 4, 2)
         assert st.volume == 22
-        arr = sample_cone_states(3, 4, 2, 20_000, np.random.default_rng(19))
-        frac = (~cone_escape_mask(arr, 2, (1,))).mean()
+        arr = sample_cone_states(3, 4, 2, [20_000], [np.random.default_rng(19)])
+        frac = (~cone_escape_mask(arr, 2)).mean()
         assert frac == 1.0
-
-    def test_custom_anchor(self):
-        arr = sample_cone_states(3, 6, 2, 300, np.random.default_rng(20), anchor=(3,))
-        stack, sp = reduce_states(arr)
-        assert (sp >= 2).all()
-        assert (stack[:, 0] == 3).all()
 
     def test_bad_arguments(self):
         rng = np.random.default_rng(0)
         with pytest.raises(UsageError):
-            sample_cone_states(3, 6, 3, 10, rng)  # parity
+            sample_cone_states(3, 6, 3, [10], [rng])  # parity
         with pytest.raises(UsageError):
-            sample_cone_states(3, 6, 0, 10, rng)
+            sample_cone_states(3, 6, 0, [10], [rng])
         with pytest.raises(UsageError):
-            sample_cone_states(3, 6, 2, 10, rng, anchor=(1, 2))  # length
-        with pytest.raises(UsageError):
-            sample_cone_states(3, 6, 4, 10, rng, anchor=(1, 1, 2))  # reducible
+            sample_cone_states(1, 6, 2, [10], [rng])  # alphabet
 
     def test_deterministic(self):
-        a = sample_cone_states(3, 8, 2, 50, np.random.default_rng(21))
-        b = sample_cone_states(3, 8, 2, 50, np.random.default_rng(21))
+        a = sample_cone_states(3, 8, 2, [50], [np.random.default_rng(21)])
+        b = sample_cone_states(3, 8, 2, [50], [np.random.default_rng(21)])
         assert np.array_equal(a, b)
 
     def test_one_row_walk_is_sample_sector_string(self):
@@ -444,10 +417,10 @@ class TestConeSampler:
         st = cone_stats(3, 8, 2)
         assert st.volume == 2006
         every = all_states(3, 8)
-        members = every[~cone_escape_mask(every, 2, (1,))]
+        members = every[~cone_escape_mask(every, 2)]
         assert len(members) == 2006
         sizes = [50_000] * 4
-        arr = sample_cone_states(3, 8, 2, sizes, [_init_rng(90, b) for b in range(4)])
+        arr = sample_cone_states(3, 8, 2, sizes, _start_rngs(90, 4))
         code = arr.astype(np.int64) @ 3 ** np.arange(8)
         member_codes = members.astype(np.int64) @ 3 ** np.arange(8)
         assert np.isin(code, member_codes).all()
@@ -459,13 +432,12 @@ class TestConeSampler:
     def test_block_invariance(self):
         # block b's rows do not depend on the other blocks, empty ones too
         sizes = [7, 0, 13, 5]
-        batch = sample_cone_states(
-            3, 10, 4, sizes, [_init_rng(31, b) for b in range(4)]
-        )
+        rngs = _start_rngs(31, 4)
+        batch = sample_cone_states(3, 10, 4, sizes, rngs)
         assert batch.shape == (25, 10)
         ends = np.cumsum(sizes)
-        for b, m in enumerate(sizes):
-            alone = sample_cone_states(3, 10, 4, m, _init_rng(31, b))
+        for b, (m, alone_rng) in enumerate(zip(sizes, _start_rngs(31, 4))):
+            alone = sample_cone_states(3, 10, 4, [m], [alone_rng])
             assert np.array_equal(batch[ends[b] - m : ends[b]], alone)
 
     @pytest.mark.parametrize(
@@ -479,13 +451,14 @@ class TestConeSampler:
         ],
     )
     def test_in_cone(self, n, length, depth, anchor):
-        sizes = [40, 60]
-        arr = sample_cone_states(
-            n, length, depth, sizes, [_init_rng(41, b) for b in range(2)], anchor
-        )
-        anchor = _canonical_anchor(depth) if anchor is None else anchor
+        # ``anchor``, where given, is another anchor at the same depth:
+        # its cone is disjoint from the canonical one
+        arr = sample_cone_states(n, length, depth, [40, 60], _start_rngs(41, 2))
         stack, sp = reduce_states(arr)
-        assert not cone_escape_mask(arr, depth, anchor).any()
+        assert in_cone(stack, sp, _canonical_anchor(depth)).all()
+        assert not cone_escape_mask(arr, depth).any()
+        if anchor is not None:
+            assert not in_cone(stack, sp, anchor).any()
         assert ((length - sp) % 2 == 0).all()
 
     def test_tl_escape_starts_in_cone(self):
@@ -501,7 +474,7 @@ class TestConeSampler:
         with pytest.raises(UsageError):
             sample_cone_states(3, 6, 2, [], [])
         with pytest.raises(UsageError):
-            sample_cone_states(3, 6, 2, -1, rng)
+            sample_cone_states(3, 6, 2, [-1], [rng])
 
 
 class TestEnsemble:
@@ -680,6 +653,12 @@ class TestEstimateTq:
         # ensemble estimate lives inside the per-trajectory spread
         assert crossed.min() <= rep.t_q <= np.percentile(crossed, 99.9)
 
+    @pytest.mark.parametrize("n_resamples", [0, -3])
+    def test_rejects_no_resamples(self, n_resamples):
+        cfg = SimConfig(n=2, length=6, t_max=50, n_trajectories=40, blocks=2)
+        with pytest.raises(UsageError):
+            estimate_tq(cfg, n_resamples=n_resamples)
+
     def test_deterministic(self):
         cfg = SimConfig(n=2, length=6, t_max=600, n_trajectories=600, seed=27, blocks=6)
         a = estimate_tq(cfg)
@@ -766,7 +745,7 @@ def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
             i = int(tail) - 1
             return (s[:, i] == init[:, i]).astype(np.float64)
         d = int(tail)
-        return cone_escape_mask(s, d, _canonical_anchor(d)).astype(np.float64)
+        return (~in_cone(*reduce_states(s), _canonical_anchor(d))).astype(np.float64)
 
     blocks = [(b, s.copy(), s.copy()) for b, s in enumerate(starts) if len(s)]
     k = _symbol_range(cfg.n, cfg.gate)

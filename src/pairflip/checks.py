@@ -316,6 +316,7 @@ def check_montecarlo() -> list[CheckResult]:
     from .montecarlo import SimConfig, run_ensemble, sample_cone_states
     from .montecarlo import _StripedSymbols, _dynamics_source, _symbol_range
     from .montecarlo import _INIT_KEY_OFFSET, _philox, cone_escape_mask
+    from .montecarlo import _Slab, _block_sizes, _shared_starts
 
     out = []
     cfg = SimConfig(n=2, length=6, t_max=5, n_trajectories=600, seed=12, blocks=6)
@@ -381,6 +382,29 @@ def check_montecarlo() -> list[CheckResult]:
             np.array_equal(batch, np.concatenate(alone)),
         )
     )
+    # the words a slab carries through the boundary update must be the
+    # reduction of its states after every step: from the full-depth
+    # shared start and from cone starts, for both gates
+    same = True
+    for n, gate, cone in [(3, GateKind.PAIR_FLIP, False), (2, GateKind.PAIR_FLIP, True),
+                          (3, GateKind.TEMPERLEY_LIEB, True)]:
+        cfg = SimConfig(n=n, length=9, t_max=40, gate=gate, n_trajectories=60,
+                        seed=16, blocks=3, observables=("depth",))
+        starts = _shared_starts(cfg)
+        if cone:
+            sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
+            rngs = [_philox(16, _INIT_KEY_OFFSET + b) for b in range(cfg.blocks)]
+            states = sample_cone_states(n, 9, 3, sizes, rngs)
+            starts = np.split(states, np.cumsum(sizes)[:-1])
+        slab = _Slab(cfg, range(cfg.blocks), starts, None)
+        for _ in range(cfg.t_max):
+            slab.advance(1)
+            (stack, depth), (ref, ref_depth) = slab.word(), reduce_states(slab.states)
+            inside = np.arange(9) < depth[:, None]
+            same &= np.array_equal(depth, ref_depth) and np.array_equal(
+                stack[inside], ref[inside]
+            )
+    out.append(_result("montecarlo.carried_word_matches_reduction", bool(same)))
     return out
 
 

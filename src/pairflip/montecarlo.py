@@ -43,6 +43,12 @@ ahead, from that block's own source; accepted values a draw does not
 use wait for the next, so draw-ahead does not change any value.
 Results are reduced in fixed block order, so output is bit-identical
 for a given config regardless of thread count.
+
+The ``depth`` and ``cone_escape`` observables read each trajectory's
+irreducible word. A slab reduces its states once, at t = 0, and then
+carries the words: the layers never change a word, and ``step_states``
+returns the boundary symbols it wrote, so each step updates a word by
+two pop-or-push moves (see ``_Slab``), O(M) whatever L is.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ from .walks import (
     SectorId,
     SpinString,
     _canonical_anchor,
+    _pop_or_push,
     check_cone_depth,
     check_size,
     in_cone,
@@ -298,12 +305,14 @@ def step_states(
     source: _SymbolSource | _StripedSymbols,
     n: int,
     gate: GateKind,
-) -> None:
+) -> np.ndarray:
     """One full update: boundary resample, even layer, odd layer.
 
     The step draws L values per trajectory, as an ``(L, M)`` array (see
     the module docstring), from ``source``: a block's symbol source
     (``_dynamics_source``) or a slab's draw-ahead (``_StripedSymbols``).
+    Returns the boundary symbols the resample wrote, one per trajectory,
+    as they were before the layers ran.
     """
     m, length = states.shape
     k = _symbol_range(n, gate)
@@ -312,7 +321,9 @@ def step_states(
     u = source.draw(length, m)
     sites = states.T
     sites[-1] = (u[-1] if gate is GateKind.PAIR_FLIP else u[-1] % n) + 1
+    boundary = sites[-1].copy()  # the layers may overwrite the last site
     _apply_layers(sites, u[:-1], n, gate)
+    return boundary
 
 
 def cone_escape_mask(states: np.ndarray, depth: int) -> np.ndarray:
@@ -388,9 +399,18 @@ class _StripedSymbols:
 class _Slab:
     """A contiguous run of whole blocks, stepped as one ``(M, L)`` array.
 
-    ``sums``/``sqsums`` hold one vector of block sums per recorded time.
-    Over a run of equal-size blocks these are row sums of the values
-    reshaped to ``(blocks, size)``: each adds as its block's alone would.
+    ``sums``/``sqsums`` hold one vector of block sums per recorded time,
+    ``times`` the recorded times: t = 0 and every later step, or only
+    the steps in ``record_at`` if given. Over a run of equal-size blocks
+    the sums are row sums of the values reshaped to ``(blocks, size)``:
+    each adds as its block's alone would.
+
+    With a ``depth`` or ``cone_escape`` observable the slab carries each
+    row's irreducible word, reduced from the states once, at t = 0. Only
+    the boundary resample changes the word: with ``a`` the last site
+    before a step and ``b`` the symbol the resample writes there, the
+    first L-1 sites reduce to irr(w a), so the new word is irr(w a b),
+    two pop-or-push updates whatever L is. The layers keep it.
     """
 
     def __init__(
@@ -399,6 +419,7 @@ class _Slab:
         blocks: Sequence[int],
         starts: Sequence[np.ndarray],
         crossings: np.ndarray | None,
+        record_at: Sequence[int] | None = None,
     ):
         self.cfg = cfg
         self.observables = [
@@ -415,12 +436,31 @@ class _Slab:
         self.initial = self.states.copy(order="F")
         self.crossings = crossings  # this slab's rows of the caller's array
         self.t = 0
+        self.record_at = None if record_at is None else frozenset(record_at)
+        self._stack = None  # the carried words, when an observable reads them
+        if any(o.kind in ("depth", "cone_escape") for o in self.observables):
+            m, length = self.states.shape
+            width = length + 2  # zero sentinel, L symbols and the free slot
+            stack, depth = reduce_states(self.states)
+            words = np.zeros((m, width), self.states.dtype)
+            words[:, 1:-1] = stack
+            self._stack = words.reshape(-1)
+            self._bottoms = np.arange(0, m * width, width, dtype=np.int64)
+            self._tops = self._bottoms + depth
         runs = [(m, len(list(g))) for m, g in itertools.groupby(self.sizes)]
         ends = itertools.accumulate(m * count for m, count in runs)
         self.runs = [(slice(e - m * c, e), c) for (m, c), e in zip(runs, ends)]
+        self.times: list[int] = []
         self.sums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
         self.sqsums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
         self.record()  # t = 0
+
+    def word(self) -> tuple[np.ndarray, np.ndarray]:
+        """The carried irreducible words as ``(stack, depth)``, laid out as
+        ``reduce_states`` returns them."""
+        m, length = self.states.shape
+        stack = self._stack.reshape(m, length + 2)[:, 1:-1]
+        return stack, self._tops - self._bottoms
 
     def _values(self, obs: _Observable) -> np.ndarray:
         s = self.states
@@ -431,16 +471,18 @@ class _Slab:
             q -= np.add.reduce(hits[0::2], axis=0, dtype=np.int32)
             return 2.0 * q / self.cfg.length
         if obs.kind == "depth":
-            return reduce_states(s)[1].astype(np.float64)
+            return self.word()[1].astype(np.float64)
         if obs.kind == "match_site":
             return (s[:, obs.arg - 1] == self.initial[:, obs.arg - 1]).astype(float)
-        return cone_escape_mask(s, obs.arg).astype(float)
+        outside = ~in_cone(*self.word(), _canonical_anchor(obs.arg))
+        return outside.astype(float)
 
     def _block_sums(self, vals: np.ndarray) -> np.ndarray:
         sums = [vals[rows].reshape(count, -1).sum(axis=1) for rows, count in self.runs]
         return np.concatenate(sums)
 
     def record(self) -> None:
+        self.times.append(self.t)
         for obs in self.observables:
             vals = self._values(obs)
             self.sums[obs.name].append(self._block_sums(vals))
@@ -451,9 +493,14 @@ class _Slab:
 
     def advance(self, steps: int) -> None:
         for _ in range(steps):
-            step_states(self.states, self.rng, self.cfg.n, self.cfg.gate)
+            last = None if self._stack is None else self.states.T[-1].copy()
+            new = step_states(self.states, self.rng, self.cfg.n, self.cfg.gate)
+            if last is not None:
+                _pop_or_push(self._stack, self._tops, last)
+                _pop_or_push(self._stack, self._tops, new)
             self.t += 1
-            self.record()
+            if self.record_at is None or self.t in self.record_at:
+                self.record()
 
 
 def _block_sizes(n_trajectories: int, blocks: int) -> list[int]:
@@ -484,7 +531,7 @@ def _assemble_series(cfg: SimConfig, slabs: Sequence[_Slab]) -> EnsembleSeries:
             errs[obs.name] = np.zeros_like(mean)
     return EnsembleSeries(
         config=cfg,
-        times=np.arange(sums.shape[1]),
+        times=np.array(slabs[0].times, dtype=np.int64),
         means=means,
         std_errors=errs,
         block_sums=bsums,
@@ -498,6 +545,7 @@ def _run_blocks(
     *,
     early_stop: bool = False,
     crossings: np.ndarray | None = None,
+    times: Sequence[int] | None = None,
 ) -> EnsembleSeries:
     """Step block ``b`` from ``initial_states[b]`` and reduce in block order.
 
@@ -507,7 +555,10 @@ def _run_blocks(
     ensemble-mean ``charge:1`` reaches half of gamma. ``crossings``, one
     int64 entry per trajectory set to -1 by the caller, receives each
     trajectory's first time t >= 1 with its ``charge:1`` value at or
-    below gamma.
+    below gamma. ``times``, for runs without either, records t = 0 and
+    these times only, in place of every step. t = 0 stays so that a
+    table of block sums is two or more times wide whenever the run is:
+    numpy sums a one-column table pairwise, not in block order.
     """
     live = [b for b, start in enumerate(initial_states) if len(start)]
     slabs = []
@@ -516,7 +567,8 @@ def _run_blocks(
         blocks = live[first : first + count]
         rows = sum(len(initial_states[b]) for b in blocks)
         mine = None if crossings is None else crossings[total : total + rows]
-        slabs.append(_Slab(cfg, blocks, [initial_states[b] for b in blocks], mine))
+        starts = [initial_states[b] for b in blocks]
+        slabs.append(_Slab(cfg, blocks, starts, mine, times))
         first, total = first + count, total + rows
     done = checked = 0
     # slabs own their blocks' streams, so the split cannot change the output
@@ -852,11 +904,13 @@ def cone_escape_probability(
     sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
     rngs = [_philox(cfg.seed, _INIT_KEY_OFFSET + b) for b in range(cfg.blocks)]
     states = sample_cone_states(cfg.n, cfg.length, depth, sizes, rngs)
-    series = _run_blocks(cfg, np.split(states, np.cumsum(sizes)[:-1]))
+    series = _run_blocks(cfg, np.split(states, np.cumsum(sizes)[:-1]), times=times)
     flow = float(cone_stats(cfg.n, cfg.length, depth).boundary_flow)
+    # t = 0 is recorded whether asked for or not
     sel = np.array(times, dtype=np.int64)
-    prob = series.means[obs][sel]
-    err = series.std_errors[obs][sel]
+    at = np.searchsorted(series.times, sel)
+    prob = series.means[obs][at]
+    err = series.std_errors[obs][at]
     for t, p, e in zip(times, prob, err):
         if t == 0 and p != 0.0:
             raise NumericError("cone sampler produced out-of-cone states")

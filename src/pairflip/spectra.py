@@ -72,7 +72,7 @@ from .walks import (
     sector_words,
 )
 
-DENSE_CUTOFF = 4096
+DENSE_CUTOFF = 1024
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 10**6
 _EPS = float(np.finfo(float).eps)

@@ -305,13 +305,25 @@ def reduce_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bottom = np.arange(0, flat.size, width, dtype=np.int64)
     top = bottom.copy()
     for sym in np.ascontiguousarray(rows.T):
-        cancel = flat[top] == sym
-        top += 1
-        flat[top] = sym
-        top -= cancel  # a cancel pops instead: two slots down from the push
-        top -= cancel
+        _pop_or_push(flat, top, sym)
     depth = (top - bottom).reshape(states.shape[:-1])
     return stack[:, 1:].reshape(states.shape), depth
+
+
+def _pop_or_push(flat: np.ndarray, top: np.ndarray, sym: np.ndarray) -> None:
+    """Append one symbol to every stacked word, in place: a top equal to
+    ``sym`` cancels it and pops, any other top gets ``sym`` pushed.
+
+    ``flat`` holds the words one above another, each over a zero
+    sentinel; ``top`` (int64) indexes each word's top symbol. ``sym`` is
+    written one slot above the old top either way, so a word needs a
+    free slot above it.
+    """
+    cancel = flat[top] == sym
+    top += 1
+    flat[top] = sym
+    top -= cancel  # a cancel pops instead: two slots down from the push
+    top -= cancel
 
 
 def sector_index(

@@ -69,3 +69,21 @@ def test_traced_escape_records_the_cone_sampler(capsys):
     sampled = [s for s in tracer.spans if s.name == "montecarlo.sample_cone_states"]
     assert len(sampled) == 1  # one batched call per run
     assert spans.layer_metrics(tracer.spans, 1)["montecarlo.sample_cone_states_s"] > 0
+
+
+def test_traced_escape_reduces_once_per_slab(capsys):
+    # the cone observable carries each trajectory's word from one
+    # reduction at t = 0; a reduction per recorded time would show here
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    try:
+        argv = ["escape", "--n", "3", "--length", "8", "--depth", "2",
+                "--times", "0,1,2,3,4,5", "--trajectories", "200", "--blocks", "4",
+                "--gate", "tl", "--threads", "2"]
+        assert pairflip.cli.main(argv) == 0
+    finally:
+        tracer.close()
+    capsys.readouterr()
+    names = [s.name for s in tracer.spans]
+    assert names.count("montecarlo.step_states") == 2 * 5  # two slabs
+    assert names.count("montecarlo.reduce_states") == 2

@@ -763,6 +763,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "ok   montecarlo.cone_sampler_block_invariant: ok" in out.splitlines()
 
+    def test_carried_word_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
+        assert code == 0
+        assert "ok   montecarlo.carried_word_matches_reduction: ok" in out.splitlines()
+
     def test_local_iterative_check_listed_and_passing(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "gaps")
         assert code == 0

@@ -5,6 +5,7 @@ they are deterministic; the one-step law is checked exactly against
 the rational transition rows.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from pairflip.montecarlo import (
     _apply_layers,
     _block_sizes,
     _conditioned_walk,
+    _Slab,
     _StripedSymbols,
     _dynamics_source,
     _parse_observable,
@@ -297,6 +299,25 @@ class TestSymbolSource:
             )
             assert np.array_equal(slab.draw(length, sum(sizes)), expect)
 
+    @pytest.mark.parametrize("gate", [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB])
+    @pytest.mark.parametrize("length", [1, 2, 7])
+    def test_returns_the_boundary_row_it_wrote(self, gate, length):
+        # the layers may overwrite the last site; the returned row is the
+        # resample itself, read here from a second copy of the stream
+        n, m = 3, 500
+        k = _symbol_range(n, gate)
+        states = np.ones((m, length), dtype=np.int8)
+        mirror = _dynamics_source(17, 2, k)
+        source = _dynamics_source(17, 2, k)
+        for _ in range(5):
+            u = mirror.draw(length, m)[-1]
+            want = (u if gate is GateKind.PAIR_FLIP else u % n) + 1
+            got = step_states(states, source, n, gate)
+            assert got.dtype == states.dtype
+            assert np.array_equal(got, want)
+        if length == 1:
+            assert np.array_equal(got, states[:, 0])
+
     def test_source_range_must_match_gate(self):
         states = np.ones((4, 3), dtype=np.int8)
         with pytest.raises(ValueError):
@@ -321,6 +342,59 @@ class TestReduceStates:
         inside = np.array([[1, 2, 1, 2], [1, 2, 2, 1]], dtype=np.int8)
         mask = cone_escape_mask(inside, 2)
         assert mask.tolist() == [False, True]
+
+
+def _carried_cases():
+    for gate, n, length in itertools.product(
+        [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB], [2, 3, 5], [1, 2, 3, 8, 9]
+    ):
+        yield gate, n, length, "shared"
+        if length >= 2:  # no cone at L=1
+            yield gate, n, length, "cone"
+
+
+def _assert_same_words(carried, reduced):
+    (stack, depth), (ref_stack, ref_depth) = carried, reduced
+    assert np.array_equal(depth, ref_depth)
+    inside = np.arange(stack.shape[1]) < depth[:, None]
+    assert np.array_equal(stack[inside], ref_stack[inside])
+
+
+class TestCarriedWord:
+    """A slab carries each row's irreducible word through the boundary
+    update; it must be the reduction of the states after every step."""
+
+    @pytest.mark.parametrize("gate,n,length,start", list(_carried_cases()))
+    def test_matches_reduction_after_every_step(self, gate, n, length, start):
+        # the shared start 2,1,2,... is a full-depth word, so the first
+        # push of the last site writes the slot above L
+        seed = 100 + 10 * n + length
+        cfg = SimConfig(n=n, length=length, t_max=60, gate=gate, seed=seed,
+                        n_trajectories=90, blocks=3, observables=("depth",))
+        if start == "shared":
+            starts = _shared_starts(cfg)
+        else:
+            sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
+            states = sample_cone_states(
+                n, length, 2 + length % 2, sizes, _start_rngs(seed, cfg.blocks)
+            )
+            starts = np.split(states, np.cumsum(sizes)[:-1])
+        slab = _Slab(cfg, range(cfg.blocks), starts, None)
+        _assert_same_words(slab.word(), reduce_states(slab.states))
+        for _ in range(cfg.t_max):
+            slab.advance(1)
+            _assert_same_words(slab.word(), reduce_states(slab.states))
+
+    def test_only_word_observables_carry_it(self):
+        base = dict(n=3, length=6, t_max=0, n_trajectories=10, blocks=2)
+        for observables, carried in [
+            (("charge:1", "match_site:2"), False),
+            (("charge:1", "depth"), True),
+            (("cone_escape:2",), True),
+        ]:
+            cfg = SimConfig(observables=observables, **base)
+            slab = _Slab(cfg, range(2), _shared_starts(cfg), None)
+            assert (slab._stack is not None) == carried
 
 
 class TestSectorSampler:
@@ -725,6 +799,29 @@ class TestConeEscape:
         b = cone_escape_probability(cfg, 2, [0, 2])
         assert np.array_equal(a.probability, b.probability)
 
+    @pytest.mark.parametrize("times", [[7], [0, 7], [3, 5, 20], [1]])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sampled_times_are_the_full_record(self, times, threads):
+        # recording only the sampled times gives the bits of a run that
+        # records every step; t = 0 is always recorded
+        cfg = SimConfig(n=3, length=8, t_max=max(times), n_trajectories=300,
+                        seed=31, blocks=7, threads=threads,
+                        observables=("cone_escape:2", "depth", "charge:1"))
+        sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
+        states = sample_cone_states(3, 8, 2, sizes, _start_rngs(31, cfg.blocks))
+        starts = np.split(states, np.cumsum(sizes)[:-1])
+        full = _run_blocks(cfg, starts)
+        some = _run_blocks(cfg, starts, times=times)
+        at = sorted({0, *times})
+        assert some.times.dtype == np.int64 and some.times.tolist() == at
+        for obs in cfg.observables:
+            assert np.array_equal(some.block_sums[obs], full.block_sums[obs][:, at])
+            assert np.array_equal(some.means[obs], full.means[obs][at])
+            assert np.array_equal(some.std_errors[obs], full.std_errors[obs][at])
+        res = cone_escape_probability(cfg, 2, times)
+        assert res.times.tolist() == sorted(times)
+        assert np.array_equal(res.probability, full.means["cone_escape:2"][sorted(times)])
+
 
 def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
     """Each block stepped alone on its own stream, summed with ``vals.sum()``.
@@ -809,17 +906,36 @@ class TestBlockLoopMatchesReference:
     ):
         # at L=24, 2/L is inexact, so a change in summation order shows
         observables = ("charge:1", "charge:3", "depth", f"match_site:{length}")
+        self._check_any_thread_count(
+            dict(n=3, length=length, gate=gate, seed=length + 40,
+                 n_trajectories=trajectories, blocks=blocks),
+            observables,
+        )
+
+    @pytest.mark.parametrize("gate", [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB])
+    @pytest.mark.parametrize("length", [1, 2, 7, 24])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_word_observables_other_alphabets(self, n, gate, length):
+        # the carried word against the reference's full reduction at every step
+        self._check_any_thread_count(
+            dict(n=n, length=length, gate=gate, seed=length + 50 + n,
+                 n_trajectories=61, blocks=7),
+            ("depth",),
+        )
+
+    @staticmethod
+    def _check_any_thread_count(base, observables):
+        """Random starts, 70 steps, every thread count against the reference;
+        ``cone_escape`` joins the observables wherever a cone fits."""
+        n, length = base["n"], base["length"]
         if length >= 2:
             observables += (f"cone_escape:{2 + length % 2}",)
-        base = dict(n=3, length=length, t_max=70, gate=gate, seed=length + 40,
-                    n_trajectories=trajectories, blocks=blocks,
-                    observables=observables)
-        cfg = SimConfig(**base)
+        base = dict(base, t_max=70, observables=observables)
         starts = [
-            np.random.default_rng(b).integers(1, 4, size=(m, length)).astype(np.int8)
-            for b, m in enumerate(_block_sizes(trajectories, blocks))
+            np.random.default_rng(b).integers(1, n + 1, size=(m, length)).astype(np.int8)
+            for b, m in enumerate(_block_sizes(base["n_trajectories"], base["blocks"]))
         ]
-        ref, _ = _reference_run(cfg, starts)
+        ref, _ = _reference_run(SimConfig(**base), starts)
         for threads in (1, 2, 3):
             series = _run_blocks(SimConfig(threads=threads, **base), starts)
             assert series.times.tolist() == list(range(71))

@@ -151,9 +151,11 @@ class TestSymmetricDenseGap:
         assert res.method == "dense"
 
     def test_largest_dense_lumped_matches_iterative(self):
+        # its own cutoff: the default sends 4095 sectors to ARPACK
+        cutoff = 4096
         ch = build_lumped(3, 11)
-        assert ch.dimension == 4095 <= spectra.DENSE_CUTOFF
-        dense = spectral_gap(ch)
+        assert ch.dimension == 4095 <= cutoff
+        dense = spectral_gap(ch, dense_cutoff=cutoff)
         it = spectral_gap(ch, dense_cutoff=64)
         assert dense.method == "dense" and it.method == "iterative"
         assert abs(dense.gap - it.gap) < 1e-9
@@ -162,7 +164,7 @@ class TestSymmetricDenseGap:
 class TestIterativeGap:
     def test_lumped_matches_dense(self):
         ch = build_lumped(3, 10)
-        dense = spectral_gap(ch)
+        dense = spectral_gap(ch, dense_cutoff=4096)
         it = spectral_gap(ch, dense_cutoff=64)
         assert dense.method == "dense" and it.method == "iterative"
         assert abs(dense.gap - it.gap) < 1e-9

@@ -325,6 +325,15 @@ class ConeStats:
     asymptotic_expansion: float
 
 
+def _cone_masses(n: int, length: int, depth: int) -> list[int]:
+    """State count of a depth-d cone at each depth d, d+2, ..., L: one
+    sector's size times the (N-1)^(d'-d+1) cone sectors at depth d'."""
+    row = _dims_row(n, length)
+    return [
+        row[dd] * (n - 1) ** (dd - depth + 1) for dd in range(depth, length + 1, 2)
+    ]
+
+
 def cone_stats(n: int, length: int, depth: int) -> ConeStats:
     """Exact and asymptotic volume and expansion of a depth-d cone.
 
@@ -334,11 +343,7 @@ def cone_stats(n: int, length: int, depth: int) -> ConeStats:
     """
     check_alphabet(n)
     check_cone_depth(depth, length)
-    row = _dims_row(n, length)
-    volume = sum(
-        row[depth + 2 * c] * (n - 1) ** (2 * c + 1)
-        for c in range((length - depth) // 2 + 1)
-    )
+    volume = sum(_cone_masses(n, length, depth))
     flow = Fraction((n - 1) * _dims_row(n, length - 1)[depth - 1], n * volume)
 
     v = (n - 2.0) / n
@@ -372,19 +377,16 @@ class N2Expansion(NamedTuple):
 def n2_charge_cut(length: int, q: int) -> tuple[int, int]:
     """Boundary count and size of the two-symbol half-space of signed charge >= q.
 
-    Sector sizes are binomials; the boundary (states able to leave in one
-    boundary step) telescopes into an alternating sum over the charges above q.
+    The charge-q' states are the depth-q' sector, C(L, (L+q')/2) of them,
+    read from the capped dimension table (ResourceCapError past its cap);
+    the boundary (states able to leave in one boundary step) telescopes
+    into an alternating sum over the charges above q.
     """
     check_size(2, length)
     if not (1 <= q <= length) or (length - q) % 2:
         raise UsageError(f"no charge-{q} cut at length {length}")
-    boundary = 0
-    size = 0
-    for i, qp in enumerate(range(q, length + 1, 2)):
-        states = math.comb(length, (length + qp) // 2)
-        size += states
-        boundary += (-1) ** (i % 2) * states
-    return boundary, size
+    states = _dims_row(2, length)[q::2]
+    return sum(states[::2]) - sum(states[1::2]), sum(states)
 
 
 def n2_min_expansion(length: int) -> N2Expansion:

@@ -422,42 +422,42 @@ def build_full_nonlocal(
     )
 
 
+def _lumped_rates(
+    n: int, length: int
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact lumped-walk rates ``(up, down)`` at the depths ``d = L mod 2,
+    ..., L``: ``up = |K_{d-1}^{(L-1)}|/(N |K_d|)`` to the grandparent and
+    to each sibling (0 at the root), ``down = |K_{d+1}^{(L-1)}|/(N |K_d|)``
+    to each grandchild."""
+    up, down = [], []
+    for d in range(length % 2, length + 1, 2):
+        size = n * sector_dim(n, length, d)
+        up.append(Fraction(sector_dim(n, length - 1, d - 1), size))
+        down.append(Fraction(sector_dim(n, length - 1, d + 1), size))
+    return tuple(up), tuple(down)
+
+
 def _lumped_rows(
     n: int, length: int, basis: Sequence[SectorId]
 ) -> tuple[dict[int, Fraction], ...]:
     index = {sec.irr: k for k, sec in enumerate(basis)}
+    ups, downs = _lumped_rates(n, length)
     rows = []
     for sec in basis:
         irr = sec.irr
         d = len(irr)
-        k_s = sector_dim(n, length, d)
+        up, down = ups[d // 2], downs[d // 2]
         row: dict[int, Fraction] = {}
-        if d == 0:
-            # all N prefixes sit at depth 1; each resample lands on a
-            # depth-2 sector or cancels back to the root
-            w = Fraction(sector_dim(n, length - 1, 1), n * k_s)
+        if up:
+            # a new last symbol b: a sibling, or the grandparent at irr[-2]
             for b in range(1, n + 1):
-                for c in range(1, n + 1):
-                    if c != b:
-                        row[index[(b, c)]] = w
-        else:
-            up = Fraction(sector_dim(n, length - 1, d - 1), n * k_s)
-            if up:
-                if d >= 2:
-                    row[index[irr[:-2]]] = up
-                banned = {irr[-1]} | ({irr[-2]} if d >= 2 else set())
+                if b not in irr[-1:]:
+                    row[index[reduce_symbols(irr[:-1] + (b,))]] = up
+        if down:
+            for c in range(1, n + 1):
                 for b in range(1, n + 1):
-                    if b not in banned:
-                        row[index[irr[:-1] + (b,)]] = up
-            cw = sector_dim(n, length - 1, d + 1)
-            if cw:
-                down = Fraction(cw, n * k_s)
-                for c in range(1, n + 1):
-                    if c == irr[-1]:
-                        continue
-                    for b in range(1, n + 1):
-                        if b != c:
-                            row[index[irr + (c, b)]] = down
+                    if c not in irr[-1:] and b != c:
+                        row[index[irr + (c, b)]] = down
         k = index[irr]
         row[k] = 1 - sum(row.values()) + row.get(k, Fraction(0))
         if row[k] < 0:

@@ -320,6 +320,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         gammas = [float(s) for s in args.gammas.split(",") if s.strip()]
     except ValueError:
         raise UsageError(f"bad --gammas value {args.gammas!r}") from None
+    if not gammas:
+        raise UsageError("--gammas needs at least one entry")
     n, length = args.n, args.length
 
     def bound_dict(b) -> dict[str, Any]:
@@ -347,13 +349,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     payload["n2_window"] = (
         list(bounds_mod.n2_gap_window(length)) if n == 2 else None
     )
-    if args.curve_times:
+    if args.curve_times is not None:
         try:
             times = [float(s) for s in args.curve_times.split(",") if s.strip()]
         except ValueError:
             raise UsageError(
                 f"bad --curve-times value {args.curve_times!r}"
             ) from None
+        if not times:
+            raise UsageError("--curve-times needs at least one entry")
         if not all(math.isfinite(t) for t in times):
             raise UsageError(f"--curve-times must be finite, got {args.curve_times!r}")
         payload["entropy_curve"] = [

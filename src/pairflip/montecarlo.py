@@ -63,7 +63,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .census import cone_stats, sector_dim, sector_dim_rows
+from .census import _cone_masses, cone_stats, sector_dim_rows
 from .chains import GateKind, layer_pairs
 from .errors import NumericError, UsageError
 from .walks import (
@@ -755,7 +755,8 @@ def _conditioned_walk(
     table = _toward_table(n, length)
     width = length + 1
     cols = np.arange(width)
-    # target words and stacks as flat (m, width) arrays, read at base + k
+    # target words and stacks as flat (m, width) arrays, row i at
+    # base[i]; indices into both are absolute, as in ``_pop_or_push``
     base = np.arange(m) * width
     # the target words, zero from each row's depth on: a zero never
     # matches a symbol
@@ -764,33 +765,29 @@ def _conditioned_walk(
         cols[: words.shape[1]] < depths[:, None], words, 0
     )
     target = target.ravel()
-    # reduced prefix, top at column sp; column 0 is a zero sentinel
+    goal = base + depths  # the target's end
+    # reduced prefix over a zero sentinel at base, its top at tops
     stack = np.zeros(m * width, dtype)
-    sp = np.zeros(m, np.int64)
-    common = np.zeros(m, np.int64)  # common prefix of stack and target
+    tops = base.copy()
+    common = base.copy()  # end of the common prefix of stack and target
     out = np.empty((length, m), dtype)
     for i in range(length):
         u, v = _block_floats(rngs, sizes, 2)
-        top_at = base + sp
-        top = stack[top_at]
-        ahead = target[base + common]
-        on_path = common == sp
+        ahead = target[common]
+        on_path = common == tops
         # toward the target: its next symbol on the path, else back down;
         # at the target the padding gives 0, stood in for by symbol 1
-        toward = np.where(on_path, ahead, top)
+        toward = np.where(on_path, ahead, stack[tops])
         np.maximum(toward, 1, out=toward)
-        p = table[length - i].take(sp + depths - 2 * common)
+        p = table[length - i].take((tops - common) + (goal - common))
         sym = np.where(u < p, toward, _other_symbol(v, n, toward))
         out[i] = sym
-        # emitting the top symbol cancels it; any other symbol extends
-        pop = top == sym
-        stack[top_at + 1] = sym  # above the top, so harmless on a pop
-        common += on_path & ~pop & (sym == ahead)
-        sp += 1 - 2 * pop
-        np.minimum(common, sp, out=common)
+        cancel = _pop_or_push(stack, tops, sym)
+        common += on_path & ~cancel & (sym == ahead)
+        np.minimum(common, tops, out=common)
     stack = stack.reshape(m, width)[:, 1:]
     target = target.reshape(m, width)[:, :length]
-    missed = (sp != depths) | (
+    missed = (tops != goal) | (
         (stack != target) & (cols[:length] < depths[:, None])
     ).any(axis=1)
     if missed.any():
@@ -821,13 +818,9 @@ def _cone_sector_table(
     n: int, length: int, depth: int
 ) -> tuple[list[int], list[Fraction]]:
     """Depths in the cone with their total state-mass fractions."""
-    depths = list(range(depth, length + 1, 2))
-    weights = [
-        Fraction((n - 1) ** (dd - depth + 1) * sector_dim(n, length, dd))
-        for dd in depths
-    ]
-    total = sum(weights)
-    return depths, [w / total for w in weights]
+    masses = _cone_masses(n, length, depth)
+    total = sum(masses)
+    return list(range(depth, length + 1, 2)), [Fraction(m, total) for m in masses]
 
 
 def sample_cone_states(

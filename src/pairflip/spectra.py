@@ -59,7 +59,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .census import cone_stats, multiplicity, n2_charge_cut, sector_dim
-from .chains import StochasticChain, sector_projectors
+from .chains import StochasticChain, _lumped_rates, sector_projectors
 from .errors import NumericError, UsageError
 from .walks import (
     SectorId,
@@ -117,12 +117,10 @@ def _compress_nonlocal(chain: StochasticChain) -> tuple[sp.csr_matrix, np.ndarra
     have the same nonzero spectrum), independent of any lumping
     assumption, and is reversible with respect to the sector masses.
     """
-    r_mat, s_mat, basis = sector_projectors(chain.n, chain.length)
+    r_mat, s_mat, _ = sector_projectors(chain.n, chain.length)
     comp = sp.csr_matrix((s_mat @ chain.matrix) @ r_mat)
-    dims = np.array(
-        [sector_dim(chain.n, chain.length, len(s.irr)) for s in basis],
-        dtype=float,
-    )
+    # sector sizes counted from R's columns, independent of the census
+    dims = np.asarray(r_mat.sum(axis=0)).ravel()
     return comp, dims / dims.sum()
 
 
@@ -301,28 +299,28 @@ def lumped_blocks(n: int, length: int) -> list[LumpedBlock]:
     """The radial block, then one block per depth ``j = 0 .. L-1``.
 
     The lumped chain moves a sector by two levels or to a sibling with
-    rates that depend on depth only (those of
-    :func:`~pairflip.chains.build_lumped`): ``p_d = |K_{d-1}^{(L-1)}| /
-    (N |K_d|)`` to the grandparent and to each sibling, and
-    ``|K_{d+1}^{(L-1)}| / (N |K_d|)`` to each grandchild. Radial functions
-    of depth give the radial block. Below a depth-``j`` vertex, functions
-    that are radial inside each child's subtree with weights summing to
-    zero over the children give block ``j``; it starts at the top depth
-    ``t = j+1`` or ``j+2`` (the one of L's parity), where the grandparent
-    term drops out and, at ``t = j+1``, the siblings add ``-p_t`` instead
-    of ``(N-2) p_t``. Its multiplicity is the number of depth-``j``
-    vertices times one less than their number of children, so at N=2
-    only block 0 remains. Rates are correctly rounded quotients of the
-    exact sector sizes.
+    rates that depend on depth only (those of ``chains._lumped_rates``):
+    ``p_d = |K_{d-1}^{(L-1)}| / (N |K_d|)`` to the grandparent and to each
+    sibling, and ``|K_{d+1}^{(L-1)}| / (N |K_d|)`` to each grandchild.
+    Radial functions of depth give the radial block. Below a depth-``j``
+    vertex, functions that are radial inside each child's subtree with
+    weights summing to zero over the children give block ``j``; it starts
+    at the top depth ``t = j+1`` or ``j+2`` (the one of L's parity), where
+    the grandparent term drops out and, at ``t = j+1``, the siblings add
+    ``-p_t`` instead of ``(N-2) p_t``. Its multiplicity is the number of
+    depth-``j`` vertices times one less than their number of children, so
+    at N=2 only block 0 remains. Rates are the correctly rounded floats
+    of those exact quotients.
     """
     check_size(n, length)
     first = length % 2
-    p, q = [], []  # p_d, and the total rate to the grandchildren
-    for d in range(first, length + 1, 2):
-        size = n * sector_dim(n, length, d)
-        p.append(sector_dim(n, length - 1, d - 1) / size if d else 0.0)
-        fan = (n - 1) ** 2 if d else n * (n - 1)
-        q.append(fan * sector_dim(n, length - 1, d + 1) / size)
+    ups, downs = _lumped_rates(n, length)
+    p = [float(up) for up in ups]
+    # the total rate to the grandchildren, N(N-1) of them at the root
+    q = [
+        float((n - 1) * (n - 1 if d else n) * down)
+        for d, down in zip(range(first, length + 1, 2), downs)
+    ]
 
     def block(top: int, mult: int, leak_top: float) -> LumpedBlock:
         i = (top - first) // 2

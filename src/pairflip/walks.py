@@ -310,9 +310,10 @@ def reduce_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack[:, 1:].reshape(states.shape), depth
 
 
-def _pop_or_push(flat: np.ndarray, top: np.ndarray, sym: np.ndarray) -> None:
+def _pop_or_push(flat: np.ndarray, top: np.ndarray, sym: np.ndarray) -> np.ndarray:
     """Append one symbol to every stacked word, in place: a top equal to
     ``sym`` cancels it and pops, any other top gets ``sym`` pushed.
+    Returns the cancel mask.
 
     ``flat`` holds the words one above another, each over a zero
     sentinel; ``top`` (int64) indexes each word's top symbol. ``sym`` is
@@ -324,6 +325,7 @@ def _pop_or_push(flat: np.ndarray, top: np.ndarray, sym: np.ndarray) -> None:
     flat[top] = sym
     top -= cancel  # a cancel pops instead: two slots down from the push
     top -= cancel
+    return cancel
 
 
 def sector_index(

@@ -136,6 +136,25 @@ class TestAsymptotics:
         drift_160_320 = shape_const(320) / shape_const(160) - 1.0
         assert 0 < drift_160_320 < drift_40_80 / 2
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_k0_closed_constant(self, n):
+        # the tree's return generating function gives |K_0| ~ c_N L^(-3/2)
+        # (2 sqrt(N-1))^L with c_N = 2 sqrt(2/pi) N(N-1)/(N-2)^2; the
+        # table's ratio to it climbs towards 1 from below
+        log_c = math.log(2 * math.sqrt(2 / math.pi) * n * (n - 1) / (n - 2) ** 2)
+
+        def ratio(length):
+            return math.exp(
+                math.log(census.sector_dim(n, length, 0))
+                + 1.5 * math.log(length)
+                - length * math.log(2 * math.sqrt(n - 1))
+                - log_c
+            )
+
+        ratios = [ratio(length) for length in (200, 400, 800, 1200)]
+        assert all(a < b for a, b in zip(ratios, ratios[1:]))
+        assert 0.97 <= ratios[-1] < 1
+
     def test_k0_asymptotic_accurate_in_fit_window(self):
         assert census.k0_fit_constant(3) > 0
         for length in range(40, 81, 2):
@@ -188,6 +207,28 @@ class TestConeStats:
         cs = census.cone_stats(3, 6, 4)
         expect = census.sector_dim(3, 6, 4) * 2 + census.sector_dim(3, 6, 6) * 8
         assert cs.volume == expect
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_masses_sum_to_volume(self, n):
+        for length in range(2, 41):
+            for depth in range(2 if length % 2 == 0 else 3, length + 1, 2):
+                masses = census._cone_masses(n, length, depth)
+                assert len(masses) == (length - depth) // 2 + 1
+                assert sum(masses) == census.cone_stats(n, length, depth).volume
+
+    def test_masses_match_enumeration(self):
+        tally = census.enumerate_census(3, 8)
+        for depth in (2, 4, 6, 8):
+            prefix = (1, 2, 1, 2, 1, 2, 1)[: depth - 1]
+            expect = [
+                sum(
+                    k
+                    for irr, k in tally.items()
+                    if len(irr) == dd and irr[: depth - 1] == prefix
+                )
+                for dd in range(depth, 9, 2)
+            ]
+            assert census._cone_masses(3, 8, depth) == expect
 
     def test_crossover_is_exponential(self):
         length = 60
@@ -245,6 +286,21 @@ class TestN2Expansion:
                 if charge(f, 1).value - charge(f, 2).value < q:
                     got_boundary += 1
             assert (boundary, size) == (got_boundary, got_size), (length, q)
+
+    def test_charge_cut_matches_binomial_sum(self):
+        # oracle: the charge-q' states counted as C(L, (L+q')/2)
+        for length in range(1, 121):
+            for q in range(2 - length % 2, length + 1, 2):
+                boundary = size = 0
+                for i, qp in enumerate(range(q, length + 1, 2)):
+                    states = math.comb(length, (length + qp) // 2)
+                    size += states
+                    boundary += (-1) ** i * states
+                assert census.n2_charge_cut(length, q) == (boundary, size)
+
+    def test_charge_cut_is_capped(self):
+        with pytest.raises(ResourceCapError):
+            census.n2_charge_cut(100_000, 2)
 
     def test_odd_closed_form_is_minimum_over_cuts(self):
         for length in (3, 5, 7, 9, 11):

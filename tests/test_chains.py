@@ -14,6 +14,7 @@ from pairflip.census import sector_dim
 from pairflip.chains import (
     GateKind,
     StochasticChain,
+    _lumped_rates,
     boundary_resample_matrix,
     build_full_local,
     build_full_nonlocal,
@@ -267,6 +268,12 @@ class TestLumped:
         for tail in [(1, 2), (1, 3), (3, 1), (3, 2)]:
             assert row[idx[(1, 2) + tail]] == Fraction(1, 21)
         assert len(row) == 7
+
+    def test_rates_worked_example(self):
+        # from the frozen rows |K^(4)| = 15, 7, 1 and |K^(3)| = 5, 1
+        up, down = _lumped_rates(3, 4)
+        assert up == (0, Fraction(5, 21), Fraction(1, 3))
+        assert down == (Fraction(1, 9), Fraction(1, 21), 0)
 
     def test_root_row(self):
         # from the root every depth-2 sector gets exactly 1/N^2

@@ -608,6 +608,16 @@ class TestBoundsCommand:
         assert d["thm3"][0]["valid"] is True
         assert d["thm2"][0]["valid"] is False  # window empty for n=3
         assert d["n2_window"] is None
+        assert "entropy_curve" not in d  # --curve-times left out
+
+    @pytest.mark.parametrize("flag", ["--gammas", "--curve-times"])
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_list_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run_cli(
+            capsys, "bounds", "--n", "3", "--length", "4", flag, value
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and f"{flag} needs at least one entry" in err
 
     def test_odd_length_drops_even_only_bounds(self, capsys):
         code, out, _ = run_cli(
@@ -878,6 +888,8 @@ class TestExitCodes:
             ("bounds", "--n", "3", "--length", "100000"),
             ("gap", "--n", "3", "--length", "20000"),
             ("expansion", "--n", "3", "--length", "100000"),
+            ("expansion", "--n", "2", "--length", "100000", "--charge", "2"),
+            ("expansion", "--n", "2", "--length", "1000000000000", "--charge", "2"),
             ("census", "--n", "2", "--length", "1000000000"),
         ],
     )

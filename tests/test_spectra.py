@@ -19,6 +19,7 @@ from pairflip.census import (
 from pairflip.chains import (
     GateKind,
     StochasticChain,
+    _lumped_rates,
     build_full_local,
     build_full_nonlocal,
     build_lumped,
@@ -594,6 +595,22 @@ class TestLumpedBlocks:
             assert b.leak[0] > 0 and not b.leak[1:].any()
         # at N=2 only the radial block and block 0 remain
         assert len(lumped_blocks(2, 9)) == 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 301])
+    def test_radial_rates_round_the_exact_rates(self, n, length):
+        radial = lumped_blocks(n, length)[0]
+        ups, downs = _lumped_rates(n, length)
+        depths = range(length % 2, length + 1, 2)
+        fans = [(n - 1) * (n - 1 if d else n) for d in depths]
+        assert radial.up[0] == 0.0
+        assert radial.up[1:].tolist() == [float(u) for u in ups[1:]]
+        assert radial.down.tolist() == [float(f * w) for f, w in zip(fans, downs)]
+        # the same floats as int / int quotients of the sector sizes
+        assert radial.up[1:].tolist() == [
+            sector_dim(n, length - 1, d - 1) / (n * sector_dim(n, length, d))
+            for d in depths[1:]
+        ]
 
     def test_radial_block_holds_the_stationary_mode(self):
         top = _block_spectrum(lumped_blocks(3, 10)[0])[-1]

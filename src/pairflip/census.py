@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import mpmath
 import numpy as np
@@ -52,58 +52,65 @@ def tree_walk_spectral_radius(n: int) -> float:
     return 2.0 * math.sqrt(n - 1.0) / n
 
 
-# Row cache for the dimension DP, keyed by alphabet size. Rows are immutable
-# tuples and an alphabet's list only ever grows, so sharing across callers
-# is safe. One cap counts the rows of every alphabet: growing past it first
-# drops the other alphabets' lists (callers holding one keep it).
-_ROWS: dict[int, list[tuple[int, ...]]] = {}
+# The dimension DP keeps only its last two rows, for the last alphabet asked
+# about, in one tuple (n, row L-1, row L) that is replaced whole.
+_PAIR: tuple[int, tuple[int, ...], tuple[int, ...]] = (2, (), (1,))
 _ROWS_CAP_BYTES = 1 << 30
 
 
-def _rows_bytes(n: int, length: int) -> float:
-    """Bytes of DP rows 0..length, estimated from above: row m holds m+1
-    tuple slots and m/2+1 ints below N^m, each int 32 bytes plus 4 per
-    30 bits."""
+def _check_rows_cap(n: int, length: int) -> None:
+    """Raise ResourceCapError if DP rows 0..length pass the cap. Their bytes
+    are estimated from above: row m holds m+1 tuple slots and m/2+1 ints
+    below N^m, each int 32 bytes plus 4 per 30 bits. The cap bounds the
+    big-integer bytes the DP writes on its way to row L, not what stays
+    resident."""
     m = length + 1
-    return m * (88 + 12 * m) + math.log2(n) * m * m * (m / 45 + 1 / 15)
+    need = m * (88 + 12 * m) + math.log2(n) * m * m * (m / 45 + 1 / 15)
+    if need > _ROWS_CAP_BYTES:
+        raise ResourceCapError(
+            f"sector dimensions up to N={n}, L={length} need about "
+            f"{need / 2**30:.3g} GiB, above the cap of 1 GiB"
+        )
+
+
+def _next_row(n: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+    """Row m of the dimension DP from row m-1.
+
+    Recurrence over the last site: a string lands in a depth-d sector iff its
+    length-(m-1) prefix sits at depth d-1 (one way to extend) or d+1 (the N-1
+    extensions that cancel differently), with the depth-0 row absorbing all N
+    extensions of depth-1 prefixes.
+    """
+    m = len(prev)
+    nxt = [0] * (m + 1)
+    for d in range(m % 2, m + 1, 2):
+        if d == 0:
+            nxt[0] = n * prev[1]
+        else:
+            above = prev[d + 1] if d + 1 < m else 0
+            nxt[d] = prev[d - 1] + (n - 1) * above
+    return tuple(nxt)
 
 
 def _dims_row(n: int, length: int) -> tuple[int, ...]:
     """Tuple indexed by depth d: number of length-`length` strings in one depth-d sector.
 
-    Recurrence over the last site: a string lands in a depth-d sector iff its
-    length-(L-1) prefix sits at depth d-1 (one way to extend) or d+1 (the N-1
-    extensions that cancel differently), with the depth-0 row absorbing all N
-    extensions of depth-1 prefixes. The cached rows grow like L^3 in memory;
-    rows that would pass a fixed cap raise ResourceCapError before any is
-    built, and rows that would pass it together with other alphabets' rows
-    evict those first.
+    Reads the kept pair of rows, steps up from it, or rebuilds from row 0;
+    the new pair replaces the old one whole. A row past the fixed cap raises
+    ResourceCapError before any row is built.
     """
-    rows = _ROWS.setdefault(n, [(1,)])
-    if len(rows) <= length:
-        # checked only when the cache grows, off the cached lookup's path
-        if (need := _rows_bytes(n, length)) > _ROWS_CAP_BYTES:
-            raise ResourceCapError(
-                f"sector dimensions up to N={n}, L={length} need about "
-                f"{need / 2**30:.3g} GiB, above the cap of 1 GiB"
-            )
-        others = [m for m in _ROWS if m != n]
-        held = sum(_rows_bytes(m, len(_ROWS[m]) - 1) for m in others)
-        if need + held > _ROWS_CAP_BYTES:
-            for m in others:
-                del _ROWS[m]
-    while len(rows) <= length:
-        prev = rows[-1]
-        m = len(rows)
-        nxt = [0] * (m + 1)
-        for d in range(m % 2, m + 1, 2):
-            if d == 0:
-                nxt[0] = n * prev[1]
-            else:
-                above = prev[d + 1] if d + 1 < len(prev) else 0
-                nxt[d] = prev[d - 1] + (n - 1) * above
-        rows.append(tuple(nxt))
-    return rows[length]
+    global _PAIR
+    held, prev, row = _PAIR
+    top = len(row) - 1
+    if held == n and top - 1 <= length <= top:
+        return row if length == top else prev
+    _check_rows_cap(n, length)
+    if held != n or length < top:
+        top, prev, row = 0, (), (1,)
+    for _ in range(length - top):
+        prev, row = row, _next_row(n, row)
+    _PAIR = (n, prev, row)
+    return row
 
 
 def sector_dim(n: int, length: int, depth: int) -> int:
@@ -114,14 +121,18 @@ def sector_dim(n: int, length: int, depth: int) -> int:
     return _dims_row(n, length)[depth]
 
 
-def sector_dim_rows(n: int, length: int) -> Sequence[tuple[int, ...]]:
-    """Rows 0..length (at least) of the dimension DP, from the shared cache.
+def sector_dim_rows(n: int, length: int) -> list[tuple[int, ...]]:
+    """A new list of rows 0..length of the dimension DP, built from row 0.
 
-    ``rows[l][d] == sector_dim(n, l, d)`` for ``0 <= d <= l``; read-only.
+    ``rows[l][d] == sector_dim(n, l, d)`` for ``0 <= d <= l``. Leaves the
+    kept pair alone; past the cap it raises ResourceCapError.
     """
     check_alphabet(n)
-    _dims_row(n, length)
-    return _ROWS[n]
+    _check_rows_cap(n, length)
+    rows = [(1,)]
+    while len(rows) <= length:
+        rows.append(_next_row(n, rows[-1]))
+    return rows
 
 
 def multiplicity(n: int, depth: int) -> int:
@@ -161,7 +172,7 @@ class SectorCensus:
 
 def sector_dims(n: int, length: int) -> SectorCensus:
     """Census of all sectors: exact big-integer dimensions plus multiplicities,
-    from the integer recurrence (binomials at N=2)."""
+    from the integer recurrence."""
     check_size(n, length, 0)
     valid = range(length % 2, length + 1, 2)
     row = _dims_row(n, length)
@@ -247,9 +258,9 @@ def _exp(x: float) -> float:
 
 
 _FIT_RANGE = range(40, 81, 2)
-_FIT_CACHE: dict[int, float] = {}
 
 
+@lru_cache(maxsize=None)
 def k0_fit_constant(n: int) -> float:
     """Prefactor c in |K_0| ~ c * L^(-3/2) * (2 sqrt(N-1))^L.
 
@@ -259,14 +270,12 @@ def k0_fit_constant(n: int) -> float:
     """
     if n < 3:
         raise UsageError(f"asymptotic form needs N >= 3, got {n}")
-    if n not in _FIT_CACHE:
-        log_base = math.log(2.0) + 0.5 * math.log(n - 1.0)
-        resid = [
-            math.log(_dims_row(n, L)[0]) - (L * log_base - 1.5 * math.log(L))
-            for L in _FIT_RANGE
-        ]
-        _FIT_CACHE[n] = math.exp(sum(resid) / len(resid))
-    return _FIT_CACHE[n]
+    log_base = math.log(2.0) + 0.5 * math.log(n - 1.0)
+    rows = sector_dim_rows(n, _FIT_RANGE[-1])
+    resid = [
+        math.log(rows[L][0]) - (L * log_base - 1.5 * math.log(L)) for L in _FIT_RANGE
+    ]
+    return math.exp(sum(resid) / len(resid))
 
 
 def _k0_log_asymptotic(n: int, length: int) -> float:

@@ -97,6 +97,14 @@ def check_census() -> list[CheckResult]:
         for length in (4, 6, 8)
     )
     out.append(_result("census.cone_volume_identity", cone_ok))
+
+    # rows read in any order, alphabets interleaved, against ascending walks
+    rows = {n: census.sector_dim_rows(n, 12) for n in (3, 4)}
+    any_order_ok = all(
+        census.sector_dim(n, length, d) == rows[n][length][d]
+        for length in range(12, 1, -1) for n in (3, 4) for d in range(length + 1)
+    )
+    out.append(_result("census.rows_any_order", any_order_ok))
     return out
 
 

@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__, bounds as bounds_mod, census
 from .chains import (
@@ -46,6 +46,7 @@ from .spectra import (
     lumped_gap,
     spectral_gap,
 )
+from .walks import _parse_symbol_text
 
 _FLOAT_FMT = ".12g"
 
@@ -208,12 +209,20 @@ def _cmd_expansion(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_initial(text: str | None, n: int) -> tuple[int, ...] | None:
-    if text is None:
-        return None
-    parts = text.split(",") if "," in text else list(text)
+def _comma_list(text: str, convert: Callable[[str], Any], flag: str) -> list:
+    """The nonblank entries of a comma list, each through ``convert``."""
     try:
-        return tuple(int(p) for p in parts)
+        items = [convert(s.strip()) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise UsageError(f"bad {flag} value {text!r}") from None
+    if not items:
+        raise UsageError(f"{flag} needs at least one entry")
+    return items
+
+
+def _parse_initial(text: str | None) -> tuple[int, ...] | None:
+    try:
+        return None if text is None else _parse_symbol_text(text)
     except ValueError:
         raise UsageError(f"bad --initial value {text!r}") from None
 
@@ -244,11 +253,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args,
         length=args.length,
         t_max=args.t_max,
-        observables=tuple(
-            s.strip() for s in args.observables.split(",") if s.strip()
-        ),
+        observables=tuple(_comma_list(args.observables, str, "--observables")),
         gamma=args.gamma,
-        initial=_parse_initial(args.initial, args.n),
+        initial=_parse_initial(args.initial),
     )
     payload: dict[str, Any] = {
         "config": {
@@ -284,12 +291,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        lengths = [int(s) for s in args.lengths.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"bad --lengths value {args.lengths!r}") from None
-    if not lengths:
-        raise UsageError("--lengths needs at least one entry")
+    lengths = _comma_list(args.lengths, int, "--lengths")
     rows = ["length,gamma,t_q,ci_low,ci_high,censored,censored_draws,"
             "bound,bound_valid"]
     for length in lengths:
@@ -316,12 +318,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    try:
-        gammas = [float(s) for s in args.gammas.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"bad --gammas value {args.gammas!r}") from None
-    if not gammas:
-        raise UsageError("--gammas needs at least one entry")
+    gammas = _comma_list(args.gammas, float, "--gammas")
     n, length = args.n, args.length
 
     def bound_dict(b) -> dict[str, Any]:
@@ -350,14 +347,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         list(bounds_mod.n2_gap_window(length)) if n == 2 else None
     )
     if args.curve_times is not None:
-        try:
-            times = [float(s) for s in args.curve_times.split(",") if s.strip()]
-        except ValueError:
-            raise UsageError(
-                f"bad --curve-times value {args.curve_times!r}"
-            ) from None
-        if not times:
-            raise UsageError("--curve-times needs at least one entry")
+        times = _comma_list(args.curve_times, float, "--curve-times")
         if not all(math.isfinite(t) for t in times):
             raise UsageError(f"--curve-times must be finite, got {args.curve_times!r}")
         payload["entropy_curve"] = [
@@ -377,11 +367,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_escape(args: argparse.Namespace) -> int:
-    try:
-        times = [int(s) for s in args.times.split(",") if s.strip()]
-    except ValueError:
-        raise UsageError(f"bad --times value {args.times!r}") from None
-    cfg = _sim_config(args, length=args.length, t_max=max(times) if times else 0)
+    times = _comma_list(args.times, int, "--times")
+    cfg = _sim_config(args, length=args.length, t_max=max(times))
     res = cone_escape_probability(cfg, args.depth, times)
     payload = {
         "n": args.n,

@@ -58,7 +58,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -814,15 +813,6 @@ def sample_sector_string(
     return tuple(int(s) for s in out[0])
 
 
-def _cone_sector_table(
-    n: int, length: int, depth: int
-) -> tuple[list[int], list[Fraction]]:
-    """Depths in the cone with their total state-mass fractions."""
-    masses = _cone_masses(n, length, depth)
-    total = sum(masses)
-    return list(range(depth, length + 1, 2)), [Fraction(m, total) for m in masses]
-
-
 def sample_cone_states(
     n: int,
     length: int,
@@ -851,11 +841,14 @@ def sample_cone_states(
         raise UsageError(f"{len(sizes)} block sizes for {len(rngs)} generators")
     if any(m < 0 for m in sizes):
         raise UsageError("block sizes must be nonnegative")
-    depths, probs = _cone_sector_table(n, length, depth)
-    cum = np.cumsum([float(p) for p in probs])
+    masses = _cone_masses(n, length, depth)
+    total = sum(masses)
+    # int / int is correctly rounded, as float(Fraction(m, total)) is
+    cum = np.cumsum([m / total for m in masses])
     cum[-1] = 1.0
+    depths = np.arange(depth, length + 1, 2)
     u = _block_floats(rngs, sizes)
-    dd = np.array(depths)[np.searchsorted(cum, u, side="right")]
+    dd = depths[np.searchsorted(cum, u, side="right")]
     # the anchor, then a uniform non-backtracking branch down to depth L;
     # the walk reads each row's word only up to its depth
     words = np.empty((len(dd), depths[-1]), state_dtype(n))

@@ -50,22 +50,33 @@ class TestSectorDims:
             row = [census.sector_dim(n, length, d) for d in range(length % 2, length + 1, 2)]
             assert all(a > b for a, b in zip(row, row[1:]))
 
-    def test_row_cap_counts_every_alphabet(self, monkeypatch):
-        # one cap for the rows of all alphabets: growing past it drops the
-        # other alphabets first, and one alphabet alone past it still raises
-        monkeypatch.setattr(census, "_ROWS", {})
-        cap = census._rows_bytes(3, 60) + census._rows_bytes(4, 30)
-        monkeypatch.setattr(census, "_ROWS_CAP_BYTES", cap)
-        assert census.sector_dim(3, 60, 0) == census.sector_dims(3, 60).dims[0]
-        assert census.sector_dim(4, 30, 2) > 0
-        assert set(census._ROWS) == {3, 4}  # both fit under the cap
-        census.sector_dim(4, 40, 0)
-        assert set(census._ROWS) == {4}
-        row = census.sector_dim_rows(3, 20)[20]
-        assert set(census._ROWS) == {3, 4}
-        assert row == tuple(census.sector_dim(3, 20, d) for d in range(21))
-        with pytest.raises(ResourceCapError):
-            census.sector_dim(5, 100, 0)
+    def test_only_the_last_alphabets_pair_is_kept(self):
+        census.sector_dim(3, 20, 0)
+        census.sector_dim(4, 10, 2)
+        n, prev, row = census._PAIR
+        assert n == 4
+        assert (prev, row) == tuple(census.sector_dim_rows(4, 10)[9:])
+
+    def test_length_past_the_cap_raises(self):
+        with pytest.raises(ResourceCapError, match="above the cap of 1 GiB"):
+            census.sector_dim(3, 100_000, 0)
+        with pytest.raises(ResourceCapError, match="above the cap of 1 GiB"):
+            census.sector_dim_rows(3, 100_000)
+
+    def test_rows_read_in_any_order_match_one_walk(self):
+        walks = {n: census.sector_dim_rows(n, 40) for n in (2, 3, 5)}
+        # one alphabet: descending, a row below the kept pair, row 0, steps up
+        reads = [(3, length) for length in (40, 39, 38, 30, 0, 1, 25, 27, 40, 12)]
+        # alphabets alternating at every read
+        reads += [(n, length) for length in (40, 20, 21, 0) for n in (2, 3, 5)]
+        for n, length in reads:
+            got = [census.sector_dim(n, length, d) for d in range(length + 1)]
+            assert got == list(walks[n][length]), (n, length)
+
+    def test_rows_list_is_new_each_call(self):
+        rows = census.sector_dim_rows(3, 5)
+        rows.append(None)
+        assert len(census.sector_dim_rows(3, 5)) == 6
 
     def test_sector_dim_out_of_range(self):
         assert census.sector_dim(3, 4, 3) == 0

@@ -4,17 +4,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import pairflip.census
 import pairflip.chains
 import pairflip.cli
 import pairflip.spectra
@@ -518,6 +519,15 @@ class TestSimulateCommand:
         assert code == 1
         assert "initial" in err
 
+    def test_initial_with_a_letter(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n", "2", "--length", "4", "--t-max", "5",
+            "--initial", "2a21",
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "bad --initial value '2a21'" in err
+
     def test_bad_observable(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -593,6 +603,13 @@ class TestSweepCommand:
             capsys, "sweep", "--n", "2", "--lengths", "4;6", "--t-max", "5"
         )
         assert code == 1
+
+    def test_empty_lengths_names_the_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "2", "--lengths", ",", "--t-max", "5"
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--lengths needs at least one entry" in err
 
 
 class TestBoundsCommand:
@@ -721,6 +738,25 @@ class TestEscapeCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("times", ["", ",,"])
+    def test_empty_times_names_the_flag(self, capsys, times):
+        code, out, err = run_cli(
+            capsys,
+            "escape", "--n", "3", "--length", "6", "--depth", "2",
+            "--times", times,
+        )
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "--times needs at least one entry" in err
+
+    def test_bad_times_entry(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "escape", "--n", "3", "--length", "6", "--depth", "2",
+            "--times", "0,1.5",
+        )
+        assert code == 1
+        assert "bad --times value '0,1.5'" in err
+
 
 class TestAlphabetLimit:
     # trajectories are int8 arrays: 127 symbols fit, 128 do not
@@ -777,6 +813,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
         assert code == 0
         assert "ok   montecarlo.carried_word_matches_reduction: ok" in out.splitlines()
+
+    def test_rows_any_order_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "census")
+        assert code == 0
+        assert "ok   census.rows_any_order: ok" in out.splitlines()
 
     def test_local_iterative_check_listed_and_passing(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "gaps")
@@ -902,12 +943,34 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "GiB" in err
 
-    def test_long_census_below_the_memory_cap(self, capsys, monkeypatch):
-        # a private row cache, so the 2000 rows are freed after the test
-        monkeypatch.setattr(pairflip.census, "_ROWS", {})
+    def test_long_census_below_the_memory_cap(self, capsys):
         code, out, err = run_cli(capsys, "census", "--n", "3", "--length", "2000")
         assert code == 0 and err == ""
         assert out.count("\n") == 1 + 1001
+
+    def test_long_n2_charge_cut_stays_small(self):
+        # the cut reads rows L and L-1 alone; a process that kept every row
+        # up to L = 3468 peaked near 900 MiB. A forked child's ru_maxrss
+        # starts at its parent's RSS, so the command runs under a small
+        # interpreter, not under pytest, which reads its child's peak.
+        script = (
+            "import resource, subprocess, sys\n"
+            "argv = ['expansion', '--n', '2', '--length', '3468', '--charge', '2']\n"
+            "proc = subprocess.run([sys.executable, '-m', 'pairflip.cli', *argv],"
+            " stdout=subprocess.DEVNULL)\n"
+            "print(proc.returncode,"
+            " resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = str(Path(pairflip.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, maxrss_kib = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert int(maxrss_kib) < 256 * 1024
 
 
 class TestMonteCarloCommandsProperty:
@@ -1021,14 +1084,7 @@ def _strict_json(text: str):
 
 def _run_captured(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with (
-        pytest.MonkeyPatch.context() as mp,
-        contextlib.redirect_stdout(out),
-        contextlib.redirect_stderr(err),
-    ):
-        # a private row cache per call, so that the dimension rows of many
-        # wide alphabets do not pile up over the examples
-        mp.setattr(pairflip.census, "_ROWS", {})
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 

@@ -10,6 +10,7 @@ consumers must not certify anything with them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Mapping
@@ -29,6 +30,21 @@ class BoundValue:
 
 
 mean_depth_fraction = drift_velocity
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _scaled_exp(prefactor: float, exponent: float) -> tuple[float, float]:
+    """``prefactor * e**exponent`` for a positive prefactor, and its log.
+
+    The value is ``inf`` once it passes the largest double; the log,
+    which the bounds report in ``meta["log_value"]``, stays finite.
+    """
+    log_value = math.log(prefactor) + exponent
+    try:
+        return prefactor * math.exp(exponent), log_value
+    except OverflowError:  # e**exponent alone passes the largest double
+        return (math.exp(log_value) if log_value < _LOG_MAX else math.inf), log_value
 
 
 def _profile_constant(n: int, x: float) -> float:
@@ -88,7 +104,9 @@ def thm3_charge_time_lower(n: int, length: int, gamma: float) -> BoundValue:
 
     with eta = 2 gamma, valid on 0 < gamma < v/2. Outside the window
     the value is still evaluated but flagged invalid; the weaker
-    comparison constant D_gamma is reported in the meta.
+    comparison constant D_gamma is reported in the meta, and so is the
+    natural log of the value, ``log_value``, which stays finite where
+    the value passes the largest double and becomes ``inf``.
     """
     check_size(n, length)
     if gamma < 0 or gamma >= 1:
@@ -112,7 +130,7 @@ def thm3_charge_time_lower(n: int, length: int, gamma: float) -> BoundValue:
         * math.exp(-(eta - v) * (1 - v))
     )
     exponent = length * (2 * gamma - v) ** 2 / 2
-    value = gamma * d_const * math.sqrt(length) * math.exp(exponent)
+    value, log_value = _scaled_exp(gamma * d_const * math.sqrt(length), exponent)
     comparison = (
         2
         * (1 + 2 * gamma)
@@ -127,6 +145,7 @@ def thm3_charge_time_lower(n: int, length: int, gamma: float) -> BoundValue:
             "eta": eta,
             "D": d_const,
             "exponent": exponent,
+            "log_value": log_value,
             "window": (0.0, v / 2),
             "comparison_D": comparison,
         },
@@ -139,6 +158,8 @@ def thm2_entropy_time_lower(n: int, length: int, gamma: float) -> BoundValue:
     Valid on gamma_* < gamma < 1 with
     ``gamma_* = 2 (1 - v ln(n-1)/ln n)``; for n = 2 and for any n where
     gamma_* >= 1 the window is empty and every evaluation is flagged.
+    As for :func:`thm3_charge_time_lower`, ``meta["log_value"]`` is the
+    natural log of the value and stays finite where the value is ``inf``.
     """
     check_size(n, length)
     if not 0 < gamma < 1:
@@ -157,11 +178,12 @@ def thm2_entropy_time_lower(n: int, length: int, gamma: float) -> BoundValue:
     lam = 0.5 * (x - v) ** 2
     f_const = _profile_constant(n, x)
     c_gamma = gamma / (2 * f_const)
-    value = c_gamma * math.sqrt(length) * math.exp(length * lam)
+    value, log_value = _scaled_exp(c_gamma * math.sqrt(length), length * lam)
     return BoundValue(
         value=value,
         valid=gamma_star < gamma < 1,
         meta={
+            "log_value": log_value,
             "gamma_star": gamma_star,
             "depth_fraction": x,
             "rate": lam,

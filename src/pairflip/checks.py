@@ -184,21 +184,26 @@ def check_gaps() -> list[CheckResult]:
             f"gap={g.gap!r}",
         )
     )
-    dense = spectral_gap(build_lumped(3, 6))
-    sparse = spectral_gap(build_lumped(3, 6), dense_cutoff=4)
+    # each pair names both cutoffs, so that the dense side stays dense
+    # whatever the default
+    chain = build_lumped(3, 6)
+    dense = spectral_gap(chain, dense_cutoff=chain.dimension)
+    sparse = spectral_gap(chain, dense_cutoff=4)
     out.append(
         _result(
             "spectra.iterative_matches_dense",
-            abs(dense.gap - sparse.gap) < 1e-9,
+            (dense.method, sparse.method) == ("dense", "iterative")
+            and abs(dense.gap - sparse.gap) < 1e-9,
             f"dense={dense.gap:.12f} iterative={sparse.gap:.12f}",
         )
     )
     agree, details = True, []
     for gate in GateKind:
         chain = build_full_local(3, 5, gate)
-        dense = spectral_gap(chain)
+        dense = spectral_gap(chain, dense_cutoff=chain.dimension)
         sparse = spectral_gap(chain, dense_cutoff=10)
-        agree &= sparse.method == "iterative" and abs(dense.gap - sparse.gap) < 1e-9
+        agree &= (dense.method, sparse.method) == ("dense", "iterative")
+        agree &= abs(dense.gap - sparse.gap) < 1e-9
         details.append(
             f"{gate.value}: dense={dense.gap:.12f} iterative={sparse.gap:.12f}"
         )

@@ -322,8 +322,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     n, length = args.n, args.length
 
     def bound_dict(b) -> dict[str, Any]:
-        # JSON has no Infinity: the empty thm2 window at N=2 is written as null
-        value = None if not b.valid and math.isinf(b.value) else b.value
+        # JSON has no Infinity: the empty thm2 window at N=2, and a value
+        # past the largest double (its meta keeps log_value), are null
+        value = None if math.isinf(b.value) else b.value
         return {"value": value, "valid": b.valid, "meta": dict(b.meta)}
 
     payload: dict[str, Any] = {"n": n, "length": length}
@@ -450,7 +451,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="ARPACK tolerance (local chain)")
     p.add_argument("--dense-cutoff", type=int, default=DENSE_CUTOFF,
-                   help="largest dense solve (local chain)")
+                   help="largest chain, in states, solved densely; ARPACK "
+                        f"above it (local chain; default {DENSE_CUTOFF}, the "
+                        "measured crossover)")
     p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS,
                    help="ARPACK iteration cap (local chain)")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,

@@ -1,6 +1,7 @@
 """Bound evaluators: exact anchors, windows, and cross-checks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,25 @@ class TestChargeTimeLower:
         assert d > 0 and comp > 0
         assert math.isfinite(d * comp)
 
+    def test_log_value(self):
+        b = thm3_charge_time_lower(3, 24, 0.1)
+        assert b.meta["log_value"] == pytest.approx(math.log(b.value), rel=1e-14)
+
+    def test_log_value_past_the_float_range(self):
+        # L (2 gamma - v)^2 / 2 is 2154 here: the value is inf, its log is not
+        b = thm3_charge_time_lower(3, 2000, 0.9)
+        assert b.value == math.inf
+        expected = math.log(0.9 * b.meta["D"] * math.sqrt(2000)) + b.meta["exponent"]
+        assert b.meta["log_value"] == pytest.approx(expected, rel=1e-14)
+
+    def test_exponential_past_the_float_range_with_a_small_prefactor(self):
+        # e**exponent alone overflows, but the prefactor brings the value
+        # back under the largest double
+        b = thm3_charge_time_lower(3, 12800, 1e-4)
+        assert b.meta["exponent"] > math.log(sys.float_info.max)
+        assert b.meta["log_value"] < math.log(sys.float_info.max)
+        assert b.value == pytest.approx(math.exp(b.meta["log_value"]), rel=1e-12)
+
     def test_rejects(self):
         with pytest.raises(UsageError):
             thm3_charge_time_lower(3, 5, 0.0)  # odd length at gamma 0
@@ -183,6 +203,20 @@ class TestEntropyTimeLower:
         a = thm2_entropy_time_lower(5, 20, 0.98)
         b = thm2_entropy_time_lower(5, 40, 0.98)
         assert b.value > a.value > 0
+
+    def test_log_value(self):
+        b = thm2_entropy_time_lower(5, 40, 0.98)
+        assert b.meta["log_value"] == pytest.approx(math.log(b.value), rel=1e-14)
+
+    @pytest.mark.parametrize("length,gamma", [(1200, 0.1), (1000, 0.05)])
+    def test_log_value_past_the_float_range(self, length, gamma):
+        b = thm2_entropy_time_lower(3, length, gamma)
+        assert b.value == math.inf
+        expected = (
+            math.log(b.meta["C"] * math.sqrt(length)) + length * b.meta["rate"]
+        )
+        assert b.meta["log_value"] == pytest.approx(expected, rel=1e-14)
+        assert math.log(sys.float_info.max) < b.meta["log_value"] < math.inf
 
     def test_two_symbols_flagged(self):
         b = thm2_entropy_time_lower(2, 10, 0.5)

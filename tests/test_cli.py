@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ import pairflip.chains
 import pairflip.cli
 import pairflip.spectra
 from pairflip.census import cone_stats, k0_asymptotic, kd_asymptotic
+from pairflip.chains import GateKind, build_full_local
 from pairflip.cli import main
 
 
@@ -266,7 +268,7 @@ class TestGapCommand:
         )
         assert code == 0 and err == ""
         d = json.loads(out)
-        assert d["method"] == "dense"
+        assert d["method"] == "iterative"  # 729 states, above the cutoff
         assert d["cheeger_witness"] == "cone d=2"
         assert d["phi_min"] == float(cone_stats(3, 6, 2).boundary_flow)
         assert d["gap"] <= d["cheeger_upper"]
@@ -309,6 +311,20 @@ class TestGapCommand:
         assert "caveat" not in d  # every path returns the eigenvalue gap
         assert d["chain"] == "local"
         assert 0.0 < d["gap"] < 1.0
+
+    @pytest.mark.parametrize("gate", ["pf", "tl"])
+    def test_local_gap_at_the_default_cutoff(self, capsys, gate):
+        # 729 states go to ARPACK, and find the gap of the whole spectrum
+        code, out, _ = run_cli(
+            capsys, "gap", "--n", "3", "--length", "6", "--chain", "local",
+            "--gate", gate,
+        )
+        assert code == 0
+        d = json.loads(out)
+        assert d["method"] == "iterative"
+        mat = build_full_local(3, 6, GateKind.parse(gate)).matrix.toarray()
+        mods = np.sort(np.abs(np.linalg.eigvals(mat)))
+        assert abs(d["gap"] - (1.0 - mods[-2])) < 1e-12
 
     @pytest.mark.parametrize(
         "gate,gap", [("pf", 0.0077518715347026), ("tl", 0.00430296282287046)]
@@ -659,18 +675,30 @@ class TestBoundsCommand:
         assert curve[1]["value"] > curve[0]["value"]
         assert curve[0]["valid"] is True
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("--n", "3", "--length", "1001", "--gammas", "0.9"),
-            ("--n", "1000000", "--length", "120"),
-        ],
-    )
-    def test_bound_past_the_float_range(self, capsys, argv):
-        # a lower bound on a time cannot be rounded to inf
-        code, out, err = run_cli(capsys, "bounds", *argv)
+    def test_exact_bound_past_the_float_range(self, capsys):
+        # 1 / Phi(C_2) at N=10^6 is a Fraction past the largest double
+        code, out, err = run_cli(capsys, "bounds", "--n", "1000000", "--length", "120")
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "numerical failure" in err
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (("--length", "1200"), "thm2"),
+            (("--length", "1000", "--gammas", "0.05"), "thm2"),
+            (("--length", "1001", "--gammas", "0.9"), "thm3"),
+            (("--length", "600", "--gammas", "0.99"), "thm3"),
+            (("--length", "2000", "--gammas", "0.9"), "thm3"),
+        ],
+    )
+    def test_exponential_bound_past_the_float_range_is_null(self, capsys, argv, key):
+        # the value passes the largest double: it is written as null, never
+        # rounded, and its log stays in the meta
+        code, out, err = run_cli(capsys, "bounds", "--n", "3", *argv)
+        assert code == 0 and err == ""
+        bound = _strict_json(out)[key][0]
+        assert bound["value"] is None
+        assert math.log(sys.float_info.max) < bound["meta"]["log_value"] < math.inf
 
     @pytest.mark.parametrize("n, length", [("3", "700"), ("1000000", "60")])
     def test_gap_bound_past_the_float_range_of_n_to_the_l(self, capsys, n, length):
@@ -1254,6 +1282,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0].startswith("d,multiplicity")
+
+    def test_package_invocation_help(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairflip", "--help"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "usage: pairflip" in proc.stdout
 
     def test_help_exits_zero(self):
         proc = subprocess.run(

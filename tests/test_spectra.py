@@ -54,7 +54,8 @@ class TestGapResult:
 
 class TestPrecision:
     def test_dense_precision_is_small_and_relative(self):
-        res = spectral_gap(build_lumped(3, 6))
+        res = spectral_gap(build_lumped(3, 6), dense_cutoff=127)
+        assert res.method == "dense"
         assert 0 < res.precision < 1e-12
         assert res.precision == pytest.approx((res.residual + 127 * 2.0**-52) / res.gap)
 
@@ -128,11 +129,13 @@ def _eigvals_gap(mat: np.ndarray) -> float:
 
 
 class TestSymmetricDenseGap:
+    # each test names a cutoff that keeps its chains on the dense path
+
     @pytest.mark.parametrize("n,max_length", [(2, 12), (3, 7), (4, 5), (5, 4)])
     def test_lumped_matches_eigvals(self, n, max_length):
         for length in range(1, max_length + 1):
             ch = build_lumped(n, length)
-            res = spectral_gap(ch)
+            res = spectral_gap(ch, dense_cutoff=ch.dimension)
             assert res.method == "dense" and res.iterations == 0
             assert abs(res.gap - _eigvals_gap(ch.matrix.toarray())) < 1e-12
             assert res.residual < 1e-12
@@ -141,7 +144,7 @@ class TestSymmetricDenseGap:
     def test_nonlocal_matches_eigvals_of_full_matrix(self, n):
         for length in range(1, 7):
             ch = build_full_nonlocal(n, length)
-            res = spectral_gap(ch)
+            res = spectral_gap(ch, dense_cutoff=ch.dimension)
             assert res.method == "dense"
             assert abs(res.gap - _eigvals_gap(ch.matrix.toarray())) < 1e-12
             assert res.residual < 1e-12
@@ -173,18 +176,20 @@ class TestIterativeGap:
         assert it.iterations > 0
 
     def test_nonlocal_compression_matches_dense(self):
-        ch = build_full_nonlocal(3, 6)
-        dense = spectral_gap(ch)
+        ch = build_full_nonlocal(3, 6)  # 127 sectors
+        dense = spectral_gap(ch, dense_cutoff=127)
         comp = spectral_gap(ch, dense_cutoff=10)
+        assert dense.method == "dense" and comp.method == "iterative"
         assert abs(dense.gap - comp.gap) < 1e-9
 
     def test_local_matches_dense(self):
-        # the nonsymmetric chain goes through eigs on the deflated matrix
-        for length in (5, 6):
+        # the nonsymmetric chain goes through eigs on the deflated matrix;
+        # L=4 (81 states) is the first length above the default cutoff
+        for length in (4, 5, 6):
             for gate in GateKind:
                 for reverse in (False, True):
                     ch = build_full_local(3, length, gate, reverse_layers=reverse)
-                    dense = spectral_gap(ch)
+                    dense = spectral_gap(ch, dense_cutoff=ch.dimension)
                     it = spectral_gap(ch, dense_cutoff=10)
                     assert dense.method == "dense" and it.method == "iterative"
                     assert abs(dense.gap - it.gap) < 1e-12
@@ -210,6 +215,27 @@ class TestIterativeGap:
         ch = StochasticChain.from_matrix(np.array([[0.7, 0.3], [0.2, 0.8]]))
         with pytest.raises(UsageError):
             spectral_gap(ch, dense_cutoff=1)
+
+    def test_raw_chain_above_the_default_cutoff_names_the_cutoff(self):
+        # neither doubly stochastic nor reversible: ARPACK cannot deflate
+        # it, and the error says how to solve it densely
+        mat = np.random.default_rng(5).random((100, 100))
+        ch = StochasticChain.from_matrix(mat / mat.sum(axis=1, keepdims=True))
+        with pytest.raises(UsageError, match="dense_cutoff >= 100"):
+            spectral_gap(ch)
+        res = spectral_gap(ch, dense_cutoff=100)
+        assert res.method == "dense"
+        assert res.gap == pytest.approx(_eigvals_gap(ch.matrix.toarray()), abs=1e-12)
+
+
+class TestDefaultCutoff:
+    @pytest.mark.parametrize("n,length,method", [(2, 6, "dense"), (3, 4, "iterative")])
+    def test_the_floor_is_64_states(self, n, length, method):
+        # 64 states solve densely at the default cutoff, 81 through ARPACK
+        ch = build_full_local(n, length)
+        res = spectral_gap(ch)
+        assert res.method == method
+        assert abs(res.gap - _eigvals_gap(ch.matrix.toarray())) < 1e-12
 
     @pytest.mark.parametrize(
         "tol,max_iterations", [(0.0, 10), (-1.0, 10), (math.nan, 10),

@@ -117,11 +117,15 @@ def thm3_charge_time_lower(n: int, length: int, gamma: float) -> BoundValue:
             raise UsageError("the depth-2 cone needs an even length")
         flow = cone_stats(n, length, 2).boundary_flow
         exact = 1 / flow
-        return BoundValue(
-            value=float(exact),
-            valid=True,
-            meta={"exact": exact, "flow": flow},
-        )
+        meta: dict[str, Any] = {"exact": exact, "flow": flow}
+        try:
+            value = float(exact)
+        except OverflowError:  # past the largest double
+            value = math.inf
+            meta["log_value"] = math.log(exact.numerator) - math.log(
+                exact.denominator
+            )
+        return BoundValue(value=value, valid=True, meta=meta)
     eta = 2 * gamma
     d_const = (
         n**2

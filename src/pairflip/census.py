@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
-import mpmath
 import numpy as np
 
 from .errors import ResourceCapError, UsageError
@@ -472,6 +471,8 @@ def tl_zero_modes_closed(n: int, length: int) -> float:
     Needs N >= 3 (the denominator degenerates at N = 2); the result is the
     correctly rounded float of the exact integer.
     """
+    import mpmath
+
     if n < 3:
         raise UsageError("closed form degenerates at N=2, use tl_zero_modes")
     check_size(n, length, 0)

@@ -22,10 +22,9 @@ import enum
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .census import sector_dim
 from .errors import NumericError, ResourceCapError, UsageError
@@ -40,6 +39,9 @@ from .walks import (
     reduce_symbols,
     sector_index,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_STATE_CAP = 1 << 20
 
@@ -186,6 +188,8 @@ class StochasticChain:
         kind: str = "custom",
         stationary: np.ndarray | None = None,
     ) -> "StochasticChain":
+        import scipy.sparse as sp
+
         return cls(kind=kind, matrix=sp.csr_matrix(matrix), stationary=stationary)
 
     def exact_entry(self, i: int, j: int) -> Fraction:
@@ -196,6 +200,8 @@ class StochasticChain:
 
 def layer_matrix(n: int, length: int, kind: GateKind, parity: str) -> sp.csr_matrix:
     """One brickwork layer as a float CSR matrix on the full state space."""
+    import scipy.sparse as sp
+
     pairs = layer_pairs(length, parity)
     paired = {i for p in pairs for i in p}
     gate = sp.csr_matrix(gate_matrix(n, kind))
@@ -215,6 +221,8 @@ def layer_matrix(n: int, length: int, kind: GateKind, parity: str) -> sp.csr_mat
 
 def boundary_resample_matrix(n: int, length: int) -> sp.csr_matrix:
     """Uniform resampling of the last site, float CSR."""
+    import scipy.sparse as sp
+
     ones = sp.csr_matrix(np.full((n, n), 1.0 / n))
     if length == 1:
         return ones
@@ -282,6 +290,8 @@ def _exact_local_rows(
 
 
 def _csr_from_exact(rows: Sequence[Mapping[int, Fraction]]) -> sp.csr_matrix:
+    import scipy.sparse as sp
+
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -313,6 +323,8 @@ def build_full_local(
     rational rows are kept alongside the float matrix; intended for
     small systems.
     """
+    import scipy.sparse as sp
+
     check_size(n, length)
     _check_cap(n, length, cap)
     order = ("odd", "even") if reverse_layers else ("even", "odd")
@@ -361,6 +373,8 @@ def sector_projectors(
     :func:`build_lumped`. ``S @ R`` is the sector identity and
     ``R @ S`` the in-sector uniformization projector.
     """
+    import scipy.sparse as sp
+
     col, _ = state_sector_codes(n, length, cap=cap)
     basis = tuple(enumerate_sectors(n, length, max_count=cap))
     total = n**length
@@ -389,6 +403,8 @@ def build_full_nonlocal(
     Exact rows enumerate sector members and are meant for small
     systems only.
     """
+    import scipy.sparse as sp
+
     check_size(n, length)
     _check_cap(n, length, cap)
     uniform = np.full(n**length, 1.0 / n**length)

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import bounds, census
 from .chains import (
@@ -175,6 +174,8 @@ def check_lumping() -> list[CheckResult]:
 
 
 def check_gaps() -> list[CheckResult]:
+    import scipy.linalg
+
     out = []
     g = spectral_gap(build_full_nonlocal(2, 5))
     out.append(

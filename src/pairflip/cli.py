@@ -166,6 +166,11 @@ def _cmd_gap(args: argparse.Namespace) -> int:
             cheeger_witness=report.witness,
             phi_min=report.phi_min,
         )
+        if report.lower_witness < sys.float_info.min:
+            # phi^2/2 below the normal float range: null and its log, as
+            # bounds does past the largest double
+            payload["cheeger_lower_witness"] = None
+            payload["cheeger_lower_witness_log"] = report.lower_log
     if args.export_matrix:
         buf = _io.StringIO()
         count = export_coo(chain, buf)

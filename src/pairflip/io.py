@@ -41,6 +41,8 @@ def json_ready(obj: Any) -> Any:
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":  # tolist() already gives JSON scalars
+            return obj.tolist()
         return [json_ready(x) for x in obj.tolist()]
     if isinstance(obj, Mapping):
         return {str(k): json_ready(v) for k, v in obj.items()}

@@ -8,7 +8,8 @@ to the caller, it is not computed here.
 The lumped chain needs no matrix: its rates depend only on depth, so it
 is a radial walk on the N-regular tree and its spectrum splits into at
 most L+1 tridiagonal blocks of known multiplicity (:func:`lumped_blocks`).
-:func:`lumped_gap` ranks the float spectra of the blocks by modulus and
+:func:`lumped_gap` ranks the blocks by their smallest float eigenvalue
+(the spectrum lies in [0, 1], so no negative eigenvalue competes) and
 recomputes the slowest modes with relative accuracy (method
 ``"tridiagonal"``): each block generator ``I - B`` is a diagonally
 dominant M-matrix, whose smallest eigenvalue inverse iteration finds
@@ -54,13 +55,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .census import cone_stats, multiplicity, n2_charge_cut, sector_dim
 from .chains import StochasticChain, _lumped_rates, sector_projectors
@@ -75,6 +72,9 @@ from .walks import (
     reduce_states,
     sector_words,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DENSE_CUTOFF = 64  # states; the measured dense/ARPACK crossover
 DEFAULT_TOL = 1e-10
@@ -105,6 +105,8 @@ class GapResult:
 
 
 def _require_irreducible(chain: StochasticChain) -> None:
+    from scipy.sparse.csgraph import connected_components
+
     if chain.dimension < 2:
         raise UsageError("a one-state chain has no spectral gap")
     ncomp, _ = connected_components(chain.matrix, connection="strong")
@@ -121,6 +123,8 @@ def _compress_nonlocal(chain: StochasticChain) -> tuple[sp.csr_matrix, np.ndarra
     have the same nonzero spectrum), independent of any lumping
     assumption, and is reversible with respect to the sector masses.
     """
+    import scipy.sparse as sp
+
     r_mat, s_mat, _ = sector_projectors(chain.n, chain.length)
     comp = sp.csr_matrix((s_mat @ chain.matrix) @ r_mat)
     # sector sizes counted from R's columns, independent of the census
@@ -133,6 +137,8 @@ def _gap_operator(
 ) -> tuple[sp.csr_matrix, bool, np.ndarray]:
     """The matrix ``A`` whose spectrum gives the gap, whether it is
     symmetric, and the unit deflation vector ``r``."""
+    import scipy.sparse as sp
+
     if chain.kind == "nonlocal":
         mat, pi = _compress_nonlocal(chain)
     else:
@@ -176,17 +182,6 @@ def _dense_gap(mat: sp.csr_matrix, symmetric: bool) -> GapResult:
     return _gap_result(lam, "dense", residual, 0, mat.shape[0])
 
 
-class _CountedOperator(spla.LinearOperator):
-    def __init__(self, dim: int, apply):
-        super().__init__(dtype=np.float64, shape=(dim, dim))
-        self._apply = apply
-        self.count = 0
-
-    def _matvec(self, x):
-        self.count += 1
-        return self._apply(np.asarray(x).ravel())
-
-
 def _arpack_gap(
     mat: sp.csr_matrix,
     symmetric: bool,
@@ -197,6 +192,8 @@ def _arpack_gap(
 ) -> GapResult:
     """Gap from the largest eigenvalue modulus of ``mat`` with ``top``
     deflated, by ARPACK; ``iterations`` counts the matvecs."""
+    import scipy.sparse.linalg as spla
+
     dim = mat.shape[0]
     if not symmetric:
         drift = max(
@@ -219,7 +216,14 @@ def _arpack_gap(
     def apply(x: np.ndarray) -> np.ndarray:
         return mat @ x - top * (top @ x)
 
-    op = _CountedOperator(dim, apply)
+    matvecs = 0
+
+    def counted(x: np.ndarray) -> np.ndarray:
+        nonlocal matvecs
+        matvecs += 1
+        return apply(np.asarray(x).ravel())
+
+    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(dim)
     solve = spla.eigsh if symmetric else spla.eigs
     try:
@@ -239,7 +243,7 @@ def _arpack_gap(
     residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
     if residual > tol:
         raise NumericError(f"eigenpair residual {residual:.3e} above tol {tol:.3e}")
-    return _gap_result(lam, "iterative", residual, op.count, dim)
+    return _gap_result(lam, "iterative", residual, matvecs, dim)
 
 
 def spectral_gap(
@@ -424,30 +428,32 @@ def _leaky_bracket(
     return lo, hi, solves
 
 
-def _block_extremes(
-    up: np.ndarray, down: np.ndarray, leak: np.ndarray
-) -> tuple[float, float]:
-    """Smallest and largest float eigenvalue of a block generator."""
+def _block_bottom(up: np.ndarray, down: np.ndarray, leak: np.ndarray) -> float:
+    """Smallest float eigenvalue of a block generator."""
+    import scipy.linalg as sla
+
     diag, off = up + down + leak, np.sqrt(down[:-1] * up[1:])
-    ends = [
+    return float(
         sla.eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(i, i)
+            diag, off, eigvals_only=True, select="i", select_range=(0, 0)
         )[0]
-        for i in (0, diag.size - 1)
-    ]
-    return float(ends[0]), float(ends[1])
+    )
 
 
 def lumped_gap(n: int, length: int) -> GapResult:
     """Gap of the lumped chain from its blocks, without building it.
 
-    A generator eigenvalue ``mu`` is the chain eigenvalue ``1 - mu``, of
-    modulus gap ``min(mu, 2 - mu)``. The float spectra of all blocks
-    (``eigh_tridiagonal``, absolute error near ``size`` roundings) rank
-    the candidates; every block whose smallest float ``mu`` lies within
-    that error of the best bracket so far is then bracketed with
-    relative accuracy by :func:`_leaky_bracket`, and the radial block
-    through its difference form, which drops the stationary eigenvalue.
+    A generator eigenvalue ``mu`` is the chain eigenvalue ``1 - mu``. The
+    lumped chain shares its nonzero spectrum with the nonlocal chain
+    ``B P`` (bath and in-sector average, both symmetric projections), so
+    with ``P B P``, which is positive semidefinite: every ``mu`` lies in
+    [0, 1] and the gap is the smallest nonzero ``mu``. The smallest float
+    eigenvalue of every block (``eigh_tridiagonal``, absolute error near
+    ``size`` roundings) ranks the candidates; every block whose smallest
+    float ``mu`` lies within that error of the best bracket so far is
+    then bracketed with relative accuracy by :func:`_leaky_bracket`, and
+    the radial block through its difference form, which drops the
+    stationary eigenvalue.
     ``residual`` is the width of the winning bracket, ``iterations``
     counts the inverse-iteration solves and ``precision`` is the
     bracket's half-width relative to the gap plus ``10 size`` roundings
@@ -459,15 +465,12 @@ def lumped_gap(n: int, length: int) -> GapResult:
             generators.append((block.up, block.down, block.leak))
         elif (dual := _radial_dual(block)) is not None:
             generators.append(dual)
-    ends = [_block_extremes(*g) for g in generators]
-    # negative chain eigenvalues: mu near 2, never near a small gap
-    neg_k = max(range(len(ends)), key=lambda k: ends[k][1])
-    neg_gap = 2.0 - ends[neg_k][1]
+    bottoms = [_block_bottom(*g) for g in generators]
     best: tuple[float, float, int] | None = None
     solves = 0
-    for k in sorted(range(len(ends)), key=lambda k: ends[k][0]):
+    for k in sorted(range(len(bottoms)), key=bottoms.__getitem__):
         size = generators[k][0].size
-        if best is not None and ends[k][0] - 4 * size * _EPS > best[1]:
+        if best is not None and bottoms[k] - 4 * size * _EPS > best[1]:
             break
         lo, hi, used = _leaky_bracket(
             *generators[k], ceiling=math.inf if best is None else best[1]
@@ -479,18 +482,8 @@ def lumped_gap(n: int, length: int) -> GapResult:
     lo, hi, size = best
     if not 0 < lo <= hi < math.inf:
         raise NumericError(f"no bracket around the lumped gap: [{lo}, {hi}]")
-    gap = 0.5 * (lo + hi)
-    if neg_gap < gap:
-        slack = 4 * generators[neg_k][0].size * _EPS
-        return GapResult(
-            gap=neg_gap,
-            method="tridiagonal",
-            residual=slack,
-            iterations=solves,
-            precision=slack / neg_gap,
-        )
     return GapResult(
-        gap=gap,
+        gap=0.5 * (lo + hi),
         method="tridiagonal",
         residual=hi - lo,
         iterations=solves,
@@ -602,7 +595,12 @@ def n2_charge_subset(chain: StochasticChain, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CheegerReport:
-    """Candidate-cut sandwich around a measured gap."""
+    """Candidate-cut sandwich around a measured gap.
+
+    ``lower_witness`` is the float of ``phi_min^2 / 2``, 0 once that
+    falls below double precision's range; ``lower_log``, its natural log
+    from the exact expansion, stays finite.
+    """
 
     gap: GapResult
     candidates: Mapping[str, float]
@@ -611,6 +609,7 @@ class CheegerReport:
     upper: float
     lower_witness: float
     lower_certified: bool
+    lower_log: float
 
 
 def _cuts(n: int, length: int, cone, charge) -> dict:
@@ -674,12 +673,13 @@ def cheeger_check(
     candidate family contains the minimizing cut, and is otherwise
     reported as a witness value only.
     """
-    floats = {
-        label: float(phi) for label, phi in cut_expansions(n, length).items()
-    }
+    exact = cut_expansions(n, length)
+    floats = {label: float(phi) for label, phi in exact.items()}
     if not floats:
         return None
     witness, phi_min = min(floats.items(), key=lambda kv: kv[1])
+    phi = exact[witness]
+    lower_log = 2 * (math.log(phi.numerator) - math.log(phi.denominator)) - math.log(2)
     upper = 2.0 * phi_min
     lower = 0.5 * phi_min**2
     if gap.gap > upper + tol:
@@ -700,6 +700,7 @@ def cheeger_check(
         upper=upper,
         lower_witness=lower,
         lower_certified=certified,
+        lower_log=lower_log,
     )
 
 

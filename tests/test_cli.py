@@ -363,6 +363,29 @@ class TestGapCommand:
         assert d["cheeger_upper"] is None
         assert d["phi_min"] is None
 
+    def test_lower_witness_below_the_float_range_is_null(self, capsys):
+        # phi^2/2 at N=10, L=1000 is below the smallest double: it is
+        # written as null, never as 0, beside its log from the exact phi
+        code, out, err = run_cli(capsys, "gap", "--n", "10", "--length", "1000")
+        assert code == 0 and err == ""
+        d = _strict_json(out)
+        assert d["cheeger_lower_witness"] is None
+        phi = cone_stats(10, 1000, 2).boundary_flow
+        assert d["cheeger_witness"] == "cone d=2"
+        log_phi = math.log(phi.numerator) - math.log(phi.denominator)
+        assert d["cheeger_lower_witness_log"] == pytest.approx(
+            2 * log_phi - math.log(2), rel=1e-14
+        )
+        assert d["cheeger_lower_witness_log"] < math.log(sys.float_info.min)
+        assert d["phi_min"] > 0
+
+    def test_lower_witness_in_range_has_no_log(self, capsys):
+        code, out, _ = run_cli(capsys, "gap", "--n", "3", "--length", "6")
+        assert code == 0
+        d = _strict_json(out)
+        assert d["cheeger_lower_witness"] == 0.5 * d["phi_min"] ** 2
+        assert "cheeger_lower_witness_log" not in d
+
     def test_too_short_for_any_cut(self, capsys):
         # no cone fits at L=1 and charge cuts need N=2: the gap alone
         code, out, err = run_cli(capsys, "gap", "--n", "3", "--length", "1")
@@ -676,10 +699,24 @@ class TestBoundsCommand:
         assert curve[0]["valid"] is True
 
     def test_exact_bound_past_the_float_range(self, capsys):
-        # 1 / Phi(C_2) at N=10^6 is a Fraction past the largest double
+        # 1 / Phi(C_2) at N=10^6 is a Fraction past the largest double: it
+        # is written as null, and its log, from the exact value, in the meta
         code, out, err = run_cli(capsys, "bounds", "--n", "1000000", "--length", "120")
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "numerical failure" in err
+        assert code == 0 and err == ""
+        bound = _strict_json(out)["charge_time_exact"]
+        assert bound["value"] is None
+        exact = Fraction(bound["meta"]["exact"])
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        assert bound["meta"]["log_value"] == pytest.approx(log_exact, rel=1e-14)
+        assert math.log(sys.float_info.max) < bound["meta"]["log_value"] < math.inf
+
+    def test_exact_bound_in_range_has_no_log(self, capsys):
+        # inside the float range the gamma=0 value is written as before
+        code, out, _ = run_cli(capsys, "bounds", "--n", "3", "--length", "20")
+        assert code == 0
+        bound = _strict_json(out)["charge_time_exact"]
+        assert bound["value"] == float(Fraction(bound["meta"]["exact"]))
+        assert "log_value" not in bound["meta"]
 
     @pytest.mark.parametrize(
         "argv,key",

@@ -1,6 +1,7 @@
 """Gap, expansion, Cheeger, and escape-profile tests."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pairflip import spectra
 from pairflip.census import (
@@ -204,9 +206,9 @@ class TestIterativeGap:
     @pytest.mark.parametrize("solver", ["eigsh", "eigs"])
     def test_arpack_error_is_numeric(self, monkeypatch, solver):
         def fail(*args, **kwargs):
-            raise spectra.spla.ArpackError(-8)
+            raise spla.ArpackError(-8)
 
-        monkeypatch.setattr(spectra.spla, solver, fail)
+        monkeypatch.setattr(spla, solver, fail)
         ch = build_lumped(3, 8) if solver == "eigsh" else build_full_local(3, 4)
         with pytest.raises(NumericError, match="ARPACK error -8"):
             spectral_gap(ch, dense_cutoff=10)
@@ -435,6 +437,19 @@ class TestCheeger:
                 float(stats.boundary_flow)
             )
 
+    @pytest.mark.parametrize("n,length", [(2, 7), (3, 6), (10, 1000)])
+    def test_lower_log_is_the_exact_log(self, n, length):
+        # at N=10, L=1000 phi^2/2 is below the smallest double: the float
+        # is 0 and the log, taken from the exact expansion, stays finite
+        rep = cheeger_check(n, length, lumped_gap(n, length))
+        phi = cut_expansions(n, length)[rep.witness]
+        log_phi = math.log(phi.numerator) - math.log(phi.denominator)
+        assert rep.lower_log == pytest.approx(2 * log_phi - math.log(2), rel=1e-14)
+        if rep.lower_witness > 0:
+            assert rep.lower_log == pytest.approx(math.log(rep.lower_witness), rel=1e-14)
+        else:
+            assert n == 10 and rep.lower_log < math.log(sys.float_info.min)
+
     def test_violation_is_loud(self):
         fake = GapResult(gap=0.99, method="dense", residual=0.0, iterations=0)
         with pytest.raises(NumericError):
@@ -593,6 +608,53 @@ def _oracle_gap(n, length, guess):
             best = hi if best is None else min(best, hi)
         assert best is not None, "no eigenvalue below twice the guess"
         return float(best)
+
+
+class TestLumpedSpectrumSign:
+    """The lumped spectrum lies in [0, 1], so the gap is the smallest
+    nonzero generator eigenvalue and no negative chain eigenvalue can
+    set it."""
+
+    @pytest.mark.parametrize(
+        "n,length",
+        [(2, L) for L in range(1, 11)]
+        + [(3, L) for L in range(1, 11)]
+        + [(4, L) for L in range(1, 7)]
+        + [(5, L) for L in range(1, 6)],
+    )
+    def test_no_negative_eigenvalue(self, n, length):
+        chain = build_lumped(n, length)
+        root = np.sqrt(chain.stationary)
+        sym = root[:, None] * chain.matrix.toarray() / root[None, :]
+        assert np.linalg.eigvalsh(0.5 * (sym + sym.T)).min() > -1e-12
+
+    # (n, L, gap, residual, iterations, precision) as returned before the
+    # negative-eigenvalue branch was removed from lumped_gap
+    PINNED = [
+        (2, 1, 1.0, 0.0, 1, 2.220446049250313e-15),
+        (2, 2, 0.5, 0.0, 1, 2.220446049250313e-15),
+        (2, 5, 0.2, 1.1102230246251565e-16, 33, 6.938893903907228e-15),
+        (2, 8, 0.12499999999999999, 8.326672684688674e-17, 33, 9.2148511043888e-15),
+        (2, 13, 0.0769230769230769, 6.938893903907228e-17, 33, 1.599415044850616e-14),
+        (3, 1, 1.0, 0.0, 1, 2.220446049250313e-15),
+        (3, 2, 0.3333333333333333, 0.0, 1, 2.220446049250313e-15),
+        (3, 3, 0.20000000000000007, 8.326672684688674e-17, 23, 4.649058915617843e-15),
+        (3, 6, 0.06625546618132758, 1.3877787807814457e-17, 21, 6.7660675278886765e-15),
+        (3, 9, 0.03393025677167076, 2.0816681711721685e-17, 19, 1.1408987160173626e-14),
+        (3, 14, 0.014199988478427536, 3.469446951953614e-18, 17, 1.5665286068941982e-14),
+        (3, 40, 0.0008686512891619498, 2.6020852139652106e-18, 10, 4.5906694168809183e-14),
+        (3, 401, 2.6633927929453844e-14, 4.1020767071492614e-29, 7, 4.470797407170714e-13),
+        (4, 5, 0.05367636834732327, 2.0816681711721685e-17, 18, 6.85524733304663e-15),
+        (4, 10, 0.01016727332059034, 0.0, 14, 1.1102230246251565e-14),
+        (5, 7, 0.014846616777770234, 6.938893903907228e-18, 14, 9.115470228228811e-15),
+    ]
+
+    @pytest.mark.parametrize("n,length,gap,residual,iterations,precision", PINNED)
+    def test_gap_is_bit_identical(self, n, length, gap, residual, iterations, precision):
+        res = lumped_gap(n, length)
+        assert (res.gap, res.residual, res.iterations, res.precision) == (
+            gap, residual, iterations, precision
+        )
 
 
 class TestLumpedBlocks:

@@ -47,6 +47,19 @@ def _scaled_exp(prefactor: float, exponent: float) -> tuple[float, float]:
         return (math.exp(log_value) if log_value < _LOG_MAX else math.inf), log_value
 
 
+def _exact_value(exact: Fraction, meta: dict[str, Any]) -> float:
+    """The float of a positive exact value. Past the largest double it is
+    ``inf``, below the normal range it rounds toward 0, and ``meta`` then
+    gains its natural log, ``log_value``."""
+    try:
+        value = float(exact)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        meta["log_value"] = math.log(exact.numerator) - math.log(exact.denominator)
+    return value
+
+
 def _profile_constant(n: int, x: float) -> float:
     """Gaussian envelope prefactor F at depth fraction x = d/L."""
     v = float(mean_depth_fraction(n))
@@ -65,23 +78,23 @@ def thm1_gap_upper(n: int, length: int) -> BoundValue:
     Exactly ``|K_0| / n^L``; the meta carries the exact fraction and,
     for n >= 3, the fitted large-L asymptotic of the same ratio. Odd
     lengths have no frozen sectors, so the bound does not apply there.
+    Below the normal float range (N=10^6, L=120) the meta also carries
+    the natural logs, ``log_value`` and ``asymptotic_log``.
     """
     check_size(n, length)
     if length % 2:
         raise UsageError("frozen sectors need an even length")
     exact = Fraction(sector_dim(n, length, 0), n**length)
-    # in logs: K_0 and n**L pass the largest double long before their
-    # ratio underflows
-    asym = (
-        math.exp(_k0_log_asymptotic(n, length) - length * math.log(n))
-        if n >= 3
-        else None
-    )
-    return BoundValue(
-        value=float(exact),
-        valid=True,
-        meta={"exact": exact, "asymptotic": asym},
-    )
+    meta: dict[str, Any] = {"exact": exact, "asymptotic": None}
+    value = _exact_value(exact, meta)
+    if n >= 3:
+        # in logs: K_0 and n**L pass the largest double long before their
+        # ratio underflows
+        log_asym = _k0_log_asymptotic(n, length) - length * math.log(n)
+        meta["asymptotic"] = math.exp(log_asym)
+        if meta["asymptotic"] < sys.float_info.min:
+            meta["asymptotic_log"] = log_asym
+    return BoundValue(value=value, valid=True, meta=meta)
 
 
 def n2_gap_window(length: int) -> tuple[float, float]:
@@ -118,14 +131,7 @@ def thm3_charge_time_lower(n: int, length: int, gamma: float) -> BoundValue:
         flow = cone_stats(n, length, 2).boundary_flow
         exact = 1 / flow
         meta: dict[str, Any] = {"exact": exact, "flow": flow}
-        try:
-            value = float(exact)
-        except OverflowError:  # past the largest double
-            value = math.inf
-            meta["log_value"] = math.log(exact.numerator) - math.log(
-                exact.denominator
-            )
-        return BoundValue(value=value, valid=True, meta=meta)
+        return BoundValue(value=_exact_value(exact, meta), valid=True, meta=meta)
     eta = 2 * gamma
     d_const = (
         n**2

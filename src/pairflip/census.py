@@ -377,6 +377,19 @@ def cone_stats(n: int, length: int, depth: int) -> ConeStats:
     )
 
 
+def _cone_flows(n: int, length: int) -> dict[int, Fraction]:
+    """The boundary flow of the cone at every depth in one suffix pass:
+    volumes satisfy V(d) = (N-1)|K_d| + (N-1)^2 V(d+2), so all L/2 flows
+    take O(L) big-integer operations, as :func:`cone_stats` takes for one."""
+    check_size(n, length)
+    row, prev = _dims_row(n, length), _dims_row(n, length - 1)
+    flows, volume = {}, 0
+    for d in range(length, 1, -2):
+        volume = (n - 1) * row[d] + (n - 1) ** 2 * volume
+        flows[d] = Fraction((n - 1) * prev[d - 1], n * volume)
+    return flows
+
+
 class N2Expansion(NamedTuple):
     exact: Fraction
     asymptotic: float

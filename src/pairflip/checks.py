@@ -30,6 +30,7 @@ from .spectra import (
     cut_expansions,
     exact_escape_profile,
     lumped_blocks,
+    lumped_gap,
     n2_charge_subset,
     spectral_gap,
     subset_expansion,
@@ -231,12 +232,21 @@ def check_gaps() -> list[CheckResult]:
         )
         for b in lumped_blocks(3, 6)
     ])
-    drift = float(np.abs(np.sort(blocks) - np.linalg.eigvalsh(sym)).max())
+    spectrum = np.linalg.eigvalsh(sym)
+    drift = float(np.abs(np.sort(blocks) - spectrum).max())
     out.append(
         _result(
             "spectra.lumped_blocks_match_chain",
             drift < 1e-12,
             f"{blocks.size} eigenvalues, largest difference {drift:.1e}",
+        )
+    )
+    gap, chain_gap = lumped_gap(3, 6).gap, 1.0 - float(spectrum[-2])
+    out.append(
+        _result(
+            "spectra.block_zero_holds_the_gap",
+            abs(gap - chain_gap) < 1e-12,
+            f"block 0 {gap:.15f}, chain {chain_gap:.15f}",
         )
     )
     return out

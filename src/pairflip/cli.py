@@ -327,10 +327,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     n, length = args.n, args.length
 
     def bound_dict(b) -> dict[str, Any]:
-        # JSON has no Infinity: the empty thm2 window at N=2, and a value
-        # past the largest double (its meta keeps log_value), are null
-        value = None if math.isinf(b.value) else b.value
-        return {"value": value, "valid": b.valid, "meta": dict(b.meta)}
+        # JSON has no Infinity: the empty thm2 window at N=2 is null, and so
+        # is a value or an asymptotic out of the normal float range, whose
+        # log the meta keeps
+        meta, value = dict(b.meta), b.value
+        if math.isinf(value) or ("log_value" in meta and value < sys.float_info.min):
+            value = None
+        if "asymptotic_log" in meta:
+            meta["asymptotic"] = None
+        return {"value": value, "valid": b.valid, "meta": meta}
 
     payload: dict[str, Any] = {"n": n, "length": length}
     if length % 2 == 0:

@@ -8,15 +8,15 @@ to the caller, it is not computed here.
 The lumped chain needs no matrix: its rates depend only on depth, so it
 is a radial walk on the N-regular tree and its spectrum splits into at
 most L+1 tridiagonal blocks of known multiplicity (:func:`lumped_blocks`).
-:func:`lumped_gap` ranks the blocks by their smallest float eigenvalue
-(the spectrum lies in [0, 1], so no negative eigenvalue competes) and
-recomputes the slowest modes with relative accuracy (method
-``"tridiagonal"``): each block generator ``I - B`` is a diagonally
-dominant M-matrix, whose smallest eigenvalue inverse iteration finds
-through a subtraction-free elimination (Alfa, Xue & Ye, Math. Comp. 71,
-2002), so a gap far below double precision comes out right. The
-blocks also give the gap of the nonlocal chain ``B R S``, which has the
-nonzero spectrum of the lumped chain ``S B R``.
+The spectrum lies in [0, 1] and, by interlacing, block 0 holds its
+smallest nonzero generator eigenvalue, so :func:`lumped_gap` solves
+that one block with relative accuracy (method ``"tridiagonal"``): its
+generator ``I - B`` is a diagonally dominant M-matrix, whose smallest
+eigenvalue inverse iteration finds through a subtraction-free
+elimination (Alfa, Xue & Ye, Math. Comp. 71, 2002), so a gap far below
+double precision comes out right. The block also gives the gap of the
+nonlocal chain ``B R S``, which has the nonzero spectrum of the lumped
+chain ``S B R``.
 
 A chain given as a matrix, a built lumped chain included, is reduced to
 one matrix ``A`` and a unit vector ``r`` that is a left and right
@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .census import cone_stats, multiplicity, n2_charge_cut, sector_dim
+from .census import _cone_flows, multiplicity, n2_charge_cut, sector_dim
 from .chains import StochasticChain, _lumped_rates, sector_projectors
 from .errors import NumericError, UsageError
 from .walks import (
@@ -324,7 +324,8 @@ def lumped_blocks(n: int, length: int) -> list[LumpedBlock]:
     ``-p_t`` instead of ``(N-2) p_t``. Its multiplicity is the number of
     depth-``j`` vertices times one less than their number of children, so
     at N=2 only block 0 remains. Rates are the correctly rounded floats
-    of those exact quotients.
+    of those exact quotients, and every block slices the same lists, so
+    block 0, at index 1, holds the gap (:func:`lumped_gap`).
     """
     check_size(n, length)
     first = length % 2
@@ -354,26 +355,8 @@ def lumped_blocks(n: int, length: int) -> list[LumpedBlock]:
     return blocks
 
 
-def _radial_dual(block: LumpedBlock) -> tuple[np.ndarray, ...] | None:
-    """Generator rates ``(up, down, leak)`` whose spectrum is the radial
-    generator's without its zero, or None when that leaves nothing.
-
-    Differences ``g_i = f_{i+1} - f_i`` turn the radial generator into a
-    tridiagonal matrix whose transpose is again a diagonally dominant
-    M-matrix, with leaks ``down[0]`` and ``up[-1]`` at its two ends.
-    """
-    a, b = block.up, block.down
-    m = a.size - 1
-    if m == 0:
-        return None
-    leak = np.zeros(m)
-    leak[0] += b[0]
-    leak[-1] += a[m]
-    return np.concatenate(([0.0], b[1:m])), np.append(a[1:m], 0.0), leak
-
-
 def _leaky_bracket(
-    up: np.ndarray, down: np.ndarray, leak: np.ndarray, ceiling: float = math.inf
+    up: np.ndarray, down: np.ndarray, leak: np.ndarray
 ) -> tuple[float, float, int]:
     """Bracket ``(lo, hi)`` around the smallest eigenvalue of a leaky
     tridiagonal generator, and the number of inverse-iteration solves.
@@ -385,9 +368,9 @@ def _leaky_bracket(
     eigenvalue. The inverse ``M`` of the generator is positive, and for
     a positive ``x`` the ratios ``x_i / (M x)_i`` bracket the eigenvalue
     (Collatz-Wielandt). Iteration stops once the bracket is as narrow as
-    the rounding allows, stops shrinking or lies above ``ceiling``. An
-    excess below the normal float range raises NumericError: the
-    eigenvalue is then out of double precision's reach.
+    the rounding allows or stops shrinking. An excess below the normal
+    float range raises NumericError: the eigenvalue is then out of
+    double precision's reach.
     """
     a, b, s = up.tolist(), down.tolist(), leak.tolist()
     m = len(a)
@@ -420,7 +403,7 @@ def _leaky_bracket(
         if np.isnan(ratio).any():  # the iterate left the float range
             break
         lo, hi = max(lo, float(ratio.min())), min(hi, float(ratio.max()))
-        if hi - lo >= width or hi - lo <= m * _EPS * lo or lo > ceiling:
+        if hi - lo >= width or hi - lo <= m * _EPS * lo:
             break
         width = hi - lo
         top = max(y)
@@ -428,58 +411,38 @@ def _leaky_bracket(
     return lo, hi, solves
 
 
-def _block_bottom(up: np.ndarray, down: np.ndarray, leak: np.ndarray) -> float:
-    """Smallest float eigenvalue of a block generator."""
-    import scipy.linalg as sla
-
-    diag, off = up + down + leak, np.sqrt(down[:-1] * up[1:])
-    return float(
-        sla.eigh_tridiagonal(
-            diag, off, eigvals_only=True, select="i", select_range=(0, 0)
-        )[0]
-    )
-
-
 def lumped_gap(n: int, length: int) -> GapResult:
-    """Gap of the lumped chain from its blocks, without building it.
+    """Gap of the lumped chain from block 0, without building the chain.
 
     A generator eigenvalue ``mu`` is the chain eigenvalue ``1 - mu``. The
     lumped chain shares its nonzero spectrum with the nonlocal chain
     ``B P`` (bath and in-sector average, both symmetric projections), so
     with ``P B P``, which is positive semidefinite: every ``mu`` lies in
-    [0, 1] and the gap is the smallest nonzero ``mu``. The smallest float
-    eigenvalue of every block (``eigh_tridiagonal``, absolute error near
-    ``size`` roundings) ranks the candidates; every block whose smallest
-    float ``mu`` lies within that error of the best bracket so far is
-    then bracketed with relative accuracy by :func:`_leaky_bracket`, and
-    the radial block through its difference form, which drops the
-    stationary eigenvalue.
-    ``residual`` is the width of the winning bracket, ``iterations``
-    counts the inverse-iteration solves and ``precision`` is the
-    bracket's half-width relative to the gap plus ``10 size`` roundings
-    for the elimination and the solves.
+    [0, 1] and the gap is the smallest nonzero ``mu``. Block 0,
+    ``lumped_blocks(n, L)[1]``, always holds it. Write ``G`` for a
+    block's symmetrized generator ``diag(up + down + leak)`` with
+    off-diagonal ``sqrt(down[:-1] * up[1:])``, ``G_R`` for the radial
+    block's and ``mu_k`` for the k-th smallest eigenvalue. Every block
+    slices the same float rates, and rounding is monotone, so for the
+    float matrices too:
+
+    - at even L, ``G_0`` is ``G_R`` less its depth-0 row and column, and
+      Cauchy interlacing gives ``mu_1(G_0) <= mu_2(G_R)``;
+    - at odd L, ``G_0 = G_R + N p_1 e_0 e_0^T``, and rank-one interlacing
+      gives the same;
+    - for j >= 1, ``G_j`` is a trailing principal submatrix of ``G_0``
+      plus ``leak - p_top >= 0`` on its top diagonal entry, and Cauchy
+      interlacing and Weyl's inequality give ``mu_1(G_j) >= mu_1(G_0)``.
+
+    ``mu_2(G_R)`` is the radial block's smallest nonzero eigenvalue.
+    :func:`_leaky_bracket` brackets ``mu_1(G_0)`` with relative accuracy:
+    ``residual`` is the bracket's width, ``iterations`` counts its
+    inverse-iteration solves and ``precision`` is its half-width relative
+    to the gap plus ``10 size`` roundings for the elimination and the
+    solves.
     """
-    generators = []
-    for block in lumped_blocks(n, length):
-        if block.leak.any():
-            generators.append((block.up, block.down, block.leak))
-        elif (dual := _radial_dual(block)) is not None:
-            generators.append(dual)
-    bottoms = [_block_bottom(*g) for g in generators]
-    best: tuple[float, float, int] | None = None
-    solves = 0
-    for k in sorted(range(len(bottoms)), key=bottoms.__getitem__):
-        size = generators[k][0].size
-        if best is not None and bottoms[k] - 4 * size * _EPS > best[1]:
-            break
-        lo, hi, used = _leaky_bracket(
-            *generators[k], ceiling=math.inf if best is None else best[1]
-        )
-        solves += used
-        if best is None or lo + hi < best[0] + best[1]:
-            best = (lo, hi, size)
-    assert best is not None  # block 0 exists for every L >= 1
-    lo, hi, size = best
+    block = lumped_blocks(n, length)[1]
+    lo, hi, solves = _leaky_bracket(block.up, block.down, block.leak)
     if not 0 < lo <= hi < math.inf:
         raise NumericError(f"no bracket around the lumped gap: [{lo}, {hi}]")
     return GapResult(
@@ -487,7 +450,7 @@ def lumped_gap(n: int, length: int) -> GapResult:
         method="tridiagonal",
         residual=hi - lo,
         iterations=solves,
-        precision=(hi - lo) / (hi + lo) + 10 * size * _EPS,
+        precision=(hi - lo) / (hi + lo) + 10 * block.up.size * _EPS,
     )
 
 
@@ -656,13 +619,11 @@ def cut_expansions(n: int, length: int) -> dict[str, Fraction]:
     nonlocal and lumped chains alike, under the same labels, from closed
     forms (a cone's is its census boundary flow)."""
     check_size(n, length)
-    return _cuts(n, length, lambda depth: cone_stats(n, length, depth).boundary_flow,
+    return _cuts(n, length, _cone_flows(n, length).__getitem__,
                  lambda q: charge_expansion(n, length, q))
 
 
-def cheeger_check(
-    n: int, length: int, gap: GapResult, *, tol: float = 1e-9
-) -> CheegerReport | None:
+def cheeger_check(n: int, length: int, gap: GapResult) -> CheegerReport | None:
     """Sandwich the gap of a length-``length`` chain over ``n`` symbols
     between the expansions of its candidate cuts.
 
@@ -671,7 +632,10 @@ def cheeger_check(
     phi_min`` is asserted for all chains; the Cheeger lower bound
     ``phi_min^2 / 2`` is certified only in the two-symbol case, where the
     candidate family contains the minimizing cut, and is otherwise
-    reported as a witness value only.
+    reported as a witness value only. A bound is violated when the gap
+    passes it by more than the gap's ``precision`` plus a few roundings,
+    relative to the bound; a gap of unknown (NaN) or no (inf) precision
+    gets the roundings only.
     """
     exact = cut_expansions(n, length)
     floats = {label: float(phi) for label, phi in exact.items()}
@@ -682,13 +646,14 @@ def cheeger_check(
     lower_log = 2 * (math.log(phi.numerator) - math.log(phi.denominator)) - math.log(2)
     upper = 2.0 * phi_min
     lower = 0.5 * phi_min**2
-    if gap.gap > upper + tol:
+    slack = 4 * _EPS + (gap.precision if math.isfinite(gap.precision) else 0.0)
+    if gap.gap > upper * (1 + slack):
         raise NumericError(
             f"gap {gap.gap} violates the upper bound 2*phi = {upper} "
             f"(witness {witness})"
         )
     certified = n == 2
-    if certified and gap.gap < lower - tol:
+    if certified and gap.gap < lower * (1 - slack):
         raise NumericError(
             f"gap {gap.gap} below the certified lower bound {lower}"
         )

@@ -69,6 +69,19 @@ class TestGapUpper:
         assert math.isfinite(far.value) and far.value > 0
         assert math.isfinite(far.meta["asymptotic"]) and far.meta["asymptotic"] > 0
 
+    def test_below_the_float_range_keeps_logs(self):
+        # |K_0| / n^L is near 1e-327 at N=10^6, L=120: the float rounds to
+        # 0, and the logs come from the exact fraction and the fitted form
+        b = thm1_gap_upper(1000000, 120)
+        exact = b.meta["exact"]
+        assert b.value == 0.0 and b.meta["asymptotic"] == 0.0
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        assert b.meta["log_value"] == pytest.approx(log_exact, rel=1e-14)
+        assert b.meta["log_value"] < math.log(sys.float_info.min)
+        assert b.meta["asymptotic_log"] == pytest.approx(log_exact, rel=1e-3)
+        # inside the range neither log is added
+        assert set(thm1_gap_upper(3, 700).meta) == {"exact", "asymptotic"}
+
     def test_two_symbols_skip_asymptotic(self):
         b = thm1_gap_upper(2, 8)
         assert b.meta["asymptotic"] is None

@@ -264,6 +264,15 @@ class TestConeStats:
             with pytest.raises(UsageError):
                 census.cone_stats(3, 4, bad)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_suffix_pass_gives_every_flow(self, n):
+        for length in range(1, 201):
+            flows = census._cone_flows(n, length)
+            depths = range(2 + length % 2, length + 1, 2)
+            assert sorted(flows) == list(depths)
+            for d in depths:
+                assert flows[d] == census.cone_stats(n, length, d).boundary_flow
+
 
 class TestN2Expansion:
     def test_odd_closed_form(self):

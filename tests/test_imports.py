@@ -1,6 +1,7 @@
-"""Import graph: the Monte Carlo and closed-form commands load no sparse
-or dense linear algebra and no mpmath; the commands that need them load
-them when they run.
+"""Import graph: the Monte Carlo and closed-form commands, and the gap of
+the lumped and nonlocal chains (from the tridiagonal blocks), load no
+sparse or dense linear algebra and no mpmath; the commands that need them
+load them when they run.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -34,6 +35,8 @@ SCRIPT = textwrap.dedent(
          "--gate", "tl", "--seed", "1"],
         ["census", "--n", "3", "--length", "8"],
         ["bounds", "--n", "3", "--length", "8"],
+        ["gap", "--n", "3", "--length", "8", "--chain", "lumped"],
+        ["gap", "--n", "3", "--length", "8", "--chain", "nonlocal"],
     ]
     for k, argv in enumerate(light):
         assert main(argv + ["--out", str(out / f"{{k}}.json")]) == 0, argv

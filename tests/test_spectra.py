@@ -1,5 +1,6 @@
 """Gap, expansion, Cheeger, and escape-profile tests."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -455,6 +456,21 @@ class TestCheeger:
         with pytest.raises(NumericError):
             cheeger_check(3, 6, fake)
 
+    def test_tolerance_is_relative(self):
+        # the gap at L=400 is near 3e-14: an absolute tolerance of 1e-9
+        # let a gap 1 % above 2 phi through
+        res = lumped_gap(3, 400)
+        upper = cheeger_check(3, 400, res).upper
+        cheeger_check(3, 400, dataclasses.replace(res, gap=0.99 * upper))
+        with pytest.raises(NumericError, match="upper bound"):
+            cheeger_check(3, 400, dataclasses.replace(res, gap=1.01 * upper))
+        # and the certified two-symbol lower bound, 1 % below phi^2 / 2
+        res = lumped_gap(2, 401)
+        lower = cheeger_check(2, 401, res).lower_witness
+        cheeger_check(2, 401, dataclasses.replace(res, gap=1.01 * lower))
+        with pytest.raises(NumericError, match="lower bound"):
+            cheeger_check(2, 401, dataclasses.replace(res, gap=0.99 * lower))
+
     def test_candidate_cuts(self):
         cuts = candidate_cuts(build_lumped(2, 5))
         assert list(cuts) == [
@@ -531,6 +547,57 @@ def _block_spectrum(block):
     return sla.eigh_tridiagonal(
         block.diagonal, block.offdiagonal, eigvals_only=True
     )
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _generator_spectrum(block):
+    """Eigenvalues of a block's generator ``I - B``, ascending."""
+    return sla.eigh_tridiagonal(
+        block.up + block.down + block.leak, block.offdiagonal, eigvals_only=True
+    )
+
+
+def _swept_gap(n, length):
+    """``(gap, residual, precision)`` of the lumped gap from every block:
+    each block's smallest float eigenvalue ranks it, the radial block
+    entering through its difference form (which drops the stationary
+    zero), and every block whose float extreme lies within its rounding
+    of the best bracket so far is bracketed in turn. The sweep's ceiling,
+    which cut short brackets that could no longer win, is left out: it
+    changed only the solve count."""
+    generators = []
+    for block in lumped_blocks(n, length):
+        if block.leak.any():
+            generators.append((block.up, block.down, block.leak))
+        elif block.up.size > 1:
+            # differences f_{i+1} - f_i: a leaky generator with the radial
+            # spectrum less its zero, leaking down[0] and up[-1] at its ends
+            a, b, m = block.up, block.down, block.up.size - 1
+            leak = np.zeros(m)
+            leak[0] += b[0]
+            leak[-1] += a[m]
+            generators.append(
+                (np.concatenate(([0.0], b[1:m])), np.append(a[1:m], 0.0), leak)
+            )
+    bottoms = [
+        sla.eigh_tridiagonal(
+            up + down + leak, np.sqrt(down[:-1] * up[1:]), eigvals_only=True,
+            select="i", select_range=(0, 0),
+        )[0]
+        for up, down, leak in generators
+    ]
+    best = None
+    for k in sorted(range(len(bottoms)), key=bottoms.__getitem__):
+        size = generators[k][0].size
+        if best is not None and bottoms[k] - 4 * size * _EPS > best[1]:
+            break
+        lo, hi, _ = spectra._leaky_bracket(*generators[k])
+        if best is None or lo + hi < best[0] + best[1]:
+            best = (lo, hi, size)
+    lo, hi, size = best
+    return 0.5 * (lo + hi), hi - lo, (hi - lo) / (hi + lo) + 10 * size * _EPS
 
 
 def _exact_blocks(n, length):
@@ -629,7 +696,9 @@ class TestLumpedSpectrumSign:
         assert np.linalg.eigvalsh(0.5 * (sym + sym.T)).min() > -1e-12
 
     # (n, L, gap, residual, iterations, precision) as returned before the
-    # negative-eigenvalue branch was removed from lumped_gap
+    # negative-eigenvalue branch was removed from lumped_gap; iterations
+    # count block 0's solves only, which moves (3, 401) from the 7 solves
+    # of the all-block sweep to 3
     PINNED = [
         (2, 1, 1.0, 0.0, 1, 2.220446049250313e-15),
         (2, 2, 0.5, 0.0, 1, 2.220446049250313e-15),
@@ -643,7 +712,7 @@ class TestLumpedSpectrumSign:
         (3, 9, 0.03393025677167076, 2.0816681711721685e-17, 19, 1.1408987160173626e-14),
         (3, 14, 0.014199988478427536, 3.469446951953614e-18, 17, 1.5665286068941982e-14),
         (3, 40, 0.0008686512891619498, 2.6020852139652106e-18, 10, 4.5906694168809183e-14),
-        (3, 401, 2.6633927929453844e-14, 4.1020767071492614e-29, 7, 4.470797407170714e-13),
+        (3, 401, 2.6633927929453844e-14, 4.1020767071492614e-29, 3, 4.470797407170714e-13),
         (4, 5, 0.05367636834732327, 2.0816681711721685e-17, 18, 6.85524733304663e-15),
         (4, 10, 0.01016727332059034, 0.0, 14, 1.1102230246251565e-14),
         (5, 7, 0.014846616777770234, 6.938893903907228e-18, 14, 9.115470228228811e-15),
@@ -704,19 +773,28 @@ class TestLumpedBlocks:
         top = _block_spectrum(lumped_blocks(3, 10)[0])[-1]
         assert top == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("n,length", [(2, 9), (3, 8), (3, 9), (5, 6), (3, 300)])
-    def test_radial_difference_form(self, n, length):
-        # the radial block never holds the gap at these sizes, so its
-        # difference form is checked against the radial block directly
-        radial = lumped_blocks(n, length)[0]
-        mu = np.sort(1.0 - _block_spectrum(radial))[1:]  # drop the zero
-        up, down, leak = spectra._radial_dual(radial)
-        dual = sla.eigh_tridiagonal(
-            up + down + leak, np.sqrt(down[:-1] * up[1:]), eigvals_only=True
-        )
-        assert np.abs(dual - mu).max() < 1e-12
-        lo, hi, _ = spectra._leaky_bracket(up, down, leak)
-        assert lo <= hi and abs(0.5 * (lo + hi) - mu[0]) < 1e-12
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_block_zero_is_the_lowest(self, n):
+        # no block's smallest eigenvalue (the radial block's smallest
+        # nonzero one) lies below block 0's, up to the float solve's error
+        for length in range(1, 41):
+            radial, zero, *rest = lumped_blocks(n, length)
+            bottom = _generator_spectrum(zero)[0]
+            for block in rest:
+                size = block.up.size
+                assert _generator_spectrum(block)[0] >= bottom - 4 * size * _EPS
+            if radial.up.size > 1:
+                size = radial.up.size
+                assert _generator_spectrum(radial)[1] >= bottom - 4 * size * _EPS
+
+    @pytest.mark.parametrize(
+        "n,length",
+        [(n, L) for n in range(2, 7) for L in range(1, 61)]
+        + [(3, 401), (3, 600), (5, 200)],
+    )
+    def test_equals_the_all_block_sweep(self, n, length):
+        res = lumped_gap(n, length)
+        assert (res.gap, res.residual, res.precision) == _swept_gap(n, length)
 
     @pytest.mark.parametrize("length", range(6, 15))
     def test_gap_matches_the_chain(self, length):

@@ -340,7 +340,7 @@ def check_montecarlo() -> list[CheckResult]:
     from .montecarlo import SimConfig, run_ensemble, sample_cone_states
     from .montecarlo import _StripedSymbols, _dynamics_source, _symbol_range
     from .montecarlo import _INIT_KEY_OFFSET, _philox, cone_escape_mask
-    from .montecarlo import _Slab, _block_sizes, _shared_starts
+    from .montecarlo import _Slab, _block_sizes, _shared_starts, _staggered_charge
 
     out = []
     cfg = SimConfig(n=2, length=6, t_max=5, n_trajectories=600, seed=12, blocks=6)
@@ -385,6 +385,20 @@ def check_montecarlo() -> list[CheckResult]:
         for _ in range(steps):
             same &= np.array_equal(alone.draw(length, m), ahead.draw(length, m))
     out.append(_result("montecarlo.symbol_stream_chunk_invariant", bool(same)))
+    # the staggered charges a slab carries through the steps must equal
+    # a recount of its states after every step, for both gates
+    same = True
+    for gate in (GateKind.TEMPERLEY_LIEB, GateKind.PAIR_FLIP):
+        cfg = SimConfig(n=3, length=7, t_max=40, gate=gate, n_trajectories=60,
+                        seed=17, blocks=3, observables=("charge:1", "charge:3"))
+        slab = _Slab(cfg, range(cfg.blocks), _shared_starts(cfg), None)
+        for _ in range(cfg.t_max):
+            slab.advance(1)
+            same &= all(
+                np.array_equal(q, _staggered_charge(slab.states, a))
+                for a, q in slab._charges.items()
+            )
+    out.append(_result("montecarlo.carried_charge_matches_recount", bool(same)))
     states = sample_cone_states(3, 6, 2, [500], [np.random.default_rng(0)])
     out.append(
         _result(

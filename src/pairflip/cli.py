@@ -9,12 +9,16 @@ itself never contains a timestamp or a timing, so reruns with equal
 parameters are byte-identical.
 
 A ``--config FILE`` of ``key = value`` lines supplies defaults for the
-chosen subcommand; explicit flags win over the file.
+chosen subcommand: its entries enter argv as ``--key=value`` flags right
+after the subcommand, ahead of the explicit flags, which win as later
+occurrences. ``main`` builds the parser once per process and every
+in-process call shares it, so no call changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io as _io
 import json
 import math
@@ -559,62 +563,74 @@ def _load_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _typed_defaults(sub: _Parser, entries: dict[str, str]) -> dict[str, Any]:
+def _config_tokens(sub: _Parser, entries: dict[str, str]) -> list[str]:
+    """Check ``entries`` against ``sub``'s options and spell them as flags.
+
+    Each entry becomes ``--opt=value``, a true boolean a bare ``--flag``
+    (a false one nothing); the parser itself is left unchanged.
+    """
     actions = {a.dest: a for a in sub._actions}
-    out: dict[str, Any] = {}
+    tokens: list[str] = []
     for key, raw in entries.items():
         if key not in actions:
             raise UsageError(f"config key {key!r} is not an option here")
         action = actions[key]
+        flag = action.option_strings[-1]
         if isinstance(
             action, (argparse._StoreTrueAction, argparse._StoreFalseAction)
         ):
             low = raw.lower()
             if low not in ("true", "false", "1", "0", "yes", "no"):
                 raise UsageError(f"config key {key!r} needs a boolean, got {raw!r}")
-            out[key] = low in ("true", "1", "yes")
-        elif action.type is not None:
+            if (low in ("true", "1", "yes")) == action.const:
+                tokens.append(flag)
+            continue
+        if action.type is not None:
             try:
-                out[key] = action.type(raw)
+                action.type(raw)
             except ValueError:
                 raise UsageError(
                     f"config key {key!r}: cannot parse {raw!r}"
                 ) from None
-        else:
-            out[key] = raw
-        # a default satisfies a required flag
-        action.required = False
-    return out
+        tokens.append(f"{flag}={raw}")
+    return tokens
 
 
 def _probe_config(
     argv: list[str], registry: dict[str, _Parser]
-) -> tuple[str, str] | None:
-    """Find (command, config path) without a full parse.
+) -> tuple[int, str] | None:
+    """Find (index of the command token, config path) without a full parse.
 
-    Config defaults may satisfy required flags, so this must not fail
+    Config entries may satisfy required flags, so this must not fail
     on an incomplete command line the way a real parse would.
     """
-    command = next((tok for tok in argv if tok in registry), None)
-    if command is None:
+    at = next((k for k, tok in enumerate(argv) if tok in registry), None)
+    if at is None:
         return None
     for k, tok in enumerate(argv):
         if tok == "--config" and k + 1 < len(argv):
-            return command, argv[k + 1]
+            return at, argv[k + 1]
         if tok.startswith("--config="):
-            return command, tok.split("=", 1)[1]
+            return at, tok.split("=", 1)[1]
     return None
+
+
+@functools.cache
+def _shared_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser every ``main`` call in this process reads and never changes."""
+    return build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, registry = _shared_parser()
     try:
         probe = _probe_config(argv, registry)
         if probe is not None:
-            command, config_path = probe
-            sub = registry[command]
-            sub.set_defaults(**_typed_defaults(sub, _load_config_file(config_path)))
+            at, config_path = probe
+            # ahead of the explicit flags, which win as later occurrences
+            entries = _load_config_file(config_path)
+            argv[at + 1 : at + 1] = _config_tokens(registry[argv[at]], entries)
         args = parser.parse_args(argv)
         args.started = time.perf_counter()
         # exact counts can run past the int-to-str digit cap of Python >= 3.10.7

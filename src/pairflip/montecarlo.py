@@ -48,7 +48,10 @@ The ``depth`` and ``cone_escape`` observables read each trajectory's
 irreducible word. A slab reduces its states once, at t = 0, and then
 carries the words: the layers never change a word, and ``step_states``
 returns the boundary symbols it wrote, so each step updates a word by
-two pop-or-push moves (see ``_Slab``), O(M) whatever L is.
+two pop-or-push moves (see ``_Slab``), O(M) whatever L is. The
+``charge`` observables are carried the same way: a slab counts each
+symbol's staggered charge once, at t = 0, and each step moves it by the
+boundary resample alone, again O(M).
 """
 
 from __future__ import annotations
@@ -325,6 +328,15 @@ def step_states(
     return boundary
 
 
+def _staggered_charge(states: np.ndarray, a: int) -> np.ndarray:
+    """Each row's staggered count of symbol ``a`` as int32: sites 2, 4, ...
+    add, sites 1, 3, ... subtract."""
+    hits = (states.T == a).view(np.int8)
+    q = np.add.reduce(hits[1::2], axis=0, dtype=np.int32)
+    q -= np.add.reduce(hits[0::2], axis=0, dtype=np.int32)
+    return q
+
+
 def cone_escape_mask(states: np.ndarray, depth: int) -> np.ndarray:
     """True where a state lies outside the depth-``depth`` cone below the
     canonical anchor 1,2,1,..."""
@@ -410,6 +422,13 @@ class _Slab:
     before a step and ``b`` the symbol the resample writes there, the
     first L-1 sites reduce to irr(w a), so the new word is irr(w a b),
     two pop-or-push updates whatever L is. The layers keep it.
+
+    With a ``charge`` observable it likewise carries each symbol's
+    staggered charge, counted once at t = 0 (:func:`_staggered_charge`).
+    A gate turns an equal pair, on two sites of opposite sign, into
+    another equal pair, so the layers keep every staggered charge; the
+    resample moves symbol ``c``'s by ``[b == c] - [a == c]`` times the
+    sign of site L.
     """
 
     def __init__(
@@ -446,6 +465,11 @@ class _Slab:
             self._stack = words.reshape(-1)
             self._bottoms = np.arange(0, m * width, width, dtype=np.int64)
             self._tops = self._bottoms + depth
+        # symbol -> carried staggered charge, int32 per row
+        self._charges = {
+            o.arg: _staggered_charge(self.states, o.arg)
+            for o in self.observables if o.kind == "charge"
+        }
         runs = [(m, len(list(g))) for m, g in itertools.groupby(self.sizes)]
         ends = itertools.accumulate(m * count for m, count in runs)
         self.runs = [(slice(e - m * c, e), c) for (m, c), e in zip(runs, ends)]
@@ -464,11 +488,7 @@ class _Slab:
     def _values(self, obs: _Observable) -> np.ndarray:
         s = self.states
         if obs.kind == "charge":
-            # staggered count: sites 2, 4, ... add, sites 1, 3, ... subtract
-            hits = (s.T == obs.arg).view(np.int8)
-            q = np.add.reduce(hits[1::2], axis=0, dtype=np.int32)
-            q -= np.add.reduce(hits[0::2], axis=0, dtype=np.int32)
-            return 2.0 * q / self.cfg.length
+            return 2.0 * self._charges[obs.arg] / self.cfg.length
         if obs.kind == "depth":
             return self.word()[1].astype(np.float64)
         if obs.kind == "match_site":
@@ -491,12 +511,19 @@ class _Slab:
                 self.crossings[hit] = self.t
 
     def advance(self, steps: int) -> None:
+        carried = self._stack is not None or self._charges
+        # site L adds to a staggered charge at even L and subtracts at odd L
+        even = self.cfg.length % 2 == 0
         for _ in range(steps):
-            last = None if self._stack is None else self.states.T[-1].copy()
+            last = self.states.T[-1].copy() if carried else None
             new = step_states(self.states, self.rng, self.cfg.n, self.cfg.gate)
-            if last is not None:
+            if self._stack is not None:
                 _pop_or_push(self._stack, self._tops, last)
                 _pop_or_push(self._stack, self._tops, new)
+            gain, loss = (new, last) if even else (last, new)
+            for a, q in self._charges.items():
+                q += gain == a
+                q -= loss == a
             self.t += 1
             if self.record_at is None or self.t in self.record_at:
                 self.record()

@@ -327,6 +327,21 @@ def lumped_blocks(n: int, length: int) -> list[LumpedBlock]:
     of those exact quotients, and every block slices the same lists, so
     block 0, at index 1, holds the gap (:func:`lumped_gap`).
     """
+    rates = _block_rates(n, length)
+    blocks = [_slice_block(rates, rates[0], 1, 0.0)]
+    for j in range(length):
+        block = _depth_block(n, length, rates, j)
+        if block is not None:
+            blocks.append(block)
+    return blocks
+
+
+_Rates = tuple[int, list[float], list[float]]
+
+
+def _block_rates(n: int, length: int) -> _Rates:
+    """The first depth, then the grandparent rates ``p`` and the total
+    grandchild rates ``q`` of the depths ``first, first+2, ..., L``."""
     check_size(n, length)
     first = length % 2
     ups, downs = _lumped_rates(n, length)
@@ -336,23 +351,28 @@ def lumped_blocks(n: int, length: int) -> list[LumpedBlock]:
         float((n - 1) * (n - 1 if d else n) * down)
         for d, down in zip(range(first, length + 1, 2), downs)
     ]
+    return first, p, q
 
-    def block(top: int, mult: int, leak_top: float) -> LumpedBlock:
-        i = (top - first) // 2
-        up = np.array(p[i:])
-        up[0] = 0.0  # no grandparent inside the block
-        leak = np.zeros(up.size)
-        leak[0] = leak_top
-        return LumpedBlock(top, mult, up, np.array(q[i:]), leak)
 
-    blocks = [block(first, 1, 0.0)]
-    for j in range(length):
-        top = j + 1 if (length - j - 1) % 2 == 0 else j + 2
-        mult = multiplicity(n, j) * (n - 1 if j == 0 else n - 2)
-        if mult:
-            p_top = p[(top - first) // 2]
-            blocks.append(block(top, mult, n * p_top if top == j + 1 else p_top))
-    return blocks
+def _slice_block(rates: _Rates, top: int, mult: int, leak_top: float) -> LumpedBlock:
+    """The block on the depths ``top, top+2, ..., L``, sliced from ``rates``."""
+    first, p, q = rates
+    i = (top - first) // 2
+    up = np.array(p[i:])
+    up[0] = 0.0  # no grandparent inside the block
+    leak = np.zeros(up.size)
+    leak[0] = leak_top
+    return LumpedBlock(top, mult, up, np.array(q[i:]), leak)
+
+
+def _depth_block(n: int, length: int, rates: _Rates, j: int) -> LumpedBlock | None:
+    """Block ``j`` of :func:`lumped_blocks`, or None where its multiplicity is 0."""
+    top = j + 1 if (length - j - 1) % 2 == 0 else j + 2
+    mult = multiplicity(n, j) * (n - 1 if j == 0 else n - 2)
+    if not mult:
+        return None
+    p_top = rates[1][(top - rates[0]) // 2]
+    return _slice_block(rates, top, mult, n * p_top if top == j + 1 else p_top)
 
 
 def _leaky_bracket(
@@ -419,7 +439,8 @@ def lumped_gap(n: int, length: int) -> GapResult:
     ``B P`` (bath and in-sector average, both symmetric projections), so
     with ``P B P``, which is positive semidefinite: every ``mu`` lies in
     [0, 1] and the gap is the smallest nonzero ``mu``. Block 0,
-    ``lumped_blocks(n, L)[1]``, always holds it. Write ``G`` for a
+    ``lumped_blocks(n, L)[1]``, always holds it, and it is built alone,
+    from the same rate lists. Write ``G`` for a
     block's symmetrized generator ``diag(up + down + leak)`` with
     off-diagonal ``sqrt(down[:-1] * up[1:])``, ``G_R`` for the radial
     block's and ``mu_k`` for the k-th smallest eigenvalue. Every block
@@ -441,7 +462,7 @@ def lumped_gap(n: int, length: int) -> GapResult:
     to the gap plus ``10 size`` roundings for the elimination and the
     solves.
     """
-    block = lumped_blocks(n, length)[1]
+    block = _depth_block(n, length, _block_rates(n, length), 0)
     lo, hi, solves = _leaky_bracket(block.up, block.down, block.leak)
     if not 0 < lo <= hi < math.inf:
         raise NumericError(f"no bracket around the lumped gap: [{lo}, {hi}]")

@@ -893,6 +893,11 @@ class TestVerifyCommand:
         assert code == 0
         assert "ok   montecarlo.symbol_stream_chunk_invariant: ok" in out.splitlines()
 
+    def test_carried_charge_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
+        assert code == 0
+        assert "ok   montecarlo.carried_charge_matches_recount: ok" in out.splitlines()
+
     def test_cone_sampler_block_check_listed_and_passing(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
         assert code == 0
@@ -1332,6 +1337,51 @@ class TestConfigFile:
         )
         assert code == 1
         assert "config" in err
+
+
+class TestNoStateBetweenCalls:
+    """In-process ``main`` calls share one parser; no call may leave a
+    trace in the next."""
+
+    def test_config_required_flag_does_not_carry_over(self, capsys, tmp_path):
+        cfg = tmp_path / "census.cfg"
+        cfg.write_text("length = 4\n")
+        assert run_cli(capsys, "census", "--n", "3", "--config", str(cfg))[0] == 0
+        code, _, err = run_cli(capsys, "census", "--n", "3")
+        assert code == 1
+        assert "--length" in err
+
+    def test_config_boolean_does_not_carry_over(self, capsys, tmp_path):
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text("no-cheeger = true\n")
+        argv = ("gap", "--n", "3", "--length", "4")
+        code, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 0 and json.loads(out)["cheeger_upper"] is None
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["cheeger_upper"] is not None
+
+    def test_identical_calls_identical_artifacts(self, capsys, tmp_path):
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text("chain = local\nlength = 6\n")
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            code, _, _ = run_cli(
+                capsys, "gap", "--n", "3", "--config", str(cfg), "--out", str(path)
+            )
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert json.loads(paths[0].read_text())["chain"] == "local"
+
+    def test_config_value_meets_the_flag_checks(self, capsys, tmp_path):
+        # a config entry is parsed as its flag, so a choice outside the
+        # flag's choices is a usage error, not a default passed through
+        cfg = tmp_path / "gap.cfg"
+        cfg.write_text("chain = bogus\n")
+        code, out, err = run_cli(
+            capsys, "gap", "--n", "3", "--length", "4", "--config", str(cfg)
+        )
+        assert code == 1 and out == ""
+        assert "--chain" in err
 
 
 class TestEntryPoint:

@@ -397,6 +397,31 @@ class TestCarriedWord:
             assert (slab._stack is not None) == carried
 
 
+class TestCarriedCharge:
+    """A slab carries every charge observable's staggered count through the
+    steps; it must equal a recount of the states after every step."""
+
+    @pytest.mark.parametrize("gate", [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("length", [1, 2, 7, 24])
+    def test_matches_recount_after_every_step(self, gate, n, length):
+        cfg = SimConfig(n=n, length=length, t_max=60, gate=gate, seed=70 + n + length,
+                        n_trajectories=90, blocks=3,
+                        observables=tuple(f"charge:{a}" for a in range(1, n + 1)))
+        # random starts, so that every symbol's charge starts away from zero
+        rng = np.random.default_rng(length)
+        starts = [rng.integers(1, n + 1, size=(30, length)).astype(np.int8)
+                  for _ in range(cfg.blocks)]
+        slab = _Slab(cfg, range(cfg.blocks), starts, None)
+        assert sorted(slab._charges) == list(range(1, n + 1))
+        for t in range(cfg.t_max + 1):
+            if t:
+                slab.advance(1)
+            for a, q in slab._charges.items():
+                assert q.dtype == np.int32
+                assert np.array_equal(q, _staggered_count(slab.states, a)), (t, a)
+
+
 class TestSectorSampler:
     def test_lands_in_sector(self):
         rng = np.random.default_rng(14)

@@ -341,6 +341,7 @@ def check_montecarlo() -> list[CheckResult]:
     from .montecarlo import _StripedSymbols, _dynamics_source, _symbol_range
     from .montecarlo import _INIT_KEY_OFFSET, _philox, cone_escape_mask
     from .montecarlo import _Slab, _block_sizes, _shared_starts, _staggered_charge
+    from .montecarlo import _run_blocks
 
     out = []
     cfg = SimConfig(n=2, length=6, t_max=5, n_trajectories=600, seed=12, blocks=6)
@@ -362,11 +363,15 @@ def check_montecarlo() -> list[CheckResult]:
         )
     )
     # TL gate, unequal blocks and two 64-step segments: two slabs must
-    # reproduce one slab bit for bit
+    # reproduce one slab bit for bit (this ensemble is far below the slab
+    # size at which a second thread is used, so the floor is lifted)
     base = dict(n=3, length=8, t_max=80, n_trajectories=203, seed=13, blocks=7,
                 gate=GateKind.TEMPERLEY_LIEB, observables=("charge:1", "depth"))
-    one = run_ensemble(SimConfig(threads=1, **base)).block_sums
-    two = run_ensemble(SimConfig(threads=2, **base)).block_sums
+    one, two = (
+        _run_blocks(SimConfig(threads=threads, **base),
+                    _shared_starts(SimConfig(**base)), min_slab_sites=1).block_sums
+        for threads in (1, 2)
+    )
     out.append(
         _result(
             "montecarlo.thread_count_invariant",
@@ -385,6 +390,26 @@ def check_montecarlo() -> list[CheckResult]:
         for _ in range(steps):
             same &= np.array_equal(alone.draw(length, m), ahead.draw(length, m))
     out.append(_result("montecarlo.symbol_stream_chunk_invariant", bool(same)))
+    # one block's first values, recomputed from its raw words by the draw
+    # contract: d base-k digits of each accepted word, least significant
+    # first, in planes of 256 words; at k = 289, d = 1 and the values are
+    # the accepted 16-bit halves mod k
+    same = True
+    for k in (3, 9, 289):
+        got = _dynamics_source(18, 2, k).draw(3000, 1).ravel()
+        dtype = np.dtype(np.uint8 if k <= 256 else np.uint16)
+        span = 1 << (8 * dtype.itemsize)
+        d = max(e for e in range(1, 9) if k**e <= span)
+        raw = _philox(18, 2).bit_generator.random_raw(2000).astype("<u8")
+        raw = raw.view(dtype).astype(np.int64)
+        words = raw[raw < span - span % k**d] % k**d
+        groups = words[: words.size // 256 * 256].reshape(-1, 1, 256)
+        want = (groups // k ** np.arange(d).reshape(-1, 1) % k).ravel()
+        same &= np.array_equal(got, want[: got.size])
+        if k > 256:
+            old = raw[raw < span - span % k][: got.size] % k
+            same &= d == 1 and np.array_equal(got, old)
+    out.append(_result("montecarlo.symbols_follow_contract", bool(same)))
     # the staggered charges a slab carries through the steps must equal
     # a recount of its states after every step, for both gates
     same = True

@@ -5,8 +5,9 @@ produce byte-identical files; provenance (resolved parameters, version,
 creation time, the numpy, scipy and Python versions and CPU count that
 bit-reproducibility rests on and, for a CLI operation, its wall time
 ``wall_s``) lives in a ``<name>.meta.json`` sidecar next to each artifact.
-Monte Carlo streams are numpy's Philox ``random_raw`` words, so a
-numpy that changed them would change the bits of a rerun.
+Monte Carlo symbols are base-k digits of numpy's Philox ``random_raw``
+words (see ``montecarlo``), so a numpy that changed those words would
+change the bits of a rerun.
 """
 
 from __future__ import annotations

@@ -14,8 +14,12 @@ order. Pair-flip takes k = N and turns an equal pair into
 ``(u+1, u+1)``; TL takes k = N^2 and flips an equal pair iff
 ``u < 2(N-1)``, to ``c + 1 + (c + 1 >= a)`` with ``c = u >> 1``.
 The values are exact: raw Philox words are read as bytes (16-bit
-halves when k > 256), values at or above the largest multiple of k are
-rejected and the rest reduced mod k.
+halves when k > 256), each holding d base-k digits, with d the largest
+integer such that k^d <= 2^8 (2^16 for halves; d = 1 at k = 1); words
+at or above the largest multiple of k^d are rejected, the rest are
+reduced mod k^d and expanded 256 at a time, digit plane by digit plane
+(see ``_SymbolSource``). At k >= 17, d = 1: the values are the accepted
+words mod k.
 
 Reproducibility: trajectories are partitioned into blocks, and every
 stream is a counter-based Philox Generator built by ``_philox(seed,
@@ -33,7 +37,7 @@ and block b draws its rows' floats from its own start stream, one array
 per quantity: one per row for the sector depth, one per row for each
 branch column, then two per row at each site. So block b's starts
 depend only on ``(seed, b)`` and the config. ``threads`` splits the
-blocks into that many contiguous slabs.
+blocks into at most that many contiguous slabs (see ``_run_blocks``).
 
 ``step_states`` takes a symbol source, never a Generator: a block's
 ``_dynamics_source`` or a slab's ``_StripedSymbols``. A slab holds its
@@ -206,50 +210,104 @@ def _symbol_range(n: int, gate: GateKind) -> int:
     return n if gate is GateKind.PAIR_FLIP else n * n
 
 
+# accepted words per digit group (see ``_SymbolSource``)
+_GROUP = 256
+# raw 64-bit words read at the least, so that one read serves several draws
+_MIN_READ = 1024
+
+
+def _expand(
+    words: np.ndarray, out: np.ndarray, tmp: np.ndarray, k: int, wrap: bool
+) -> None:
+    """Base-k digits of accepted words, least significant first.
+
+    ``out[j]`` receives digit j of every word of the 1-D ``words``, so
+    each plane is contiguous; ``tmp`` is scratch of the same size. With
+    ``wrap`` the words are first reduced mod ``k**d``, which only the top
+    digit sees. A digit is ``r - k * (r // k)``: integer division by a
+    scalar is vectorized, the remainder is not.
+    """
+    d = len(out)
+    r = words
+    for j in range(d):
+        if j == d - 1 and not wrap:
+            if d == 1:
+                out[0] = r  # otherwise r already is this plane
+            break
+        # the quotient goes to the next plane, where its digits are taken
+        quot = out[j + 1] if j < d - 1 else tmp
+        np.floor_divide(r, k, out=quot)
+        np.multiply(quot, k, out=tmp)
+        np.subtract(r, tmp, out=out[j])
+        r = quot
+
+
 class _SymbolSource:
     """Exact uniform integers in ``[0, k)`` from a bit generator's raw words.
 
     Raw 64-bit words are read as little-endian bytes, or as 16-bit halves
-    when ``k > 256``. A value at or above the largest multiple of ``k``
-    that fits is rejected and the rest are reduced mod ``k``, so there is
-    no bias. Accepted values that a draw does not use wait for the next
-    one: the sequence depends only on the bit generator, never on how it
-    is split into draws.
+    when ``k > 256``; each byte or half is a word below ``span`` (2^8 or
+    2^16). A word holds ``digits`` values: d, the largest integer with
+    ``k**d <= span`` (1 when k = 1). A word at or above the largest
+    multiple of ``k**d`` below ``span`` is rejected, so there is no bias;
+    the rest are reduced mod ``k**d``. Accepted words are taken in groups
+    of ``_GROUP`` = G, and base-k digit j of word p of a group, least
+    significant first, is value ``j * G + p`` of that group's d * G. At
+    k >= 17 (and every k > 256) d = 1, so the values are the accepted
+    words mod k, in order.
+
+    Values that a draw does not use wait for the next one: the sequence
+    depends only on the bit generator, never on how it is split into
+    draws. ``draw`` expands its own groups; a slab takes each block's
+    groups with ``take_groups`` and expands many blocks' at once.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, k: int):
         self.k = k
         self.dtype = np.dtype(np.uint8 if k <= 256 else np.uint16)
         self._span = 1 << (8 * self.dtype.itemsize)
-        self._limit = self._span - self._span % k
+        self.digits = 1
+        while k > 1 and k ** (self.digits + 1) <= self._span:
+            self.digits += 1
+        modulus = k**self.digits
+        self._limit = self._span - self._span % modulus
+        self.wrap = self._limit > modulus  # words need reducing mod k**d
         self._bits = bit_generator
-        self._spare = np.empty(0, self.dtype)  # accepted, not yet used
+        # accepted words whose values are not all drawn yet, and how many
+        # values of the first group have been
+        self._words = np.empty(0, self.dtype)
+        self._used = 0
+
+    def take_groups(self, count: int) -> tuple[np.ndarray, int]:
+        """The next ``count`` values, as the accepted words of the groups
+        that hold them and the position of the first value in those
+        groups' values. A group stays in hand until all its values are
+        drawn, so the last one may come back in the next call."""
+        per_group = self.digits * _GROUP
+        end = self._used + count
+        need = -(-end // per_group) * _GROUP
+        words = self._words
+        while words.size < need:
+            # enough raw words for the rest in one read but for rare tails
+            want = (need - words.size) * self._span / self._limit
+            size = int((want + 4 * math.sqrt(want)) * self.dtype.itemsize / 8) + 2
+            raw = self._bits.random_raw(max(size, _MIN_READ))
+            raw = raw.astype("<u8", copy=False).view(self.dtype)
+            if self._limit < self._span:
+                raw = raw[raw < self._limit]
+            words = np.concatenate([words, raw])
+        start, self._used = self._used, end % per_group
+        self._words = words[end // per_group * _GROUP :]
+        return words[:need], start
 
     def draw(self, rows: int, cols: int) -> np.ndarray:
         """The next ``rows * cols`` values, as a C-ordered ``(rows, cols)`` array."""
         count = rows * cols
-        parts, have = [self._spare], self._spare.size
-        per_word = 8 // self.dtype.itemsize
-        while have < count:
-            # enough words for the rest in one read but for rare tails
-            need = (count - have) * self._span / self._limit
-            words = int((need + 4 * math.sqrt(need)) / per_word) + 2
-            raw = self._bits.random_raw(words).astype("<u8", copy=False)
-            raw = raw.view(self.dtype)
-            if self._limit < self._span:
-                raw = raw[raw < self._limit]
-            parts.append(raw)
-            have += raw.size
-        vals = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        self._spare = vals[count:]
-        vals = vals[:count]
-        if self.k < self._span:
-            # x - k * (x // k): integer division by a scalar is vectorized,
-            # the remainder is not
-            quot = vals // self.k
-            quot *= self.k
-            vals = np.subtract(vals, quot, out=quot)
-        return vals.reshape(rows, cols)
+        words, start = self.take_groups(count)
+        planes = np.empty((self.digits, words.size), self.dtype)
+        _expand(words, planes, np.empty_like(words), self.k, self.wrap)
+        vals = planes.reshape(self.digits, -1, _GROUP).transpose(1, 0, 2).reshape(-1)
+        return vals[start : start + count].reshape(rows, cols)
 
 
 def _dynamics_source(seed: int, block: int, k: int) -> _SymbolSource:
@@ -367,31 +425,86 @@ class EnsembleSeries:
 # holding at most about this many bytes of symbols
 _AHEAD_STEPS = 64
 _AHEAD_BYTES = 1 << 20
+# a slab expands its blocks' digit groups in batches of about this many values
+_EXPAND_VALUES = 1 << 17
 # slabs run side by side this many steps between early-stop checks
 _SEGMENT = 64
+# A slab gets at least this many trajectory-sites, or there are fewer slabs
+# than threads: stepping is mostly GIL-bound numpy calls, and on 2 CPUs two
+# threads only broke even at 300K (TL, L=30) to 384K (pair-flip, L=16)
+# trajectory-sites per slab; at 128K they were 20-30 % slower than one
+_MIN_SLAB_SITES = 1 << 18
 
 
 class _StripedSymbols:
-    """Symbol source over a run of blocks that each draw from their own stream.
+    """Symbol source over a run of nonempty blocks that each draw from their
+    own, fresh, stream.
 
     Every ``draw`` hands out the next step's ``(L, M)`` symbols, column
     block ``b`` from block ``b``'s source. They are drawn ahead a chunk
-    of steps at a time, one call per block; a source's values do not
-    depend on how they are chunked, so neither does the output.
+    of steps at a time: each block takes its accepted words for the
+    chunk, and the words of many blocks are expanded into digits together,
+    in scratch that every chunk reuses. A source's values do not depend
+    on how they are chunked, so neither does the output.
     """
 
     def __init__(
         self, sources: Sequence[_SymbolSource], sizes: Sequence[int],
         length: int, steps: int,
     ):
-        self.k = sources[0].k
-        ends = list(itertools.accumulate(sizes))
-        self._parts = [(src, e - m, e) for src, m, e in zip(sources, sizes, ends)]
+        first = sources[0]
+        self.k = first.k
+        # runs of equal-size blocks as (first column, size, sources): the
+        # fresh sources of a run draw alike, so they always have as many
+        # groups in hand and the same position in them
+        self._runs, lo, at = [], 0, 0
+        for m, group in itertools.groupby(sizes):
+            count = len(list(group))
+            self._runs.append((lo, m, sources[at : at + count]))
+            lo, at = lo + m * count, at + count
         self._steps = steps  # left to draw in the run
-        per_step = length * ends[-1] * sources[0].dtype.itemsize
+        per_step = length * lo * first.dtype.itemsize
         chunk = max(1, min(_AHEAD_STEPS, _AHEAD_BYTES // per_step, steps))
-        self._buf = np.empty((chunk, length, ends[-1]), sources[0].dtype)
+        self._buf = np.empty((chunk, length, lo), first.dtype)
         self._ahead = self._buf[:0]
+        # expansion scratch, reused by every chunk: at most _EXPAND_VALUES
+        # values unless one block needs more
+        per_group = first.digits * _GROUP
+        need = [-(-(chunk * length * m + per_group - 1) // per_group) for m in sizes]
+        groups = min(sum(need), max(_EXPAND_VALUES // per_group, max(need)))
+        self._words = np.empty(groups * _GROUP, first.dtype)
+        self._tmp = np.empty_like(self._words)
+        self._planes = np.empty((first.digits, groups * _GROUP), first.dtype)
+        self._vals = np.empty(groups * per_group, first.dtype)
+
+    def _fill(self, chunk: int, rows: int) -> None:
+        """Draw the next ``chunk`` steps of every block into the buffer.
+
+        Each block reads and filters its own words; the words of as many
+        blocks of a run as the scratch holds are then expanded at once,
+        put in value order and copied into their columns of the buffer.
+        """
+        self._ahead = self._buf[:chunk]
+        digits = len(self._planes)
+        for lo, m, sources in self._runs:
+            count = chunk * rows * m
+            taken = [src.take_groups(count) for src in sources]
+            start, size = taken[0][1], taken[0][0].size
+            per_batch = max(1, len(self._words) // size)
+            for i in range(0, len(taken), per_batch):
+                part = [words for words, _ in taken[i : i + per_batch]]
+                c = len(part)
+                words, planes = self._words[: c * size], self._planes[:, : c * size]
+                np.concatenate(part, out=words)
+                _expand(words, planes, self._tmp[: c * size], self.k, sources[0].wrap)
+                groups = planes.reshape(digits, c, -1, _GROUP).transpose(1, 2, 0, 3)
+                vals = self._vals[: c * size * digits].reshape(groups.shape)
+                np.copyto(vals, groups)
+                u = vals.reshape(c, -1)[:, start : start + count]
+                cols = self._ahead[:, :, lo + i * m : lo + (i + c) * m]
+                cols.reshape(chunk, rows, c, m)[...] = u.reshape(
+                    c, chunk, rows, m
+                ).transpose(1, 2, 0, 3)
 
     def draw(self, rows: int, cols: int) -> np.ndarray:
         if self._buf.shape[1:] != (rows, cols):
@@ -399,10 +512,7 @@ class _StripedSymbols:
         if not len(self._ahead):
             chunk = max(1, min(len(self._buf), self._steps))
             self._steps -= chunk
-            self._ahead = self._buf[:chunk]
-            for src, lo, hi in self._parts:
-                u = src.draw(chunk * rows, hi - lo)
-                self._ahead[:, :, lo:hi] = u.reshape(chunk, rows, hi - lo)
+            self._fill(chunk, rows)
         u, self._ahead = self._ahead[0], self._ahead[1:]
         return u
 
@@ -572,11 +682,14 @@ def _run_blocks(
     early_stop: bool = False,
     crossings: np.ndarray | None = None,
     times: Sequence[int] | None = None,
+    min_slab_sites: int | None = None,
 ) -> EnsembleSeries:
     """Step block ``b`` from ``initial_states[b]`` and reduce in block order.
 
     The nonempty blocks are split into ``cfg.threads`` contiguous slabs,
-    run side by side for ``_SEGMENT`` steps at a time. With
+    fewer if a slab would hold under ``min_slab_sites`` trajectory-sites
+    (by default ``_MIN_SLAB_SITES``), run side by side for ``_SEGMENT``
+    steps at a time. With
     ``early_stop`` the run ends after the first segment in which the
     ensemble-mean ``charge:1`` reaches half of gamma. ``crossings``, one
     int64 entry per trajectory set to -1 by the caller, receives each
@@ -587,9 +700,12 @@ def _run_blocks(
     numpy sums a one-column table pairwise, not in block order.
     """
     live = [b for b, start in enumerate(initial_states) if len(start)]
+    sites = sum(len(initial_states[b]) for b in live) * cfg.length
+    floor = _MIN_SLAB_SITES if min_slab_sites is None else min_slab_sites
+    wanted = min(cfg.threads, len(live), max(1, sites // floor))
     slabs = []
     first = total = 0
-    for count in _block_sizes(len(live), min(cfg.threads, len(live))):
+    for count in _block_sizes(len(live), wanted):
         blocks = live[first : first + count]
         rows = sum(len(initial_states[b]) for b in blocks)
         mine = None if crossings is None else crossings[total : total + rows]

@@ -9,6 +9,7 @@ import importlib.util
 from pathlib import Path
 
 import pairflip.cli
+import pairflip.montecarlo
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -71,9 +72,11 @@ def test_traced_escape_records_the_cone_sampler(capsys):
     assert spans.layer_metrics(tracer.spans, 1)["montecarlo.sample_cone_states_s"] > 0
 
 
-def test_traced_escape_reduces_once_per_slab(capsys):
+def test_traced_escape_reduces_once_per_slab(capsys, monkeypatch):
     # the cone observable carries each trajectory's word from one
-    # reduction at t = 0; a reduction per recorded time would show here
+    # reduction at t = 0; a reduction per recorded time would show here.
+    # Two slabs of 100 trajectories are far below the slab-size floor.
+    monkeypatch.setattr(pairflip.montecarlo, "_MIN_SLAB_SITES", 1)
     spans = _load_spans()
     tracer = spans.Tracer()
     try:

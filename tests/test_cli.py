@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import pairflip.chains
 import pairflip.cli
+import pairflip.montecarlo
 import pairflip.spectra
 from pairflip.census import cone_stats, k0_asymptotic, kd_asymptotic
 from pairflip.chains import GateKind, build_full_local
@@ -810,7 +811,9 @@ class TestEscapeCommand:
             float(cone_stats(3, 6, 2).boundary_flow)
         )
 
-    def test_output_independent_of_threads(self, capsys):
+    def test_output_independent_of_threads(self, capsys, monkeypatch):
+        # two slabs of this small ensemble, below the slab-size floor
+        monkeypatch.setattr(pairflip.montecarlo, "_MIN_SLAB_SITES", 1)
         argv = ("escape", "--n", "3", "--length", "8", "--depth", "2",
                 "--times", "0,1,3", "--trajectories", "700", "--blocks", "7",
                 "--gate", "tl", "--seed", "5")
@@ -892,6 +895,11 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
         assert code == 0
         assert "ok   montecarlo.symbol_stream_chunk_invariant: ok" in out.splitlines()
+
+    def test_symbol_contract_check_listed_and_passing(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")
+        assert code == 0
+        assert "ok   montecarlo.symbols_follow_contract: ok" in out.splitlines()
 
     def test_carried_charge_check_listed_and_passing(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "montecarlo")

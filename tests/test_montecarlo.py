@@ -15,6 +15,7 @@ from scipy import stats
 
 from pairflip.census import cone_stats, multiplicity, sector_dim
 from pairflip.chains import GateKind, build_full_local, state_index
+from pairflip import montecarlo
 from pairflip.errors import UsageError
 from pairflip.montecarlo import (
     _INIT_KEY_OFFSET,
@@ -49,6 +50,17 @@ from pairflip.walks import (
     in_cone,
     reduce_symbols,
 )
+
+
+# the measured slab-size floor, before the fixture below lifts it
+_MIN_SLAB_SITES = montecarlo._MIN_SLAB_SITES
+
+
+@pytest.fixture(autouse=True)
+def _slabs_of_any_size(monkeypatch):
+    """The thread-count tests run ensembles far below the slab size at which
+    a second thread is used; lifting the floor keeps them on several slabs."""
+    monkeypatch.setattr(montecarlo, "_MIN_SLAB_SITES", 1)
 
 
 def _start_rngs(seed: int, blocks: int) -> list[np.random.Generator]:
@@ -245,10 +257,45 @@ class TestStepKernel:
         assert len(series.times) == 6
 
 
+def _contract_values(seed: int, block: int, k: int, count: int) -> list[int]:
+    """The first ``count`` values of block ``block``'s stream, by the written
+    rule, one raw word at a time.
+
+    Each 64-bit raw word splits into little-endian bytes, or 16-bit halves
+    when k > 256; d is the largest integer with k^d <= span (1 when k = 1);
+    a word at or above span - span mod k^d is dropped and the rest are
+    taken mod k^d, G = 256 at a time; digit j of word p of a group is
+    value j*G + p of that group.
+    """
+    span = 1 << 8 if k <= 256 else 1 << 16
+    d = 1
+    while k > 1 and k ** (d + 1) <= span:
+        d += 1
+    limit = span - span % k**d
+    bits = _philox(seed, block).bit_generator
+    values: list[int] = []
+    group: list[int] = []
+    while len(values) < count:
+        x = int(bits.random_raw())
+        for _ in range(64 // (span.bit_length() - 1)):  # 8 bytes or 4 halves
+            word, x = x % span, x // span
+            if word >= limit:
+                continue
+            group.append(word % k**d)
+            if len(group) == 256:
+                out = [0] * (d * 256)
+                for p, w in enumerate(group):
+                    for j in range(d):
+                        out[j * 256 + p] = w // k**j % k
+                values.extend(out)
+                group = []
+    return values[:count]
+
+
 class TestSymbolSource:
     """Raw Philox words to exact uniform symbols, independent of chunking."""
 
-    @pytest.mark.parametrize("k", [2, 3, 5, 9, 127, 256, 289, 16129])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9, 16, 127, 256, 289, 16129])
     def test_uniform(self, k):
         src = _dynamics_source(3, k, k)
         assert src.dtype == (np.uint8 if k <= 256 else np.uint16)
@@ -257,10 +304,20 @@ class TestSymbolSource:
         assert vals.dtype == src.dtype
         counts = np.bincount(vals, minlength=k)
         assert counts.size == k  # nothing at or above k
-        assert stats.chisquare(counts).pvalue > 1e-6
+        if k > 1:
+            assert stats.chisquare(counts).pvalue > 1e-6
 
-    @pytest.mark.parametrize("k", [3, 9, 127, 256, 289])
-    def test_values_are_accepted_raw_values_mod_k(self, k):
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 9, 16, 17, 127, 256, 289])
+    def test_values_follow_the_written_contract(self, k):
+        # re-pins the draw contract: several base-k digits per accepted
+        # word, grouped in planes (the old rule took one value per word)
+        vals = _dynamics_source(4, 1, k).draw(500, 7).ravel()
+        assert vals.tolist() == _contract_values(4, 1, k, vals.size)
+
+    @pytest.mark.parametrize("k", [17, 127, 256, 289])
+    def test_one_digit_alphabets_keep_the_accepted_words(self, k):
+        # k >= 17 holds one digit per word: the values are the accepted
+        # words mod k, in order, as before groups of digits existed
         vals = _dynamics_source(4, 1, k).draw(500, 7).ravel()
         dtype = np.uint8 if k <= 256 else np.uint16
         span = 1 << (8 * np.dtype(dtype).itemsize)
@@ -269,7 +326,25 @@ class TestSymbolSource:
         accepted = raw[raw < span - span % k]
         assert np.array_equal(vals, accepted[: vals.size] % k)
 
-    @pytest.mark.parametrize("k", [3, 256, 289])
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_digits_of_one_word_are_independent(self, k):
+        # (v[p], v[p+G]) are digits 0 and 1 of the same word; (v[i], v[i+1])
+        # are neighbours; every pair of symbols must be equally likely
+        G = 256
+        groups = 800
+        digits = _dynamics_source(5, 3, k).digits
+        vals = _dynamics_source(5, 3, k).draw(groups, digits * G)
+        planes = vals.astype(np.int64).reshape(groups, digits, G)
+        pairs = {
+            "same word": (planes[:, 0], planes[:, 1]),
+            "neighbours, even": (vals.ravel()[0:-1:2], vals.ravel()[1::2]),
+            "neighbours, odd": (vals.ravel()[1:-1:2], vals.ravel()[2::2]),
+        }
+        for name, (first, second) in pairs.items():
+            cells = np.bincount((first * k + second).ravel(), minlength=k * k)
+            assert stats.chisquare(cells).pvalue > 1e-6, name
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 16, 256, 289])
     def test_chunk_invariant(self, k):
         steps, rows, cols = 90, 5, 13
         stepwise = _dynamics_source(7, 2, k)
@@ -286,13 +361,22 @@ class TestSymbolSource:
         parts.append(chunked.draw((steps - done) * rows, cols))
         assert np.array_equal(np.concatenate(parts), whole)
 
-    def test_slab_draws_ahead_the_same_bits(self):
-        # a slab of three blocks hands out each block's step-by-step symbols
-        sizes, length, steps = [4, 1, 6], 3, 200
-        sources = [_dynamics_source(8, b, 9) for b in range(3)]
+    @pytest.mark.parametrize("expand", [1, 1 << 17])  # a block per batch; one batch
+    @pytest.mark.parametrize("k", [3, 9, 289])
+    def test_slab_draws_ahead_the_same_bits(self, k, expand, monkeypatch):
+        # a slab of unequal blocks, in runs of equal ones, hands out each
+        # block's step-by-step symbols; its chunks end inside a group
+        monkeypatch.setattr(montecarlo, "_EXPAND_VALUES", expand)
+        sizes, length, steps = [5, 5, 1, 6, 6, 6, 3], 3, 200
+        sources = [_dynamics_source(8, b, k) for b in range(len(sizes))]
         slab = _StripedSymbols(
-            [_dynamics_source(8, b, 9) for b in range(3)], sizes, length, steps
+            [_dynamics_source(8, b, k) for b in range(len(sizes))],
+            sizes, length, steps,
         )
+        chunk = len(slab._buf)
+        per_group = sources[0].digits * 256
+        assert 1 < chunk < steps and steps % chunk
+        assert all(chunk * length * m % per_group for m in sizes)
         for _ in range(steps):
             expect = np.concatenate(
                 [src.draw(length, m) for src, m in zip(sources, sizes)], axis=1
@@ -603,6 +687,48 @@ class TestEnsemble:
             assert np.array_equal(a.block_sums[name], b.block_sums[name])
             assert np.array_equal(a.means[name], b.means[name])
             assert np.array_equal(a.std_errors[name], b.std_errors[name])
+
+    def test_small_ensembles_use_fewer_slabs_than_threads(self, monkeypatch):
+        # eight threads on 900 trajectories of 8 sites: one slab, the same bits
+        monkeypatch.setattr(montecarlo, "_MIN_SLAB_SITES", _MIN_SLAB_SITES)
+        slabs = []
+
+        class Counted(_Slab):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                slabs.append(self)
+
+        base = dict(n=2, length=8, t_max=70, n_trajectories=900, seed=3, blocks=9)
+        one = run_ensemble(SimConfig(threads=1, **base))
+        monkeypatch.setattr(montecarlo, "_Slab", Counted)
+        eight = run_ensemble(SimConfig(threads=8, **base))
+        assert len(slabs) == 1
+        for name in one.means:
+            assert np.array_equal(one.block_sums[name], eight.block_sums[name])
+            assert np.array_equal(one.std_errors[name], eight.std_errors[name])
+
+    @pytest.mark.parametrize(
+        "trajectories,length,threads,slabs",
+        [
+            (20_000, 30, 2, 2),  # the escape benchmark: two slabs of 10 000
+            (4000, 16, 2, 1),  # the relaxation benchmark's size: one slab
+            (4000, 16, 8, 1),
+            (100_000, 30, 8, 8),
+            (12, 1 << 16, 8, 3),  # three slabs of 2^18 sites, not eight
+        ],
+    )
+    def test_slab_count(self, monkeypatch, trajectories, length, threads, slabs):
+        monkeypatch.setattr(montecarlo, "_MIN_SLAB_SITES", _MIN_SLAB_SITES)
+        made = []
+        monkeypatch.setattr(
+            montecarlo, "_Slab", lambda cfg, blocks, *rest: made.append(list(blocks))
+        )
+        monkeypatch.setattr(montecarlo, "_assemble_series", lambda cfg, slabs: None)
+        cfg = SimConfig(n=3, length=length, t_max=0, n_trajectories=trajectories,
+                        blocks=10, threads=threads)
+        _run_blocks(cfg, [np.empty((m, 0)) for m in _block_sizes(trajectories, 10)])
+        assert len(made) == slabs
+        assert sum(made, []) == list(range(10))
 
     def test_seed_changes_output(self):
         base = dict(n=2, length=8, t_max=20, n_trajectories=400, blocks=4)

@@ -41,6 +41,7 @@ from .walks import (
     reduce_states,
     reduce_symbols,
     sector_index,
+    staggered_charge,
 )
 
 
@@ -340,8 +341,7 @@ def check_montecarlo() -> list[CheckResult]:
     from .montecarlo import SimConfig, run_ensemble, sample_cone_states
     from .montecarlo import _StripedSymbols, _dynamics_source, _symbol_range
     from .montecarlo import _INIT_KEY_OFFSET, _philox, cone_escape_mask
-    from .montecarlo import _Slab, _block_sizes, _shared_starts, _staggered_charge
-    from .montecarlo import _run_blocks
+    from .montecarlo import _Slab, _block_sizes, _run_blocks, _shared_starts
 
     out = []
     cfg = SimConfig(n=2, length=6, t_max=5, n_trajectories=600, seed=12, blocks=6)
@@ -420,7 +420,7 @@ def check_montecarlo() -> list[CheckResult]:
         for _ in range(cfg.t_max):
             slab.advance(1)
             same &= all(
-                np.array_equal(q, _staggered_charge(slab.states, a))
+                np.array_equal(q, staggered_charge(slab.states, a))
                 for a, q in slab._charges.items()
             )
     out.append(_result("montecarlo.carried_charge_matches_recount", bool(same)))

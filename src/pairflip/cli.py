@@ -6,18 +6,21 @@ gets a ``<name>.meta.json`` sidecar with the resolved parameters, the
 package version, a timestamp, the numpy, scipy and Python versions, the
 CPU count and the operation's wall time. The artifact
 itself never contains a timestamp or a timing, so reruns with equal
-parameters are byte-identical.
+parameters are byte-identical. An output path that cannot be written
+is a usage error.
 
 A ``--config FILE`` of ``key = value`` lines supplies defaults for the
 chosen subcommand: its entries enter argv as ``--key=value`` flags right
 after the subcommand, ahead of the explicit flags, which win as later
-occurrences. ``main`` builds the parser once per process and every
-in-process call shares it, so no call changes it.
+occurrences. Given more than once, the last ``--config`` is read.
+``main`` builds the parser once per process and every in-process call
+shares it, so no call changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io as _io
 import json
@@ -38,7 +41,7 @@ from .chains import (
 )
 from .checks import run_checks
 from .errors import NumericError, ResourceCapError, UsageError
-from .io import build_meta, write_artifact
+from .io import build_meta, json_ready, write_artifact
 from .montecarlo import SimConfig, cone_escape_probability, estimate_tq, run_ensemble
 from .spectra import (
     DEFAULT_TOL,
@@ -66,7 +69,14 @@ def _fmt_float(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
-def _emit(args: argparse.Namespace, text: str, command: str) -> None:
+def _write(path: str, text: str, meta: dict[str, Any]) -> None:
+    try:
+        write_artifact(path, text, meta)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
+
+
+def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         params = {
             k: v
@@ -74,14 +84,12 @@ def _emit(args: argparse.Namespace, text: str, command: str) -> None:
             if k not in ("func", "out", "config", "started") and v is not None
         }
         wall_s = time.perf_counter() - args.started
-        write_artifact(args.out, text, build_meta(command, params, wall_s))
+        _write(args.out, text, build_meta(args.command, params, wall_s))
     else:
         sys.stdout.write(text)
 
 
 def _json_text(payload: Any) -> str:
-    from .io import json_ready
-
     return json.dumps(json_ready(payload), indent=2) + "\n"
 
 
@@ -116,7 +124,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 + cone_cells
             )
         )
-    _emit(args, "\n".join(rows) + "\n", "census")
+    _emit(args, "\n".join(rows) + "\n")
     return 0
 
 
@@ -153,11 +161,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         "n": args.n,
         "length": args.length,
         "chain": args.chain,
-        "gap": result.gap,
-        "method": result.method,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "precision": result.precision,
+        **dataclasses.asdict(result),
         "cheeger_upper": None,
         "cheeger_lower_witness": None,
         "cheeger_witness": None,
@@ -178,7 +182,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     if args.export_matrix:
         buf = _io.StringIO()
         count = export_coo(chain, buf)
-        write_artifact(
+        _write(
             args.export_matrix,
             buf.getvalue(),
             build_meta(
@@ -187,7 +191,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
                  "entries": count},
             ),
         )
-    _emit(args, _json_text(payload), "gap")
+    _emit(args, _json_text(payload))
     return 0
 
 
@@ -214,7 +218,7 @@ def _cmd_expansion(args: argparse.Namespace) -> int:
         "phi_min": phi_min,
         "witness": witness,
     }
-    _emit(args, _json_text(payload), "expansion")
+    _emit(args, _json_text(payload))
     return 0
 
 
@@ -266,15 +270,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         initial=_parse_initial(args.initial),
     )
-    payload: dict[str, Any] = {
-        "config": {
-            "n": cfg.n, "length": cfg.length, "t_max": cfg.t_max,
-            "gate": cfg.gate, "n_trajectories": cfg.n_trajectories,
-            "seed": cfg.seed, "observables": list(cfg.observables),
-            "gamma": cfg.gamma, "blocks": cfg.blocks,
-            "initial": list(cfg.initial_state()),
-        },
-    }
+    config = dataclasses.asdict(cfg)
+    del config["threads"]  # the output does not depend on it
+    config["initial"] = cfg.initial_state()
+    payload: dict[str, Any] = {"config": config}
     if args.estimate_tq:
         report = estimate_tq(
             cfg,
@@ -295,7 +294,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             payload["per_trajectory_times"] = report.per_trajectory_times
     else:
         payload.update(_series_payload(run_ensemble(cfg)))
-    _emit(args, _json_text(payload), "simulate")
+    _emit(args, _json_text(payload))
     return 0
 
 
@@ -322,7 +321,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 ]
             )
         )
-    _emit(args, "\n".join(rows) + "\n", "sweep")
+    _emit(args, "\n".join(rows) + "\n")
     return 0
 
 
@@ -377,7 +376,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             )
             for t in times
         ]
-    _emit(args, _json_text(payload), "bounds")
+    _emit(args, _json_text(payload))
     return 0
 
 
@@ -394,7 +393,7 @@ def _cmd_escape(args: argparse.Namespace) -> int:
         "probability": res.probability,
         "std_error": res.std_error,
     }
-    _emit(args, _json_text(payload), "escape")
+    _emit(args, _json_text(payload))
     return 0
 
 
@@ -420,11 +419,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # parser assembly
 
 
-def _add_common(sub: _Parser) -> None:
-    sub.add_argument("--config", help="file of key = value defaults")
-    sub.add_argument("--out", help="artifact path (stdout if omitted)")
-
-
 def _add_ensemble_flags(sub: _Parser) -> None:
     """The flags ``_sim_config`` reads, shared by every Monte Carlo command."""
     sub.add_argument("--gate", default="pf", help="pf or tl")
@@ -446,16 +440,18 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     registry: dict[str, _Parser] = {}
 
-    p = subs.add_parser("census", help="sector table with cone statistics")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_census)
-    registry["census"] = p
+    def command(name: str, func: Callable, summary: str, *sizes: str) -> _Parser:
+        """Declare and register a subcommand with its required int flags."""
+        p = registry[name] = subs.add_parser(name, help=summary)
+        for flag in sizes:
+            p.add_argument(flag, type=int, required=True)
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("gap", help="spectral gap of a chain build")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    command("census", _cmd_census, "sector table with cone statistics",
+            "--n", "--length")
+
+    p = command("gap", _cmd_gap, "spectral gap of a chain build", "--n", "--length")
     p.add_argument(
         "--chain", choices=("local", "nonlocal", "lumped"), default="lumped"
     )
@@ -477,23 +473,15 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--no-cheeger", action="store_true",
                    help="skip the conductance comparison")
     p.add_argument("--export-matrix", help="also write the matrix in COO text")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gap)
-    registry["gap"] = p
 
-    p = subs.add_parser("expansion", help="exact cut expansions (flow form)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p = command("expansion", _cmd_expansion, "exact cut expansions (flow form)",
+                "--n", "--length")
     p.add_argument("--depth", type=int, help="single cone cut at this depth")
     p.add_argument("--charge", type=int,
                    help="two-symbol charge-tail cut at this value")
-    _add_common(p)
-    p.set_defaults(func=_cmd_expansion)
-    registry["expansion"] = p
 
-    p = subs.add_parser("simulate", help="ensemble relaxation experiment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p = command("simulate", _cmd_simulate, "ensemble relaxation experiment",
+                "--n", "--length")
     _add_sim_flags(p)
     p.add_argument("--observables", default="charge:1")
     p.add_argument("--initial", help="start state, e.g. 2121 or 2,1,2,1")
@@ -502,45 +490,31 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--resamples", type=int, default=1000)
     p.add_argument("--per-trajectory", action="store_true",
                    help="also record per-trajectory first passages")
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
-    registry["simulate"] = p
 
-    p = subs.add_parser("sweep", help="first-passage times across lengths")
-    p.add_argument("--n", type=int, required=True)
+    p = command("sweep", _cmd_sweep, "first-passage times across lengths", "--n")
     p.add_argument("--lengths", required=True, help="comma list, e.g. 8,16,24")
     _add_sim_flags(p)
     p.add_argument("--resamples", type=int, default=1000)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
-    registry["sweep"] = p
 
-    p = subs.add_parser("bounds", help="closed-form bound evaluations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
+    p = command("bounds", _cmd_bounds, "closed-form bound evaluations",
+                "--n", "--length")
     p.add_argument("--gammas", default="0.1", help="comma list of gamma values")
     p.add_argument("--curve-times", help="comma list of entropy-curve times")
     p.add_argument("--curve-depth", type=float, default=0.0)
     p.add_argument("--bipartite", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
-    registry["bounds"] = p
 
-    p = subs.add_parser("escape", help="measured cone escape vs the flow bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p = command("escape", _cmd_escape, "measured cone escape vs the flow bound",
+                "--n", "--length", "--depth")
     p.add_argument("--times", required=True, help="comma list of sample times")
     _add_ensemble_flags(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_escape)
-    registry["escape"] = p
 
-    p = subs.add_parser("verify", help="run the built-in oracle checks")
+    # every command so far writes an artifact
+    for p in registry.values():
+        p.add_argument("--config", help="file of key = value defaults")
+        p.add_argument("--out", help="artifact path (stdout if omitted)")
+
+    p = command("verify", _cmd_verify, "run the built-in oracle checks")
     p.add_argument("--suite", help="comma list of suites (default: all)")
-    p.set_defaults(func=_cmd_verify, out=None, config=None)
-    registry["verify"] = p
-
     return parser, registry
 
 
@@ -607,12 +581,13 @@ def _probe_config(
     at = next((k for k, tok in enumerate(argv) if tok in registry), None)
     if at is None:
         return None
+    path = None  # the last --config wins, as for every repeated flag
     for k, tok in enumerate(argv):
         if tok == "--config" and k + 1 < len(argv):
-            return at, argv[k + 1]
-        if tok.startswith("--config="):
-            return at, tok.split("=", 1)[1]
-    return None
+            path = argv[k + 1]
+        elif tok.startswith("--config="):
+            path = tok.split("=", 1)[1]
+    return None if path is None else (at, path)
 
 
 @functools.cache

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -56,9 +55,9 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the target directory, then rename."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=target.parent, prefix=f".{target.name}.", suffix=".tmp"
-    )
+    tmp = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+    # mode 0666 under the umask, as open() would give; mkstemp gives 0600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -81,6 +81,7 @@ from .walks import (
     check_size,
     in_cone,
     reduce_states,
+    staggered_charge,
     state_dtype,
 )
 
@@ -386,15 +387,6 @@ def step_states(
     return boundary
 
 
-def _staggered_charge(states: np.ndarray, a: int) -> np.ndarray:
-    """Each row's staggered count of symbol ``a`` as int32: sites 2, 4, ...
-    add, sites 1, 3, ... subtract."""
-    hits = (states.T == a).view(np.int8)
-    q = np.add.reduce(hits[1::2], axis=0, dtype=np.int32)
-    q -= np.add.reduce(hits[0::2], axis=0, dtype=np.int32)
-    return q
-
-
 def cone_escape_mask(states: np.ndarray, depth: int) -> np.ndarray:
     """True where a state lies outside the depth-``depth`` cone below the
     canonical anchor 1,2,1,..."""
@@ -534,7 +526,7 @@ class _Slab:
     two pop-or-push updates whatever L is. The layers keep it.
 
     With a ``charge`` observable it likewise carries each symbol's
-    staggered charge, counted once at t = 0 (:func:`_staggered_charge`).
+    staggered charge, counted once at t = 0 (:func:`staggered_charge`).
     A gate turns an equal pair, on two sites of opposite sign, into
     another equal pair, so the layers keep every staggered charge; the
     resample moves symbol ``c``'s by ``[b == c] - [a == c]`` times the
@@ -577,7 +569,7 @@ class _Slab:
             self._tops = self._bottoms + depth
         # symbol -> carried staggered charge, int32 per row
         self._charges = {
-            o.arg: _staggered_charge(self.states, o.arg)
+            o.arg: staggered_charge(self.states, o.arg)
             for o in self.observables if o.kind == "charge"
         }
         runs = [(m, len(list(g))) for m, g in itertools.groupby(self.sizes)]

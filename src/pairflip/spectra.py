@@ -71,6 +71,7 @@ from .walks import (
     in_cone,
     reduce_states,
     sector_words,
+    staggered_charge,
 )
 
 if TYPE_CHECKING:
@@ -567,13 +568,13 @@ def n2_charge_subset(chain: StochasticChain, q: int) -> np.ndarray:
     """
     n, length = chain.n, chain.length
     _check_charge_cut(n, length, q)
-    # pair deletions keep the charge, so it is read off the irreducible
-    # string: symbol 1 counts +1 and symbol 2 counts -1, with weight -1 on
-    # odd sites
-    stack, depth = _basis_words(chain)
-    sites = np.arange(length)
-    weight = np.where(sites % 2, 1, -1) * (sites < depth[:, None])
-    charge = ((3 - 2 * stack.astype(np.int64)) * weight).sum(axis=1)
+    # a lumped basis element is its sector's irreducible string, whose
+    # zero padding matches no symbol; pair deletions keep the charge
+    if chain.kind == "lumped":
+        words = sector_words(n, length)[0]
+    else:
+        words = all_states(n, length)
+    charge = staggered_charge(words, 1) - staggered_charge(words, 2)
     return np.flatnonzero(charge >= q)
 
 

@@ -99,16 +99,21 @@ def reduce_symbols(symbols: Sequence[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def staggered_charge(states: np.ndarray, a: int) -> np.ndarray:
+    """Each row's staggered count of symbol ``a`` as int32: sites 2, 4, ...
+    add, sites 1, 3, ... subtract."""
+    hits = (states.T == a).view(np.int8)
+    q = np.add.reduce(hits[1::2], axis=0, dtype=np.int32)
+    q -= np.add.reduce(hits[0::2], axis=0, dtype=np.int32)
+    return q
+
+
 def charge_value(symbols: Sequence[int], a: int) -> int:
     """Staggered occupation of symbol a: sum over sites i of (-1)^i [s_i == a].
 
     Site numbering is 1-based, so site 1 carries weight -1.
     """
-    total = 0
-    for i, s in enumerate(symbols, start=1):
-        if s == a:
-            total += -1 if i % 2 else 1
-    return total
+    return int(staggered_charge(np.array([symbols]), a)[0])
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -958,7 +959,7 @@ class TestVerifyCommand:
 
 
 class TestMonteCarloFlags:
-    """The Monte Carlo commands' flags: ``(dest, default, type, required)``."""
+    """Every command's flags: ``(dest, default, type, required)``."""
 
     ENSEMBLE = {
         "--gate": ("gate", "pf", None, False),
@@ -978,7 +979,43 @@ class TestMonteCarloFlags:
         "--gamma": ("gamma", 0.1, float, False),
         "--resamples": ("resamples", 1000, int, False),
     }
+    LENGTH = {"--length": ("length", None, int, True)}
     EXPECTED = {
+        "census": {**COMMON, **LENGTH},
+        "gap": {
+            **COMMON, **LENGTH,
+            "--chain": ("chain", "lumped", None, False),
+            "--gate": ("gate", "pf", None, False),
+            "--exact": ("exact", False, None, False),
+            "--tol": ("tol", pairflip.spectra.DEFAULT_TOL, float, False),
+            "--dense-cutoff": (
+                "dense_cutoff", pairflip.spectra.DENSE_CUTOFF, int, False
+            ),
+            "--max-iterations": (
+                "max_iterations", pairflip.spectra.MAX_ITERATIONS, int, False
+            ),
+            "--state-cap": (
+                "state_cap", pairflip.chains.DEFAULT_STATE_CAP, int, False
+            ),
+            "--no-cheeger": ("no_cheeger", False, None, False),
+            "--export-matrix": ("export_matrix", None, None, False),
+        },
+        "expansion": {
+            **COMMON, **LENGTH,
+            "--depth": ("depth", None, int, False),
+            "--charge": ("charge", None, int, False),
+        },
+        "bounds": {
+            **COMMON, **LENGTH,
+            "--gammas": ("gammas", "0.1", None, False),
+            "--curve-times": ("curve_times", None, None, False),
+            "--curve-depth": ("curve_depth", 0.0, float, False),
+            "--bipartite": ("bipartite", False, None, False),
+        },
+        "verify": {
+            "-h": COMMON["-h"],
+            "--suite": ("suite", None, None, False),
+        },
         "simulate": {
             **COMMON, **ENSEMBLE, **TIMES,
             "--length": ("length", None, int, True),
@@ -1007,6 +1044,58 @@ class TestMonteCarloFlags:
             for a in registry[command]._actions
         }
         assert actions == self.EXPECTED[command]
+
+
+def _readme_commands():
+    """The ``pairflip ...`` lines of the README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("pairflip ")]
+
+
+class TestReadmeCommands:
+    """Every README command line parses with the real parser; nothing runs."""
+
+    def test_block_lists_every_command(self):
+        _, registry = pairflip.cli.build_parser()
+        assert {shlex.split(line)[1] for line in _readme_commands()} == set(registry)
+
+    @pytest.mark.parametrize("line", _readme_commands())
+    def test_parses(self, line):
+        parser, _ = pairflip.cli.build_parser()
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).command == argv[0]
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a usage error (exit 1), with no
+    traceback and no temp file left behind."""
+
+    def _check(self, capsys, tmp_path, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "cannot write" in err
+        assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+    def test_out_below_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        self._check(capsys, tmp_path, "census", "--n", "3", "--length", "4",
+                    "--out", str(blocker / "x.csv"))
+
+    def test_out_is_a_directory(self, capsys, tmp_path):
+        target = tmp_path / "dir"
+        target.mkdir()
+        self._check(capsys, tmp_path, "expansion", "--n", "3", "--length", "4",
+                    "--out", str(target))
+        assert list(target.iterdir()) == []
+
+    def test_export_matrix_below_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        self._check(capsys, tmp_path, "gap", "--n", "3", "--length", "4",
+                    "--export-matrix", str(blocker / "m.txt"))
 
 
 class TestExitCodes:
@@ -1336,6 +1425,19 @@ class TestConfigFile:
             capsys, "census", "--n", "3", "--config", str(cfg)
         )
         assert code == 1
+
+    def test_last_config_wins(self, capsys, tmp_path):
+        first, last = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("length = 5\n")
+        last.write_text("length = 7\n")
+        for argv in (
+            ["--config", str(first), "--config", str(last)],
+            [f"--config={first}", f"--config={last}"],
+            ["--config", str(first), f"--config={last}"],
+        ):
+            code, out, _ = run_cli(capsys, "gap", "--n", "3", "--no-cheeger", *argv)
+            assert code == 0
+            assert json.loads(out)["length"] == 7
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,10 +1,11 @@
 import json
+import stat
 from fractions import Fraction
 
 import numpy as np
 
 from pairflip.chains import GateKind
-from pairflip.io import json_ready
+from pairflip.io import json_ready, sidecar_path, write_artifact
 
 
 def _recursive(obj):
@@ -37,3 +38,21 @@ class TestJsonReady:
         arr = np.array([Fraction(1, 3), GateKind.TEMPERLEY_LIEB, None], dtype=object)
         assert json_ready(arr) == ["1/3", "tl", None]
         assert json_ready({"x": [arr]}) == {"x": [["1/3", "tl", None]]}
+
+
+class TestWriteArtifact:
+    def test_mode_follows_the_umask(self, tmp_path):
+        # the process umask is read, never changed: an artifact and its
+        # sidecar get what open() gives a new file in the same directory
+        path = tmp_path / "a.json"
+        write_artifact(path, "{}\n", {"command": "test"})
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+
+        def mode(p):
+            return stat.S_IMODE(p.stat().st_mode)
+
+        assert mode(path) == mode(sidecar_path(path)) == mode(tmp_path / "plain.txt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.json", "a.json.meta.json", "plain.txt"
+        ]

@@ -98,7 +98,14 @@ def thm1_gap_upper(n: int, length: int) -> BoundValue:
 
 
 def n2_gap_window(length: int) -> tuple[float, float]:
-    """Two-symbol nonlocal gap window (1/(pi L), sqrt(8/(pi L)))."""
+    """Two-symbol nonlocal gap window (1/(pi L), sqrt(8/(pi L))).
+
+    The window is the Cheeger pair ``(h^2 / 2, 2 h)`` at the large-L
+    expansion ``h = sqrt(2 / (pi L))`` of ``census.n2_min_expansion``,
+    which counts boundary states per state of the cut: twice the flow
+    expansion Phi of ``spectra.cut_expansions`` and
+    ``spectra.cheeger_check``.
+    """
     check_size(2, length)
     return 1.0 / (math.pi * length), math.sqrt(8.0 / (math.pi * length))
 

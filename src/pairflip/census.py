@@ -416,6 +416,12 @@ def n2_min_expansion(length: int) -> N2Expansion:
     Odd lengths have the closed form ((L+1)/(L 2^L)) C(L, (L+1)/2) at the
     central cut; even lengths scan the analogous cuts. The float field is the
     large-L shape sqrt(2 / (pi L)).
+
+    The expansion here is boundary states per state of the cut, the
+    convention of ``bounds.n2_gap_window``. That is twice the flow
+    expansion Phi of ``spectra.cut_expansions`` and
+    ``spectra.cheeger_check``: half of the boundary states leave in one
+    step.
     """
     check_size(2, length)
     if length % 2:

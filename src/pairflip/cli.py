@@ -12,7 +12,8 @@ is a usage error.
 A ``--config FILE`` of ``key = value`` lines supplies defaults for the
 chosen subcommand: its entries enter argv as ``--key=value`` flags right
 after the subcommand, ahead of the explicit flags, which win as later
-occurrences. Given more than once, the last ``--config`` is read.
+occurrences. Given more than once, the last ``--config`` is read; an
+abbreviation such as ``--conf`` is read as argparse reads it.
 ``main`` builds the parser once per process and every in-process call
 shares it, so no call changes it.
 """
@@ -576,17 +577,23 @@ def _probe_config(
     """Find (index of the command token, config path) without a full parse.
 
     Config entries may satisfy required flags, so this must not fail
-    on an incomplete command line the way a real parse would.
+    on an incomplete command line the way a real parse would. A token
+    after the command names an option as the subcommand's parser reads
+    it: the option spelled so, else the one option it is a prefix of.
     """
     at = next((k for k, tok in enumerate(argv) if tok in registry), None)
     if at is None:
         return None
+    options = registry[argv[at]]._option_string_actions
     path = None  # the last --config wins, as for every repeated flag
-    for k, tok in enumerate(argv):
-        if tok == "--config" and k + 1 < len(argv):
-            path = argv[k + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+    for k in range(at + 1, len(argv)):
+        name, eq, value = argv[k].partition("=")
+        if name.startswith("--") and name not in options:
+            matches = [opt for opt in options if opt.startswith(name)]
+            # an unknown or ambiguous prefix stays as it is; the parse reports it
+            name = matches[0] if len(matches) == 1 else name
+        if name == "--config" and (eq or k + 1 < len(argv)):
+            path = value if eq else argv[k + 1]
     return None if path is None else (at, path)
 
 
@@ -624,8 +631,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # OverflowError: a float, or an int converted to one, past the largest double
         print(f"pairflip: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except ResourceCapError as exc:
-        print(f"pairflip: resource cap: {exc}", file=sys.stderr)
+    except (ResourceCapError, MemoryError) as exc:
+        # MemoryError: an allocation past the machine's, say for a huge --trajectories
+        print(f"pairflip: resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

@@ -74,9 +74,9 @@ from .chains import GateKind, layer_pairs
 from .errors import NumericError, UsageError
 from .walks import (
     SectorId,
-    SpinString,
     _canonical_anchor,
     _pop_or_push,
+    _validate_symbols,
     check_cone_depth,
     check_size,
     in_cone,
@@ -135,7 +135,7 @@ class SimConfig:
         if self.initial is not None:
             if len(self.initial) != self.length:
                 raise UsageError("initial state has the wrong length")
-            SpinString(tuple(self.initial), self.n)
+            _validate_symbols(tuple(self.initial), self.n)
         if not self.observables:
             raise UsageError("need at least one observable")
         for k, obs in enumerate(self.observables):
@@ -632,8 +632,10 @@ class _Slab:
 
 
 def _block_sizes(n_trajectories: int, blocks: int) -> list[int]:
+    """Sizes of the nonempty blocks, in order: blocks past the trajectory
+    count would be empty and draw nothing, so they are never built."""
     base, rem = divmod(n_trajectories, blocks)
-    return [base + (1 if b < rem else 0) for b in range(blocks)]
+    return [base + (1 if b < rem else 0) for b in range(min(blocks, n_trajectories))]
 
 
 def _history(slabs: Sequence[_Slab], table: str, name: str, start: int = 0):
@@ -1023,7 +1025,7 @@ def cone_escape_probability(
     obs = f"cone_escape:{depth}"
     cfg = replace(cfg, observables=(obs,), t_max=times[-1], initial=None)
     sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
-    rngs = [_philox(cfg.seed, _INIT_KEY_OFFSET + b) for b in range(cfg.blocks)]
+    rngs = [_philox(cfg.seed, _INIT_KEY_OFFSET + b) for b in range(len(sizes))]
     states = sample_cone_states(cfg.n, cfg.length, depth, sizes, rngs)
     series = _run_blocks(cfg, np.split(states, np.cumsum(sizes)[:-1]), times=times)
     flow = float(cone_stats(cfg.n, cfg.length, depth).boundary_flow)

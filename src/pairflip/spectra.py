@@ -18,24 +18,24 @@ double precision comes out right. The block also gives the gap of the
 nonlocal chain ``B R S``, which has the nonzero spectrum of the lumped
 chain ``S B R``.
 
-A chain given as a matrix, a built lumped chain included, is reduced to
-one matrix ``A`` and a unit vector ``r`` that is a left and right
-eigenvector of ``A`` for the eigenvalue 1.
-Reversible chains (the lumped chain, and the nonlocal chain through its
-sector compression) give the symmetric ``A = D^{1/2} T D^{-1/2}``, ``D``
-the diagonal of the stationary law, with ``r`` proportional to its
-square root; the full local chain and chains made from raw matrices give
-the nonsymmetric ``A = T``, with ``r`` the constant vector when ``T`` is
-doubly stochastic. There are two solves. Up to ``DENSE_CUTOFF`` = 64
-states ``eigh`` or ``eig`` ranks the whole spectrum by modulus; above it
-ARPACK (``eigsh`` or ``eigs``) finds the largest modulus of
-``x -> A x - r (r.x)``, in which the eigenvalue 1 is deflated to 0 and
-every other eigenvalue is kept. 64 is the measured crossover: the dense
-solve is the faster one up to about 64 states and ARPACK from about 81
-states on (local and lumped chains alike, both gates), and both find
-the same gap. Their ``1 - |lambda|`` carries an absolute error near
-``dim`` roundings, which ``GapResult.precision`` reports relative to the
-gap.
+A chain given as a matrix, a built lumped chain included, is solved on
+its own matrix, as one matrix ``A`` and a unit vector ``r`` that is a
+left and right eigenvector of ``A`` for the eigenvalue 1. The lumped
+chain, reversible with respect to the sector masses, gives the
+symmetric ``A = D^{1/2} T D^{-1/2}``, ``D`` the diagonal of the
+stationary law, with ``r`` proportional to its square root; the full
+local and nonlocal chains, both doubly stochastic but not symmetric, and
+chains made from raw matrices give the nonsymmetric ``A = T``, with
+``r`` the constant vector when ``T`` is doubly stochastic. There are
+two solves. Up to ``DENSE_CUTOFF`` = 64 states ``eigh`` or ``eig``
+ranks the whole spectrum by modulus; above it ARPACK (``eigsh`` or
+``eigs``) finds the largest modulus of ``x -> A x - r (r.x)``, in which
+the eigenvalue 1 is deflated to 0 and every other eigenvalue is kept.
+64 is the measured crossover: the dense solve is the faster one up to
+about 64 states and ARPACK from about 81 states on (local and lumped
+chains alike, both gates), and both find the same gap. Their
+``1 - |lambda|`` carries an absolute error near ``dim`` roundings,
+which ``GapResult.precision`` reports relative to the gap.
 
 Expansion of a subset R uses the probability-flow convention
 
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from .census import _cone_flows, multiplicity, n2_charge_cut, sector_dim
-from .chains import StochasticChain, _lumped_rates, sector_projectors
+from .chains import StochasticChain, _lumped_rates
 from .errors import NumericError, UsageError
 from .walks import (
     SectorId,
@@ -117,44 +117,6 @@ def _require_irreducible(chain: StochasticChain) -> None:
         )
 
 
-def _compress_nonlocal(chain: StochasticChain) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sector compression S M R of the nonlocal chain.
-
-    Shares every nonzero eigenvalue with the full matrix (AB and BA
-    have the same nonzero spectrum), independent of any lumping
-    assumption, and is reversible with respect to the sector masses.
-    """
-    import scipy.sparse as sp
-
-    r_mat, s_mat, _ = sector_projectors(chain.n, chain.length)
-    comp = sp.csr_matrix((s_mat @ chain.matrix) @ r_mat)
-    # sector sizes counted from R's columns, independent of the census
-    dims = np.asarray(r_mat.sum(axis=0)).ravel()
-    return comp, dims / dims.sum()
-
-
-def _gap_operator(
-    chain: StochasticChain,
-) -> tuple[sp.csr_matrix, bool, np.ndarray]:
-    """The matrix ``A`` whose spectrum gives the gap, whether it is
-    symmetric, and the unit deflation vector ``r``."""
-    import scipy.sparse as sp
-
-    if chain.kind == "nonlocal":
-        mat, pi = _compress_nonlocal(chain)
-    else:
-        mat, pi = chain.matrix, chain.stationary
-    if pi is None:  # a raw-matrix chain
-        pi = np.full(chain.dimension, 1.0 / chain.dimension)
-    root = np.sqrt(pi)
-    symmetric = chain.kind in ("lumped", "nonlocal")
-    if symmetric:
-        # D^{1/2} T D^{-1/2} is symmetric because T is reversible with
-        # respect to pi; its top eigenvector is sqrt(pi)
-        mat = sp.csr_matrix(sp.diags(root) @ mat @ sp.diags(1.0 / root))
-    return mat, symmetric, root / np.linalg.norm(root)
-
-
 def _gap_result(
     lam: complex | float, method: str, residual: float, iterations: int, dim: int
 ) -> GapResult:
@@ -206,10 +168,10 @@ def _arpack_gap(
                 f"this {dim}-state chain is neither, so solve it densely with "
                 f"dense_cutoff >= {dim}"
             )
-    # At N=3 the subdominant eigenvalues of the local chain come in
-    # S_N-degenerate pairs, of which eigs may return one copy only; 2N
-    # values keep the largest modulus among them (a raw-matrix chain has
-    # no alphabet and gets the N=3 count)
+    # At N=3 the subdominant eigenvalues of the local and nonlocal
+    # chains come in S_N-degenerate pairs, of which eigs may return one
+    # copy only; 2N values keep the largest modulus among them (a
+    # raw-matrix chain has no alphabet and gets the N=3 count)
     k = 1 if symmetric else 2 * (n or 3)
     if dim <= k + 1:  # eigs needs k < dim - 1
         return _dense_gap(mat, symmetric)
@@ -254,30 +216,40 @@ def spectral_gap(
     dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int = MAX_ITERATIONS,
 ) -> GapResult:
-    """Gap of a chain: dense up to the cutoff, ARPACK above.
+    """Gap of a chain, solved on its own matrix: dense up to the cutoff,
+    ARPACK above.
 
     The default cutoff, ``DENSE_CUTOFF`` = 64 states, is where ARPACK
-    overtakes the dense solve. Lumped and nonlocal chains are reversible
-    and are solved symmetrized through their stationary law, the
-    nonlocal chain in its sector compression (so the dimension compared
-    with the cutoff, and the eigenpair behind ``residual``, are the
-    compression's): ``eigh`` up to the cutoff, ``eigsh`` on the deflated
-    operator above it. The local chain and raw-matrix chains use ``eig``
-    up to the cutoff and ``eigs`` on the deflated operator above it,
-    which needs a doubly stochastic matrix: a raw-matrix chain above the
-    cutoff that is not doubly stochastic raises UsageError, and solves
-    with a ``dense_cutoff`` of at least its dimension. Both solves rank
-    eigenvalues by modulus. A dimension too small for ARPACK's ``k`` is
-    solved densely whatever the cutoff. Non-convergence raises instead
-    of returning.
+    overtakes the dense solve. The lumped chain is reversible with
+    respect to the sector masses and is solved symmetrized through them:
+    ``eigh`` up to the cutoff, ``eigsh`` on the deflated operator above
+    it. The local and nonlocal chains, both doubly stochastic, and
+    raw-matrix chains use ``eig`` up to the cutoff and ``eigs`` on the
+    deflated operator above it, which needs a doubly stochastic matrix:
+    a raw-matrix chain above the cutoff that is not doubly stochastic
+    raises UsageError, and solves with a ``dense_cutoff`` of at least its
+    dimension. Both solves rank eigenvalues by modulus. A dimension too
+    small for ARPACK's ``k`` is solved densely whatever the cutoff.
+    Non-convergence raises instead of returning.
     """
+    import scipy.sparse as sp
+
     if not (0 < tol < np.inf and max_iterations >= 1):
         raise UsageError(
             f"need 0 < tol < inf and max_iterations >= 1, "
             f"got tol={tol}, max_iterations={max_iterations}"
         )
     _require_irreducible(chain)
-    mat, symmetric, top = _gap_operator(chain)
+    mat, pi = chain.matrix, chain.stationary
+    if pi is None:  # a raw-matrix chain
+        pi = np.full(chain.dimension, 1.0 / chain.dimension)
+    root = np.sqrt(pi)
+    top = root / np.linalg.norm(root)
+    symmetric = chain.kind == "lumped"
+    if symmetric:
+        # D^{1/2} T D^{-1/2} is symmetric because T is reversible with
+        # respect to pi; its top eigenvector is sqrt(pi)
+        mat = sp.csr_matrix(sp.diags(root) @ mat @ sp.diags(1.0 / root))
     if mat.shape[0] <= dense_cutoff:
         return _dense_gap(mat, symmetric)
     return _arpack_gap(mat, symmetric, top, chain.n, tol, max_iterations)

@@ -851,6 +851,44 @@ class TestEscapeCommand:
         assert "bad --times value '0,1.5'" in err
 
 
+class TestBlocksPastTrajectories:
+    def test_empty_blocks_cost_nothing(self, capsys, tmp_path):
+        # blocks past the trajectory count would be empty; built, 10^18
+        # of them would never finish, so the run has a timeout and a 1 GiB
+        # address-space limit
+        commands = {
+            "simulate": ["simulate", "--n", "3", "--length", "4", "--t-max", "5"],
+            "escape": ["escape", "--n", "3", "--length", "4", "--depth", "2",
+                       "--times", "0,3"],
+        }
+        argvs = [
+            [*argv, "--trajectories", "5", "--blocks", str(10**18),
+             "--out", str(tmp_path / f"{name}.json")]
+            for name, argv in commands.items()
+        ]
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from pairflip.cli import main\n"
+            f"sys.exit(max(main(argv) for argv in {argvs!r}))\n"
+        )
+        src = str(Path(pairflip.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for name, argv in commands.items():
+            code, out, _ = run_cli(capsys, *argv, "--trajectories", "5", "--blocks", "5")
+            assert code == 0
+            got = json.loads((tmp_path / f"{name}.json").read_text())
+            if "config" in got:  # simulate's echo of its flags
+                assert got["config"]["blocks"] == 10**18
+                got["config"]["blocks"] = 5
+            assert got == json.loads(out)
+
+
 class TestAlphabetLimit:
     # trajectories are int8 arrays: 127 symbols fit, 128 do not
     SIMULATE = ("simulate", "--length", "4", "--t-max", "2",
@@ -1110,6 +1148,20 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cap" in err.lower()
+
+    def test_memory_error_is_a_resource_cap(self, capsys, monkeypatch):
+        # a huge --trajectories fails in numpy's allocation; raised here
+        # by hand, so that the test allocates nothing
+        def out_of_memory(cfg):
+            raise MemoryError("Unable to allocate 3.47 EiB")
+
+        monkeypatch.setattr(pairflip.cli, "run_ensemble", out_of_memory)
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--length", "4", "--t-max", "5",
+            "--trajectories", "99999999999999999999",
+        )
+        assert code == 3 and out == ""
+        assert err == "pairflip: resource cap: Unable to allocate 3.47 EiB\n"
 
     def test_numeric_failure(self, capsys):
         # only the local chain runs ARPACK
@@ -1447,6 +1499,36 @@ class TestConfigFile:
         )
         assert code == 1
         assert "config" in err
+
+
+class TestAbbreviatedConfig:
+    """``--config`` may be abbreviated, as argparse allows every option."""
+
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_prefix_is_read(self, capsys, tmp_path, joined):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("length = 5\n")
+        flag = [f"--conf={cfg}"] if joined else ["--conf", str(cfg)]
+        code, out, err = run_cli(capsys, "gap", "--n", "3", *flag)
+        assert code == 0 and err == ""
+        ref = run_cli(capsys, "gap", "--n", "3", "--length", "5")
+        assert out == ref[1] and json.loads(out)["length"] == 5
+
+    def test_missing_file_through_a_prefix(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "gap", "--n", "3", "--length", "8",
+            "--conf", str(tmp_path / "absent.cfg"),
+        )
+        assert code == 1 and out == ""
+        assert "cannot read config file" in err
+
+    def test_ambiguous_prefix_is_a_usage_error(self, capsys, tmp_path):
+        # --c could be --chain or --config
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("length = 5\n")
+        code, out, err = run_cli(capsys, "gap", "--n", "3", "--c", str(cfg))
+        assert code == 1 and out == ""
+        assert "ambiguous option" in err
 
 
 class TestNoStateBetweenCalls:

@@ -92,6 +92,10 @@ class TestConfig:
         cfg = SimConfig(n=2, length=4, t_max=1, initial=(1, 1, 2, 2))
         assert cfg.initial_state() == (1, 1, 2, 2)
 
+    def test_initial_symbol_outside_the_alphabet_is_named(self):
+        with pytest.raises(UsageError, match=r"symbol 3 outside alphabet 1\.\.2"):
+            SimConfig(n=2, length=4, t_max=1, initial=(1, 2, 3, 1))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -661,6 +665,15 @@ class TestConeSampler:
 
 
 class TestEnsemble:
+    @pytest.mark.parametrize(
+        "trajectories,blocks,sizes",
+        [(10, 4, [3, 3, 2, 2]), (5, 5, [1] * 5), (5, 12, [1] * 5), (1, 3, [1])],
+    )
+    def test_block_sizes_stop_at_the_last_nonempty_block(
+        self, trajectories, blocks, sizes
+    ):
+        assert _block_sizes(trajectories, blocks) == sizes
+
     def test_bitwise_deterministic(self):
         cfg = SimConfig(n=2, length=8, t_max=30, n_trajectories=900, seed=3, blocks=9)
         a = run_ensemble(cfg)

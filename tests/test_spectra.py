@@ -152,11 +152,6 @@ class TestSymmetricDenseGap:
             assert abs(res.gap - _eigvals_gap(ch.matrix.toarray())) < 1e-12
             assert res.residual < 1e-12
 
-    def test_nonlocal_cutoff_applies_to_the_compression(self):
-        # 729 states but 127 sectors: the compression is solved densely
-        res = spectral_gap(build_full_nonlocal(3, 6), dense_cutoff=200)
-        assert res.method == "dense"
-
     def test_largest_dense_lumped_matches_iterative(self):
         # its own cutoff: the default sends 4095 sectors to ARPACK
         cutoff = 4096
@@ -178,12 +173,14 @@ class TestIterativeGap:
         assert it.residual <= spectra.DEFAULT_TOL
         assert it.iterations > 0
 
-    def test_nonlocal_compression_matches_dense(self):
-        ch = build_full_nonlocal(3, 6)  # 127 sectors
-        dense = spectral_gap(ch, dense_cutoff=127)
-        comp = spectral_gap(ch, dense_cutoff=10)
-        assert dense.method == "dense" and comp.method == "iterative"
-        assert abs(dense.gap - comp.gap) < 1e-9
+    def test_nonlocal_matches_dense(self):
+        # the full nonsymmetric matrix through eig and through eigs
+        ch = build_full_nonlocal(3, 5)
+        assert ch.dimension == 243
+        dense = spectral_gap(ch, dense_cutoff=243)
+        it = spectral_gap(ch, dense_cutoff=10)
+        assert dense.method == "dense" and it.method == "iterative"
+        assert abs(dense.gap - it.gap) < 1e-9
 
     def test_local_matches_dense(self):
         # the nonsymmetric chain goes through eigs on the deflated matrix;
@@ -808,9 +805,10 @@ class TestLumpedBlocks:
     @pytest.mark.parametrize(
         "n,length", [(2, 1), (2, 6), (3, 1), (3, 5), (3, 8), (4, 2), (4, 5)]
     )
-    def test_nonlocal_compression_has_the_block_gap(self, n, length):
+    def test_full_nonlocal_matrix_has_the_block_gap(self, n, length):
         # the nonlocal chain B R S shares its nonzero spectrum with the
-        # lumped chain S B R, so the gap CLI serves it from the blocks
+        # lumped chain S B R, so the gap CLI serves it from the blocks;
+        # the reference solves the full matrix, up to 6561 states
         ref = spectral_gap(build_full_nonlocal(n, length)).gap
         assert lumped_gap(n, length).gap == pytest.approx(ref, rel=1e-12, abs=1e-14)
 

@@ -342,18 +342,27 @@ def _cone_masses(n: int, length: int, depth: int) -> list[int]:
     ]
 
 
-def cone_stats(n: int, length: int, depth: int) -> ConeStats:
-    """Exact and asymptotic volume and expansion of a depth-d cone.
+def _cone_exact(n: int, length: int) -> dict[int, tuple[int, Fraction]]:
+    """Exact volume and boundary flow of the cone at every depth, deepest
+    first, in one suffix pass: V(d) = (N-1)|K_d| + (N-1)^2 V(d+2) takes
+    O(L) big-integer operations for all L/2 depths, as one sum of
+    :func:`_cone_masses` does. No float of N enters, so N may pass the
+    float range.
 
     The only states that can leave in one boundary step are those in the
     depth-d sectors whose length-(L-1) prefix already sits at depth d-1, hence
     flow = ((N-1)/N) |K_(d-1), L-1| / |C_d|.
     """
-    check_alphabet(n)
-    check_cone_depth(depth, length)
-    volume = sum(_cone_masses(n, length, depth))
-    flow = Fraction((n - 1) * _dims_row(n, length - 1)[depth - 1], n * volume)
+    row, prev = _dims_row(n, length), _dims_row(n, length - 1)
+    cones, volume = {}, 0
+    for d in range(length, 1, -2):
+        volume = (n - 1) * row[d] + (n - 1) ** 2 * volume
+        cones[d] = volume, Fraction((n - 1) * prev[d - 1], n * volume)
+    return cones
 
+
+def _cone_stats(n: int, length: int, depth: int, volume: int, flow: Fraction) -> ConeStats:
+    """:func:`cone_stats` from the cone's exact volume and flow."""
     v = (n - 2.0) / n
     # exact, so that the ballistic branch never sees x <= 0 from rounding
     x = float(Fraction(depth * n - (n - 2) * length, n * length))
@@ -377,17 +386,19 @@ def cone_stats(n: int, length: int, depth: int) -> ConeStats:
     )
 
 
-def _cone_flows(n: int, length: int) -> dict[int, Fraction]:
-    """The boundary flow of the cone at every depth in one suffix pass:
-    volumes satisfy V(d) = (N-1)|K_d| + (N-1)^2 V(d+2), so all L/2 flows
-    take O(L) big-integer operations, as :func:`cone_stats` takes for one."""
-    check_size(n, length)
-    row, prev = _dims_row(n, length), _dims_row(n, length - 1)
-    flows, volume = {}, 0
-    for d in range(length, 1, -2):
-        volume = (n - 1) * row[d] + (n - 1) ** 2 * volume
-        flows[d] = Fraction((n - 1) * prev[d - 1], n * volume)
-    return flows
+def cone_stats(n: int, length: int, depth: int) -> ConeStats:
+    """Exact and asymptotic volume and expansion of a depth-d cone, with
+    the flow of :func:`_cone_exact`."""
+    check_alphabet(n)
+    check_cone_depth(depth, length)
+    volume = sum(_cone_masses(n, length, depth))
+    flow = Fraction((n - 1) * _dims_row(n, length - 1)[depth - 1], n * volume)
+    return _cone_stats(n, length, depth, volume, flow)
+
+
+def _cone_table(n: int, length: int) -> dict[int, ConeStats]:
+    """:func:`cone_stats` of every cone, deepest first, from one suffix pass."""
+    return {d: _cone_stats(n, length, d, *vf) for d, vf in _cone_exact(n, length).items()}
 
 
 class N2Expansion(NamedTuple):

@@ -188,6 +188,9 @@ class StochasticChain:
         kind: str = "custom",
         stationary: np.ndarray | None = None,
     ) -> "StochasticChain":
+        """A chain on a raw row-stochastic matrix, with its stationary law,
+        uniform if not given; a chain that is not doubly stochastic needs
+        its law to solve iteratively in ``spectra.spectral_gap``."""
         import scipy.sparse as sp
 
         return cls(kind=kind, matrix=sp.csr_matrix(matrix), stationary=stationary)

@@ -101,6 +101,7 @@ def _json_text(payload: Any) -> str:
 def _cmd_census(args: argparse.Namespace) -> int:
     n, length = args.n, args.length
     table = census.sector_dims(n, length)
+    cones = census._cone_table(n, length)
     rows = ["d,multiplicity,dim_exact,dim_asymptotic,cone_volume,"
             "cone_expansion_exact,cone_expansion_asymptotic"]
     for d, dim in table.dims.items():
@@ -110,15 +111,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
             dim_asym = _fmt_float(census.k0_asymptotic(n, length))
         else:
             dim_asym = _fmt_float(census.kd_asymptotic(n, length, d))
-        if d >= 2:
-            cs = census.cone_stats(n, length, d)
-            cone_cells = [
-                str(cs.volume),
-                str(cs.boundary_flow),
-                _fmt_float(cs.asymptotic_expansion),
-            ]
-        else:
-            cone_cells = ["", "", ""]
+        cs = cones.get(d)
+        cone_cells = ["", "", ""] if cs is None else [
+            str(cs.volume), str(cs.boundary_flow), _fmt_float(cs.asymptotic_expansion)
+        ]
         rows.append(
             ",".join(
                 [str(d), str(table.multiplicity[d]), str(dim), dim_asym]

@@ -71,7 +71,7 @@ import numpy as np
 
 from .census import _cone_masses, cone_stats, sector_dim_rows
 from .chains import GateKind, layer_pairs
-from .errors import NumericError, UsageError
+from .errors import NumericError, ResourceCapError, UsageError
 from .walks import (
     SectorId,
     _canonical_anchor,
@@ -93,6 +93,11 @@ _BOOT_KEY = (1 << 63) - 1  # the bootstrap stream's key
 
 KNOWN_OBSERVABLES = ("charge", "depth", "match_site", "cone_escape")
 _CHARGE = "charge:1"  # the observable of first passages
+
+# bytes of a nonempty block: its size, its Philox stream and its slab slots
+# (1.0 to 1.7 KiB at peak, measured with tracemalloc)
+_BLOCK_BYTES = 2048
+_BLOCKS_CAP_BYTES = 1 << 30
 
 
 def _check_sim_alphabet(n: int) -> None:
@@ -132,6 +137,12 @@ class SimConfig:
             raise UsageError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.blocks < 1 or self.threads < 1:
             raise UsageError("blocks and threads must be positive")
+        nonempty = min(self.blocks, self.n_trajectories)  # the rest are never built
+        if nonempty * _BLOCK_BYTES > _BLOCKS_CAP_BYTES:
+            raise ResourceCapError(
+                f"{nonempty} nonempty blocks need about "
+                f"{nonempty * _BLOCK_BYTES / 2**30:.3g} GiB, above the cap of 1 GiB"
+            )
         if self.initial is not None:
             if len(self.initial) != self.length:
                 raise UsageError("initial state has the wrong length")

@@ -19,23 +19,18 @@ nonlocal chain ``B R S``, which has the nonzero spectrum of the lumped
 chain ``S B R``.
 
 A chain given as a matrix, a built lumped chain included, is solved on
-its own matrix, as one matrix ``A`` and a unit vector ``r`` that is a
-left and right eigenvector of ``A`` for the eigenvalue 1. The lumped
-chain, reversible with respect to the sector masses, gives the
-symmetric ``A = D^{1/2} T D^{-1/2}``, ``D`` the diagonal of the
-stationary law, with ``r`` proportional to its square root; the full
-local and nonlocal chains, both doubly stochastic but not symmetric, and
-chains made from raw matrices give the nonsymmetric ``A = T``, with
-``r`` the constant vector when ``T`` is doubly stochastic. There are
-two solves. Up to ``DENSE_CUTOFF`` = 64 states ``eigh`` or ``eig``
-ranks the whole spectrum by modulus; above it ARPACK (``eigsh`` or
-``eigs``) finds the largest modulus of ``x -> A x - r (r.x)``, in which
-the eigenvalue 1 is deflated to 0 and every other eigenvalue is kept.
-64 is the measured crossover: the dense solve is the faster one up to
-about 64 states and ARPACK from about 81 states on (local and lumped
-chains alike, both gates), and both find the same gap. Their
-``1 - |lambda|`` carries an absolute error near ``dim`` roundings,
-which ``GapResult.precision`` reports relative to the gap.
+its own matrix ``T``: up to ``DENSE_CUTOFF`` = 64 states ``eig`` ranks
+the whole spectrum by modulus; above it ARPACK's ``eigs`` finds the
+largest modulus of ``x -> T x - u (w.x)``. There ``u`` is the constant
+vector and ``w`` the stationary law, scaled to ``w.u = 1`` (both the
+unit constant vector where the law is uniform, as for the local and
+nonlocal chains), so the eigenvalue 1 goes to 0 and every other
+eigenvalue stays (Wielandt deflation). 64 is the measured crossover:
+the dense solve is the faster one up to about 64 states and ARPACK from
+about 81 states on (local and lumped chains alike, both gates), and
+both find the same gap. Their ``1 - |lambda|`` carries an absolute
+error near ``dim`` roundings, which ``GapResult.precision`` reports
+relative to the gap.
 
 Expansion of a subset R uses the probability-flow convention
 
@@ -59,7 +54,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .census import _cone_flows, multiplicity, n2_charge_cut, sector_dim
+from .census import _cone_exact, multiplicity, n2_charge_cut, sector_dim
 from .chains import StochasticChain, _lumped_rates
 from .errors import NumericError, UsageError
 from .walks import (
@@ -133,51 +128,53 @@ def _gap_result(
     )
 
 
-def _dense_gap(mat: sp.csr_matrix, symmetric: bool) -> GapResult:
+def _dense_gap(mat: sp.csr_matrix) -> GapResult:
     """Second-largest eigenvalue modulus of the whole spectrum."""
-    solve = np.linalg.eigh if symmetric else np.linalg.eig
-    vals, vecs = solve(mat.toarray())
+    vals, vecs = np.linalg.eig(mat.toarray())
     k = np.argsort(-np.abs(vals))[1]
     lam, x = vals[k], vecs[:, k]
-    # eigh reads one triangle; the residual against the whole of ``mat``
-    # also picks up the rounding asymmetry of the similarity transform
     residual = float(np.linalg.norm(mat @ x - lam * x) / np.linalg.norm(x))
     return _gap_result(lam, "dense", residual, 0, mat.shape[0])
 
 
-def _arpack_gap(
-    mat: sp.csr_matrix,
-    symmetric: bool,
-    top: np.ndarray,
-    n: int | None,
-    tol: float,
-    max_iterations: int,
-) -> GapResult:
-    """Gap from the largest eigenvalue modulus of ``mat`` with ``top``
-    deflated, by ARPACK; ``iterations`` counts the matvecs."""
+def _law(chain: StochasticChain) -> np.ndarray:
+    """The stationary law of a chain, uniform where it gives none."""
+    if chain.stationary is None:  # a raw-matrix chain
+        return np.full(chain.dimension, 1.0 / chain.dimension)
+    return chain.stationary
+
+
+def _arpack_gap(chain: StochasticChain, tol: float, max_iterations: int) -> GapResult:
+    """Gap from the largest eigenvalue modulus of ``x -> T x - u (w.x)``
+    by ARPACK (see the module docstring); ``iterations`` counts the
+    matvecs."""
     import scipy.sparse.linalg as spla
 
-    dim = mat.shape[0]
-    if not symmetric:
-        drift = max(
-            np.abs(mat @ top - top).max(), np.abs(mat.T @ top - top).max()
+    mat, dim, pi = chain.matrix, chain.dimension, _law(chain)
+    if (pi != pi[0]).any():
+        u, w = np.ones(dim), pi / pi.sum()
+    else:
+        root = np.sqrt(pi)
+        u = w = root / np.linalg.norm(root)
+    drift = max(np.abs(mat @ u - u).max() / u.max(),
+                np.abs(mat.T @ w - w).max() / w.max())
+    if drift > 1e-9:
+        raise UsageError(
+            f"iterative gap needs the stationary law of the chain; the law "
+            f"of this {dim}-state chain, uniform unless given, is not "
+            f"stationary, so solve it densely with dense_cutoff >= {dim}"
         )
-        if drift > 1e-9 * top.max():
-            raise UsageError(
-                f"iterative gap needs a doubly stochastic or reversible chain; "
-                f"this {dim}-state chain is neither, so solve it densely with "
-                f"dense_cutoff >= {dim}"
-            )
     # At N=3 the subdominant eigenvalues of the local and nonlocal
     # chains come in S_N-degenerate pairs, of which eigs may return one
-    # copy only; 2N values keep the largest modulus among them (a
-    # raw-matrix chain has no alphabet and gets the N=3 count)
-    k = 1 if symmetric else 2 * (n or 3)
+    # copy only, and the lumped gap has multiplicity N-1; 2N values keep
+    # the largest modulus among them (a raw-matrix chain has no alphabet
+    # and gets the N=3 count)
+    k = 2 * (chain.n or 3)
     if dim <= k + 1:  # eigs needs k < dim - 1
-        return _dense_gap(mat, symmetric)
+        return _dense_gap(mat)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return mat @ x - top * (top @ x)
+        return mat @ x - u * (w @ x)
 
     matvecs = 0
 
@@ -188,9 +185,8 @@ def _arpack_gap(
 
     op = spla.LinearOperator((dim, dim), matvec=counted, dtype=np.float64)
     v0 = np.random.default_rng(0).standard_normal(dim)
-    solve = spla.eigsh if symmetric else spla.eigs
     try:
-        vals, vecs = solve(
+        vals, vecs = spla.eigs(
             op, k=k, which="LM", tol=tol / 10, maxiter=max_iterations, v0=v0
         )
     except spla.ArpackNoConvergence as exc:
@@ -199,7 +195,7 @@ def _arpack_gap(
         # a chain that mixes in one step (L=1) deflates to the zero
         # operator, and ARPACK cannot start from a vector it annihilates
         if not apply(v0).any():
-            return _dense_gap(mat, symmetric)
+            return _dense_gap(mat)
         raise NumericError(f"eigensolver failed: {exc}") from exc
     i = np.argmax(np.abs(vals))
     lam, x = vals[i], vecs[:, i]
@@ -216,43 +212,27 @@ def spectral_gap(
     dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int = MAX_ITERATIONS,
 ) -> GapResult:
-    """Gap of a chain, solved on its own matrix: dense up to the cutoff,
-    ARPACK above.
+    """Gap of a chain, solved on its own matrix: ``eig`` up to the cutoff,
+    ARPACK's ``eigs`` on the deflated matrix above it.
 
     The default cutoff, ``DENSE_CUTOFF`` = 64 states, is where ARPACK
-    overtakes the dense solve. The lumped chain is reversible with
-    respect to the sector masses and is solved symmetrized through them:
-    ``eigh`` up to the cutoff, ``eigsh`` on the deflated operator above
-    it. The local and nonlocal chains, both doubly stochastic, and
-    raw-matrix chains use ``eig`` up to the cutoff and ``eigs`` on the
-    deflated operator above it, which needs a doubly stochastic matrix:
-    a raw-matrix chain above the cutoff that is not doubly stochastic
-    raises UsageError, and solves with a ``dense_cutoff`` of at least its
-    dimension. Both solves rank eigenvalues by modulus. A dimension too
-    small for ARPACK's ``k`` is solved densely whatever the cutoff.
+    overtakes the dense solve. Both solves rank eigenvalues by modulus.
+    The deflation needs the stationary law, taken as uniform where the
+    chain gives none: a chain that does not keep it to 1e-9 (``T u = u``
+    and ``w T = w``) raises UsageError above the cutoff, and solves with
+    a ``dense_cutoff`` of at least its dimension. A dimension too small
+    for ARPACK's ``k`` is solved densely whatever the cutoff.
     Non-convergence raises instead of returning.
     """
-    import scipy.sparse as sp
-
     if not (0 < tol < np.inf and max_iterations >= 1):
         raise UsageError(
             f"need 0 < tol < inf and max_iterations >= 1, "
             f"got tol={tol}, max_iterations={max_iterations}"
         )
     _require_irreducible(chain)
-    mat, pi = chain.matrix, chain.stationary
-    if pi is None:  # a raw-matrix chain
-        pi = np.full(chain.dimension, 1.0 / chain.dimension)
-    root = np.sqrt(pi)
-    top = root / np.linalg.norm(root)
-    symmetric = chain.kind == "lumped"
-    if symmetric:
-        # D^{1/2} T D^{-1/2} is symmetric because T is reversible with
-        # respect to pi; its top eigenvector is sqrt(pi)
-        mat = sp.csr_matrix(sp.diags(root) @ mat @ sp.diags(1.0 / root))
-    if mat.shape[0] <= dense_cutoff:
-        return _dense_gap(mat, symmetric)
-    return _arpack_gap(mat, symmetric, top, chain.n, tol, max_iterations)
+    if chain.dimension <= dense_cutoff:
+        return _dense_gap(chain.matrix)
+    return _arpack_gap(chain, tol, max_iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,11 +464,7 @@ def subset_expansion(
                 if not inside[j]:
                     flow += w * p
         return flow / mass
-    pi = (
-        chain.stationary
-        if chain.stationary is not None
-        else np.full(dim, 1.0 / dim)
-    )
+    pi = _law(chain)
     sub = chain.matrix[idx]
     outflow = np.asarray(sub[:, ~inside].sum(axis=1)).ravel()
     return float(pi[idx] @ outflow / pi[idx].sum())
@@ -613,7 +589,8 @@ def cut_expansions(n: int, length: int) -> dict[str, Fraction]:
     nonlocal and lumped chains alike, under the same labels, from closed
     forms (a cone's is its census boundary flow)."""
     check_size(n, length)
-    return _cuts(n, length, _cone_flows(n, length).__getitem__,
+    cones = _cone_exact(n, length)
+    return _cuts(n, length, lambda d: cones[d][1],
                  lambda q: charge_expansion(n, length, q))
 
 

@@ -267,11 +267,12 @@ class TestConeStats:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_suffix_pass_gives_every_flow(self, n):
         for length in range(1, 201):
-            flows = census._cone_flows(n, length)
+            cones = census._cone_exact(n, length)
             depths = range(2 + length % 2, length + 1, 2)
-            assert sorted(flows) == list(depths)
+            assert sorted(cones) == list(depths)
             for d in depths:
-                assert flows[d] == census.cone_stats(n, length, d).boundary_flow
+                cs = census.cone_stats(n, length, d)
+                assert cones[d] == (cs.volume, cs.boundary_flow)
 
 
 class TestN2Expansion:

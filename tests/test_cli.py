@@ -852,25 +852,21 @@ class TestEscapeCommand:
 
 
 class TestBlocksPastTrajectories:
-    def test_empty_blocks_cost_nothing(self, capsys, tmp_path):
-        # blocks past the trajectory count would be empty; built, 10^18
-        # of them would never finish, so the run has a timeout and a 1 GiB
-        # address-space limit
-        commands = {
-            "simulate": ["simulate", "--n", "3", "--length", "4", "--t-max", "5"],
-            "escape": ["escape", "--n", "3", "--length", "4", "--depth", "2",
-                       "--times", "0,3"],
-        }
-        argvs = [
-            [*argv, "--trajectories", "5", "--blocks", str(10**18),
-             "--out", str(tmp_path / f"{name}.json")]
-            for name, argv in commands.items()
-        ]
+    COMMANDS = {
+        "simulate": ["simulate", "--n", "3", "--length", "4", "--t-max", "5"],
+        "escape": ["escape", "--n", "3", "--length", "4", "--depth", "2",
+                   "--times", "0,3"],
+    }
+
+    @staticmethod
+    def _run_limited(argvs):
+        """Exit codes of ``main`` on each argv, run in a subprocess with a
+        timeout and a 1 GiB address-space limit."""
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from pairflip.cli import main\n"
-            f"sys.exit(max(main(argv) for argv in {argvs!r}))\n"
+            f"print([main(argv) for argv in {argvs!r}])\n"
         )
         src = str(Path(pairflip.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -879,7 +875,18 @@ class TestBlocksPastTrajectories:
             capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        for name, argv in commands.items():
+        return json.loads(proc.stdout), proc.stderr
+
+    def test_empty_blocks_cost_nothing(self, capsys, tmp_path):
+        # blocks past the trajectory count would be empty; built, 10^18
+        # of them would never finish
+        codes, _ = self._run_limited([
+            [*argv, "--trajectories", "5", "--blocks", str(10**18),
+             "--out", str(tmp_path / f"{name}.json")]
+            for name, argv in self.COMMANDS.items()
+        ])
+        assert codes == [0, 0]
+        for name, argv in self.COMMANDS.items():
             code, out, _ = run_cli(capsys, *argv, "--trajectories", "5", "--blocks", "5")
             assert code == 0
             got = json.loads((tmp_path / f"{name}.json").read_text())
@@ -887,6 +894,16 @@ class TestBlocksPastTrajectories:
                 assert got["config"]["blocks"] == 10**18
                 got["config"]["blocks"] = 5
             assert got == json.loads(out)
+
+    def test_too_many_nonempty_blocks_exit_3(self):
+        # 10^17 nonempty blocks would fill memory one block at a time
+        # before any array allocation failed; the config refuses them
+        codes, err = self._run_limited([
+            [*argv, "--trajectories", str(10**20), "--blocks", str(10**17)]
+            for argv in self.COMMANDS.values()
+        ])
+        assert codes == [3, 3]
+        assert err.count("above the cap of 1 GiB") == 2
 
 
 class TestAlphabetLimit:

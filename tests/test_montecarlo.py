@@ -6,6 +6,7 @@ the rational transition rows.
 """
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from scipy import stats
 from pairflip.census import cone_stats, multiplicity, sector_dim
 from pairflip.chains import GateKind, build_full_local, state_index
 from pairflip import montecarlo
-from pairflip.errors import UsageError
+from pairflip.errors import ResourceCapError, UsageError
 from pairflip.montecarlo import (
     _INIT_KEY_OFFSET,
     ConeEscapeResult,
@@ -120,6 +121,24 @@ class TestConfig:
     def test_rejects(self, kwargs):
         with pytest.raises(UsageError):
             SimConfig(**kwargs)
+
+    def test_too_many_nonempty_blocks_raise_at_once(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError, match="above the cap of 1 GiB"):
+                SimConfig(n=3, length=4, t_max=1, n_trajectories=10**20,
+                          blocks=10**17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        # only blocks that hold a trajectory count toward the cap
+        cap = montecarlo._BLOCKS_CAP_BYTES // montecarlo._BLOCK_BYTES
+        SimConfig(n=3, length=4, t_max=1, n_trajectories=10**20, blocks=cap)
+        SimConfig(n=3, length=4, t_max=1, n_trajectories=cap, blocks=10**20)
+        with pytest.raises(ResourceCapError):
+            SimConfig(n=3, length=4, t_max=1, n_trajectories=cap + 1,
+                      blocks=cap + 1)
 
 
 class TestObservableParsing:

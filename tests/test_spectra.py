@@ -131,7 +131,7 @@ def _eigvals_gap(mat: np.ndarray) -> float:
     return float(1.0 - mods[-2])
 
 
-class TestSymmetricDenseGap:
+class TestDenseGapMatchesEigvals:
     # each test names a cutoff that keeps its chains on the dense path
 
     @pytest.mark.parametrize("n,max_length", [(2, 12), (3, 7), (4, 5), (5, 4)])
@@ -152,21 +152,13 @@ class TestSymmetricDenseGap:
             assert abs(res.gap - _eigvals_gap(ch.matrix.toarray())) < 1e-12
             assert res.residual < 1e-12
 
-    def test_largest_dense_lumped_matches_iterative(self):
-        # its own cutoff: the default sends 4095 sectors to ARPACK
-        cutoff = 4096
-        ch = build_lumped(3, 11)
-        assert ch.dimension == 4095 <= cutoff
-        dense = spectral_gap(ch, dense_cutoff=cutoff)
-        it = spectral_gap(ch, dense_cutoff=64)
-        assert dense.method == "dense" and it.method == "iterative"
-        assert abs(dense.gap - it.gap) < 1e-9
-
 
 class TestIterativeGap:
     def test_lumped_matches_dense(self):
-        ch = build_lumped(3, 10)
-        dense = spectral_gap(ch, dense_cutoff=4096)
+        # the lumped matrix is not symmetric, and eig on all 2047 sectors
+        # of L=10 takes seconds; L=8 has 511
+        ch = build_lumped(3, 8)
+        dense = spectral_gap(ch, dense_cutoff=ch.dimension)
         it = spectral_gap(ch, dense_cutoff=64)
         assert dense.method == "dense" and it.method == "iterative"
         assert abs(dense.gap - it.gap) < 1e-9
@@ -201,13 +193,13 @@ class TestIterativeGap:
         assert res.method == "dense"
         assert abs(res.gap - 0.5) < 1e-12
 
-    @pytest.mark.parametrize("solver", ["eigsh", "eigs"])
-    def test_arpack_error_is_numeric(self, monkeypatch, solver):
+    @pytest.mark.parametrize("build", [build_lumped, build_full_local])
+    def test_arpack_error_is_numeric(self, monkeypatch, build):
         def fail(*args, **kwargs):
             raise spla.ArpackError(-8)
 
-        monkeypatch.setattr(spla, solver, fail)
-        ch = build_lumped(3, 8) if solver == "eigsh" else build_full_local(3, 4)
+        monkeypatch.setattr(spla, "eigs", fail)
+        ch = build(3, 4)
         with pytest.raises(NumericError, match="ARPACK error -8"):
             spectral_gap(ch, dense_cutoff=10)
 
@@ -217,8 +209,8 @@ class TestIterativeGap:
             spectral_gap(ch, dense_cutoff=1)
 
     def test_raw_chain_above_the_default_cutoff_names_the_cutoff(self):
-        # neither doubly stochastic nor reversible: ARPACK cannot deflate
-        # it, and the error says how to solve it densely
+        # no law is given and the uniform one is not stationary: ARPACK
+        # cannot deflate it, and the error says how to solve it densely
         mat = np.random.default_rng(5).random((100, 100))
         ch = StochasticChain.from_matrix(mat / mat.sum(axis=1, keepdims=True))
         with pytest.raises(UsageError, match="dense_cutoff >= 100"):
@@ -226,6 +218,23 @@ class TestIterativeGap:
         res = spectral_gap(ch, dense_cutoff=100)
         assert res.method == "dense"
         assert res.gap == pytest.approx(_eigvals_gap(ch.matrix.toarray()), abs=1e-12)
+
+    def test_raw_chain_given_its_law_is_iterative(self):
+        # a birth-death chain, up 0.4 and down 0.3, is stationary for the
+        # detailed-balance law (4/3)^i, far from uniform
+        up, down, dim = 0.4, 0.3, 100
+        mat = np.diag(np.full(dim - 1, up), 1) + np.diag(np.full(dim - 1, down), -1)
+        mat += np.diag(1.0 - mat.sum(axis=1))
+        law = (up / down) ** np.arange(dim)
+        ch = StochasticChain.from_matrix(mat, stationary=law / law.sum())
+        it = spectral_gap(ch)
+        dense = spectral_gap(ch, dense_cutoff=dim)
+        assert it.method == "iterative" and dense.method == "dense"
+        assert abs(it.gap - dense.gap) < 1e-12
+        assert it.residual <= spectra.DEFAULT_TOL
+        uniform = StochasticChain.from_matrix(mat, stationary=np.full(dim, 1 / dim))
+        with pytest.raises(UsageError, match="dense_cutoff >= 100"):
+            spectral_gap(uniform)
 
 
 class TestDefaultCutoff:
@@ -795,7 +804,8 @@ class TestLumpedBlocks:
 
     @pytest.mark.parametrize("length", range(6, 15))
     def test_gap_matches_the_chain(self, length):
-        # a dense cutoff below 2^11 keeps L=11 off a 4095-state eigh
+        # a dense cutoff of 1024 solves L <= 9 (up to 1023 sectors) with
+        # eig and the longer chains with eigs
         res = lumped_gap(3, length)
         assert res.method == "tridiagonal"
         assert res.gap == pytest.approx(

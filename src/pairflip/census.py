@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -342,23 +342,29 @@ def _cone_masses(n: int, length: int, depth: int) -> list[int]:
     ]
 
 
-def _cone_exact(n: int, length: int) -> dict[int, tuple[int, Fraction]]:
-    """Exact volume and boundary flow of the cone at every depth, deepest
-    first, in one suffix pass: V(d) = (N-1)|K_d| + (N-1)^2 V(d+2) takes
-    O(L) big-integer operations for all L/2 depths, as one sum of
+def _cone_pass(n: int, length: int, lowest: int = 2) -> Iterator[tuple[int, int, int]]:
+    """``(d, boundary, volume)`` of the cone at every depth d >= ``lowest``,
+    deepest first, in one suffix pass: V(d) = (N-1)|K_d| + (N-1)^2 V(d+2)
+    takes O(L) big-integer operations for all L/2 depths, as one sum of
     :func:`_cone_masses` does. No float of N enters, so N may pass the
     float range.
 
     The only states that can leave in one boundary step are those in the
-    depth-d sectors whose length-(L-1) prefix already sits at depth d-1, hence
-    flow = ((N-1)/N) |K_(d-1), L-1| / |C_d|.
+    depth-d sectors whose length-(L-1) prefix already sits at depth d-1:
+    ``boundary`` = (N-1) |K_(d-1), L-1| of them, each leaving with
+    probability 1/N.
     """
     row, prev = _dims_row(n, length), _dims_row(n, length - 1)
-    cones, volume = {}, 0
-    for d in range(length, 1, -2):
+    volume = 0
+    for d in range(length, lowest - 1, -2):
         volume = (n - 1) * row[d] + (n - 1) ** 2 * volume
-        cones[d] = volume, Fraction((n - 1) * prev[d - 1], n * volume)
-    return cones
+        yield d, (n - 1) * prev[d - 1], volume
+
+
+def _cone_exact(n: int, length: int) -> dict[int, tuple[int, Fraction]]:
+    """Exact volume and boundary flow of the cone at every depth, deepest
+    first, from one :func:`_cone_pass`."""
+    return {d: (v, Fraction(b, n * v)) for d, b, v in _cone_pass(n, length)}
 
 
 def _cone_stats(n: int, length: int, depth: int, volume: int, flow: Fraction) -> ConeStats:
@@ -387,13 +393,12 @@ def _cone_stats(n: int, length: int, depth: int, volume: int, flow: Fraction) ->
 
 
 def cone_stats(n: int, length: int, depth: int) -> ConeStats:
-    """Exact and asymptotic volume and expansion of a depth-d cone, with
-    the flow of :func:`_cone_exact`."""
+    """Exact and asymptotic volume and expansion of a depth-d cone, the
+    exact ones from :func:`_cone_pass` run down to depth d."""
     check_alphabet(n)
     check_cone_depth(depth, length)
-    volume = sum(_cone_masses(n, length, depth))
-    flow = Fraction((n - 1) * _dims_row(n, length - 1)[depth - 1], n * volume)
-    return _cone_stats(n, length, depth, volume, flow)
+    *_, (_, boundary, volume) = _cone_pass(n, length, depth)
+    return _cone_stats(n, length, depth, volume, Fraction(boundary, n * volume))
 
 
 def _cone_table(n: int, length: int) -> dict[int, ConeStats]:
@@ -410,15 +415,16 @@ def n2_charge_cut(length: int, q: int) -> tuple[int, int]:
     """Boundary count and size of the two-symbol half-space of signed charge >= q.
 
     The charge-q' states are the depth-q' sector, C(L, (L+q')/2) of them,
-    read from the capped dimension table (ResourceCapError past its cap);
-    the boundary (states able to leave in one boundary step) telescopes
-    into an alternating sum over the charges above q.
+    read from the capped dimension table (ResourceCapError past its cap).
+    At N=2 the cut is the depth-q cone, so :func:`_cone_pass` gives its
+    size and its boundary (states able to leave in one boundary step),
+    |K_(q-1), L-1|, which the alternating sum over charges >= q telescopes to.
     """
     check_size(2, length)
     if not (1 <= q <= length) or (length - q) % 2:
         raise UsageError(f"no charge-{q} cut at length {length}")
-    states = _dims_row(2, length)[q::2]
-    return sum(states[::2]) - sum(states[1::2]), sum(states)
+    *_, (_, boundary, volume) = _cone_pass(2, length, q)
+    return boundary, volume
 
 
 def n2_min_expansion(length: int) -> N2Expansion:

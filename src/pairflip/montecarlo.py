@@ -13,13 +13,8 @@ brickwork pair, even layer then odd layer, each in ``layer_pairs``
 order. Pair-flip takes k = N and turns an equal pair into
 ``(u+1, u+1)``; TL takes k = N^2 and flips an equal pair iff
 ``u < 2(N-1)``, to ``c + 1 + (c + 1 >= a)`` with ``c = u >> 1``.
-The values are exact: raw Philox words are read as bytes (16-bit
-halves when k > 256), each holding d base-k digits, with d the largest
-integer such that k^d <= 2^8 (2^16 for halves; d = 1 at k = 1); words
-at or above the largest multiple of k^d are rejected, the rest are
-reduced mod k^d and expanded 256 at a time, digit plane by digit plane
-(see ``_SymbolSource``). At k >= 17, d = 1: the values are the accepted
-words mod k.
+The values are exact base-k digits of raw Philox words, by the byte,
+digit and group rule that ``_SymbolSource`` states.
 
 Reproducibility: trajectories are partitioned into blocks, and every
 stream is a counter-based Philox Generator built by ``_philox(seed,
@@ -226,6 +221,8 @@ def _symbol_range(n: int, gate: GateKind) -> int:
 _GROUP = 256
 # raw 64-bit words read at the least, so that one read serves several draws
 _MIN_READ = 1024
+# a draw expands its sources' digit groups in batches of about this many values
+_EXPAND_VALUES = 1 << 17
 
 
 def _expand(
@@ -270,8 +267,8 @@ class _SymbolSource:
 
     Values that a draw does not use wait for the next one: the sequence
     depends only on the bit generator, never on how it is split into
-    draws. ``draw`` expands its own groups; a slab takes each block's
-    groups with ``take_groups`` and expands many blocks' at once.
+    draws. ``draw`` and a slab's ``_StripedSymbols`` both expand groups
+    into values through :func:`_draw_blocks`.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator, k: int):
@@ -313,13 +310,54 @@ class _SymbolSource:
         return words[:need], start
 
     def draw(self, rows: int, cols: int) -> np.ndarray:
-        """The next ``rows * cols`` values, as a C-ordered ``(rows, cols)`` array."""
-        count = rows * cols
-        words, start = self.take_groups(count)
-        planes = np.empty((self.digits, words.size), self.dtype)
-        _expand(words, planes, np.empty_like(words), self.k, self.wrap)
-        vals = planes.reshape(self.digits, -1, _GROUP).transpose(1, 0, 2).reshape(-1)
-        return vals[start : start + count].reshape(rows, cols)
+        """The next ``rows * cols`` values, as a C-ordered ``(rows, cols)``
+        array: :func:`_draw_blocks` with this source alone."""
+        out = np.empty((rows, cols), self.dtype)
+        _draw_blocks([self], [cols], rows, out)
+        return out
+
+
+def _draw_blocks(
+    sources: Sequence[_SymbolSource], sizes: Sequence[int], rows: int,
+    out: np.ndarray,
+) -> None:
+    """Fill ``out``, a ``(rows, sum(sizes))`` array, with each source's next
+    ``rows * m`` values, in C order in its own block of m columns.
+
+    This is the one place where digit planes become values in contract
+    order. Over a run of equal sizes, each source takes its groups with
+    ``take_groups``, and the words of as many sources as fit in about
+    ``_EXPAND_VALUES`` values (at least one) are expanded together, put
+    in value order and copied into their columns. The sources of a run
+    must have drawn equally many values before, as fresh sources drawn
+    together have, so that they hold as many groups and start at the
+    same place in them.
+    """
+    first = sources[0]
+    digits, lo, at = first.digits, 0, 0
+    for m, run in itertools.groupby(sizes):
+        blocks = len(list(run))
+        count = rows * m
+        taken = [src.take_groups(count) for src in sources[at : at + blocks]]
+        start, size = taken[0][1], taken[0][0].size
+        batch = min(blocks, max(1, _EXPAND_VALUES // max(1, digits * size)))
+        # scratch for one batch, reused by the run's batches; ``vals`` is
+        # free while ``_expand`` runs, so it serves as its ``tmp``
+        words = np.empty(batch * size, first.dtype)
+        planes = np.empty((digits, words.size), first.dtype)
+        vals = np.empty(digits * words.size, first.dtype)
+        for i in range(0, blocks, batch):
+            c = min(batch, blocks - i)
+            np.concatenate([w for w, _ in taken[i : i + c]], out=words[: c * size])
+            part = planes[:, : c * size]
+            _expand(words[: c * size], part, vals[: c * size], first.k, first.wrap)
+            groups = part.reshape(digits, c, -1, _GROUP).transpose(1, 2, 0, 3)
+            ordered = vals[: c * size * digits].reshape(groups.shape)
+            np.copyto(ordered, groups)
+            u = ordered.reshape(c, -1)[:, start : start + count]
+            cols = out[:, lo + i * m : lo + (i + c) * m]
+            cols.reshape(rows, c, m)[...] = u.reshape(c, rows, m).transpose(1, 0, 2)
+        lo, at = lo + blocks * m, at + blocks
 
 
 def _dynamics_source(seed: int, block: int, k: int) -> _SymbolSource:
@@ -428,8 +466,6 @@ class EnsembleSeries:
 # holding at most about this many bytes of symbols
 _AHEAD_STEPS = 64
 _AHEAD_BYTES = 1 << 20
-# a slab expands its blocks' digit groups in batches of about this many values
-_EXPAND_VALUES = 1 << 17
 # slabs run side by side this many steps between early-stop checks
 _SEGMENT = 64
 # A slab gets at least this many trajectory-sites, or there are fewer slabs
@@ -445,69 +481,23 @@ class _StripedSymbols:
 
     Every ``draw`` hands out the next step's ``(L, M)`` symbols, column
     block ``b`` from block ``b``'s source. They are drawn ahead a chunk
-    of steps at a time: each block takes its accepted words for the
-    chunk, and the words of many blocks are expanded into digits together,
-    in scratch that every chunk reuses. A source's values do not depend
-    on how they are chunked, so neither does the output.
+    of steps at a time, by one :func:`_draw_blocks` call on the buffer
+    seen as ``(chunk * L, M)``. A source's values do not depend on how
+    they are chunked, so neither does the output.
     """
 
     def __init__(
         self, sources: Sequence[_SymbolSource], sizes: Sequence[int],
         length: int, steps: int,
     ):
-        first = sources[0]
+        first, width = sources[0], sum(sizes)
         self.k = first.k
-        # runs of equal-size blocks as (first column, size, sources): the
-        # fresh sources of a run draw alike, so they always have as many
-        # groups in hand and the same position in them
-        self._runs, lo, at = [], 0, 0
-        for m, group in itertools.groupby(sizes):
-            count = len(list(group))
-            self._runs.append((lo, m, sources[at : at + count]))
-            lo, at = lo + m * count, at + count
+        self._sources, self._sizes = sources, sizes
         self._steps = steps  # left to draw in the run
-        per_step = length * lo * first.dtype.itemsize
+        per_step = length * width * first.dtype.itemsize
         chunk = max(1, min(_AHEAD_STEPS, _AHEAD_BYTES // per_step, steps))
-        self._buf = np.empty((chunk, length, lo), first.dtype)
+        self._buf = np.empty((chunk, length, width), first.dtype)
         self._ahead = self._buf[:0]
-        # expansion scratch, reused by every chunk: at most _EXPAND_VALUES
-        # values unless one block needs more
-        per_group = first.digits * _GROUP
-        need = [-(-(chunk * length * m + per_group - 1) // per_group) for m in sizes]
-        groups = min(sum(need), max(_EXPAND_VALUES // per_group, max(need)))
-        self._words = np.empty(groups * _GROUP, first.dtype)
-        self._tmp = np.empty_like(self._words)
-        self._planes = np.empty((first.digits, groups * _GROUP), first.dtype)
-        self._vals = np.empty(groups * per_group, first.dtype)
-
-    def _fill(self, chunk: int, rows: int) -> None:
-        """Draw the next ``chunk`` steps of every block into the buffer.
-
-        Each block reads and filters its own words; the words of as many
-        blocks of a run as the scratch holds are then expanded at once,
-        put in value order and copied into their columns of the buffer.
-        """
-        self._ahead = self._buf[:chunk]
-        digits = len(self._planes)
-        for lo, m, sources in self._runs:
-            count = chunk * rows * m
-            taken = [src.take_groups(count) for src in sources]
-            start, size = taken[0][1], taken[0][0].size
-            per_batch = max(1, len(self._words) // size)
-            for i in range(0, len(taken), per_batch):
-                part = [words for words, _ in taken[i : i + per_batch]]
-                c = len(part)
-                words, planes = self._words[: c * size], self._planes[:, : c * size]
-                np.concatenate(part, out=words)
-                _expand(words, planes, self._tmp[: c * size], self.k, sources[0].wrap)
-                groups = planes.reshape(digits, c, -1, _GROUP).transpose(1, 2, 0, 3)
-                vals = self._vals[: c * size * digits].reshape(groups.shape)
-                np.copyto(vals, groups)
-                u = vals.reshape(c, -1)[:, start : start + count]
-                cols = self._ahead[:, :, lo + i * m : lo + (i + c) * m]
-                cols.reshape(chunk, rows, c, m)[...] = u.reshape(
-                    c, chunk, rows, m
-                ).transpose(1, 2, 0, 3)
 
     def draw(self, rows: int, cols: int) -> np.ndarray:
         if self._buf.shape[1:] != (rows, cols):
@@ -515,7 +505,9 @@ class _StripedSymbols:
         if not len(self._ahead):
             chunk = max(1, min(len(self._buf), self._steps))
             self._steps -= chunk
-            self._fill(chunk, rows)
+            self._ahead = self._buf[:chunk]
+            _draw_blocks(self._sources, self._sizes, chunk * rows,
+                         self._ahead.reshape(chunk * rows, cols))
         u, self._ahead = self._ahead[0], self._ahead[1:]
         return u
 

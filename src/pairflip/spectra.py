@@ -192,7 +192,8 @@ def _arpack_gap(chain: StochasticChain, tol: float, max_iterations: int) -> GapR
     except spla.ArpackNoConvergence as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
     except spla.ArpackError as exc:
-        # a chain that mixes in one step (L=1) deflates to the zero
+        # a raw chain that mixes in one step (every row its law; an L=1
+        # chain has too few states for eigs) deflates to the zero
         # operator, and ARPACK cannot start from a vector it annihilates
         if not apply(v0).any():
             return _dense_gap(mat)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pairflip import census
 from pairflip.errors import ResourceCapError, UsageError
+from pairflip.spectra import charge_expansion, cut_expansions
 from pairflip.walks import SpinString, charge, enumerate_sectors
 
 
@@ -318,6 +319,18 @@ class TestN2Expansion:
                     size += states
                     boundary += (-1) ** i * states
                 assert census.n2_charge_cut(length, q) == (boundary, size)
+
+    def test_charge_cut_is_the_cone_of_its_depth(self):
+        # at N=2 the charge->=q cut is the depth-q cone: its boundary is
+        # the charge-(q-1) count one site shorter and its size the cone's
+        # volume, so its expansion is the cone's flow
+        for length in range(2, 61):
+            cuts = cut_expansions(2, length)
+            for q in range(2 + length % 2, length + 1, 2):
+                volume = census.cone_stats(2, length, q).volume
+                boundary = census.sector_dim(2, length - 1, q - 1)
+                assert census.n2_charge_cut(length, q) == (boundary, volume)
+                assert charge_expansion(2, length, q) == cuts[f"cone d={q}"]
 
     def test_charge_cut_is_capped(self):
         with pytest.raises(ResourceCapError):

@@ -400,11 +400,19 @@ class TestSymbolSource:
         per_group = sources[0].digits * 256
         assert 1 < chunk < steps and steps % chunk
         assert all(chunk * length * m % per_group for m in sizes)
+        drawn = []
         for _ in range(steps):
             expect = np.concatenate(
                 [src.draw(length, m) for src, m in zip(sources, sizes)], axis=1
             )
-            assert np.array_equal(slab.draw(length, sum(sizes)), expect)
+            drawn.append(slab.draw(length, sum(sizes)).copy())
+            assert np.array_equal(drawn[-1], expect)
+        # both paths above expand through one routine; the written rule,
+        # one raw word at a time, is the independent reference
+        drawn = np.stack(drawn)
+        for b, (m, end) in enumerate(zip(sizes, np.cumsum(sizes))):
+            block = drawn[:, :, end - m : end]
+            assert block.ravel().tolist() == _contract_values(8, b, k, block.size)
 
     @pytest.mark.parametrize("gate", [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB])
     @pytest.mark.parametrize("length", [1, 2, 7])

@@ -193,6 +193,24 @@ class TestIterativeGap:
         assert res.method == "dense"
         assert abs(res.gap - 0.5) < 1e-12
 
+    def test_chain_that_mixes_in_one_step_falls_back_to_dense(self, monkeypatch):
+        # every row is the uniform law, so the deflated operator is zero:
+        # ARPACK fails on its start vector and the dense solve gives the gap
+        failed = []
+
+        def spy(*args, eigs=spla.eigs, **kwargs):
+            try:
+                return eigs(*args, **kwargs)
+            except spla.ArpackError as exc:
+                failed.append(exc)
+                raise
+
+        monkeypatch.setattr(spla, "eigs", spy)
+        ch = StochasticChain.from_matrix(np.full((50, 50), 1 / 50))
+        res = spectral_gap(ch, dense_cutoff=1)
+        assert failed and res.method == "dense"
+        assert res.gap == pytest.approx(1.0, abs=1e-12)
+
     @pytest.mark.parametrize("build", [build_lumped, build_full_local])
     def test_arpack_error_is_numeric(self, monkeypatch, build):
         def fail(*args, **kwargs):

@@ -93,6 +93,9 @@ _CHARGE = "charge:1"  # the observable of first passages
 # (1.0 to 1.7 KiB at peak, measured with tracemalloc)
 _BLOCK_BYTES = 2048
 _BLOCKS_CAP_BYTES = 1 << 30
+# the block-sum tables take 16 bytes (two float64) per block per planned time
+# per observable, reserved up front and touched only as far as a run records
+_RECORD_CAP_BYTES = 1 << 32
 
 
 def _check_sim_alphabet(n: int) -> None:
@@ -515,11 +518,13 @@ class _StripedSymbols:
 class _Slab:
     """A contiguous run of whole blocks, stepped as one ``(M, L)`` array.
 
-    ``sums``/``sqsums`` hold one vector of block sums per recorded time,
-    ``times`` the recorded times: t = 0 and every later step, or only
-    the steps in ``record_at`` if given. Over a run of equal-size blocks
-    the sums are row sums of the values reshaped to ``(blocks, size)``:
-    each adds as its block's alone would.
+    ``times`` are the planned recorded times, an int64 array that starts
+    at t = 0: every step by default. A step records exactly when it is
+    the next planned time, into row ``filled`` of ``sums`` and
+    ``sqsums``, which hold one float64 ``(times, blocks)`` table per
+    observable, allocated once; rows past ``filled`` are never touched.
+    Over a run of equal-size blocks the sums are row sums of the values
+    reshaped to ``(blocks, size)``: each adds as its block's alone would.
 
     With a ``depth`` or ``cone_escape`` observable the slab carries each
     row's irreducible word, reduced from the states once, at t = 0. Only
@@ -542,7 +547,7 @@ class _Slab:
         blocks: Sequence[int],
         starts: Sequence[np.ndarray],
         crossings: np.ndarray | None,
-        record_at: Sequence[int] | None = None,
+        times: np.ndarray | None = None,
     ):
         self.cfg = cfg
         self.observables = [
@@ -559,7 +564,6 @@ class _Slab:
         self.initial = self.states.copy(order="F")
         self.crossings = crossings  # this slab's rows of the caller's array
         self.t = 0
-        self.record_at = None if record_at is None else frozenset(record_at)
         self._stack = None  # the carried words, when an observable reads them
         if any(o.kind in ("depth", "cone_escape") for o in self.observables):
             m, length = self.states.shape
@@ -578,9 +582,12 @@ class _Slab:
         runs = [(m, len(list(g))) for m, g in itertools.groupby(self.sizes)]
         ends = itertools.accumulate(m * count for m, count in runs)
         self.runs = [(slice(e - m * c, e), c) for (m, c), e in zip(runs, ends)]
-        self.times: list[int] = []
-        self.sums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
-        self.sqsums: dict[str, list[np.ndarray]] = {o: [] for o in cfg.observables}
+        if times is None:
+            times = np.arange(cfg.t_max + 1, dtype=np.int64)
+        self.times, self.filled = times, 0
+        shape = (len(times), len(self.sizes))
+        self.sums = {o: np.empty(shape) for o in cfg.observables}
+        self.sqsums = {o: np.empty(shape) for o in cfg.observables}
         self.record()  # t = 0
 
     def word(self) -> tuple[np.ndarray, np.ndarray]:
@@ -606,14 +613,14 @@ class _Slab:
         return np.concatenate(sums)
 
     def record(self) -> None:
-        self.times.append(self.t)
         for obs in self.observables:
             vals = self._values(obs)
-            self.sums[obs.name].append(self._block_sums(vals))
-            self.sqsums[obs.name].append(self._block_sums(vals * vals))
+            self.sums[obs.name][self.filled] = self._block_sums(vals)
+            self.sqsums[obs.name][self.filled] = self._block_sums(vals * vals)
             if self.crossings is not None and self.t and obs.name == _CHARGE:
                 hit = (self.crossings < 0) & (vals <= self.cfg.gamma)
                 self.crossings[hit] = self.t
+        self.filled += 1
 
     def advance(self, steps: int) -> None:
         carried = self._stack is not None or self._charges
@@ -630,7 +637,7 @@ class _Slab:
                 q += gain == a
                 q -= loss == a
             self.t += 1
-            if self.record_at is None or self.t in self.record_at:
+            if self.filled < len(self.times) and self.t == self.times[self.filled]:
                 self.record()
 
 
@@ -643,7 +650,7 @@ def _block_sizes(n_trajectories: int, blocks: int) -> list[int]:
 
 def _history(slabs: Sequence[_Slab], table: str, name: str, start: int = 0):
     """C-ordered ``(blocks, times)`` block sums from time ``start`` on."""
-    parts = [np.array(getattr(s, table)[name][start:]) for s in slabs]
+    parts = [getattr(s, table)[name][start : s.filled] for s in slabs]
     return np.concatenate(parts, axis=1).T.copy()
 
 
@@ -664,7 +671,7 @@ def _assemble_series(cfg: SimConfig, slabs: Sequence[_Slab]) -> EnsembleSeries:
             errs[obs.name] = np.zeros_like(mean)
     return EnsembleSeries(
         config=cfg,
-        times=np.array(slabs[0].times, dtype=np.int64),
+        times=slabs[0].times[: slabs[0].filled],
         means=means,
         std_errors=errs,
         block_sums=bsums,
@@ -695,8 +702,21 @@ def _run_blocks(
     these times only, in place of every step. t = 0 stays so that a
     table of block sums is two or more times wide whenever the run is:
     numpy sums a one-column table pairwise, not in block order.
+
+    The block-sum tables for every planned time are checked against
+    ``_RECORD_CAP_BYTES`` before any slab is built.
     """
     live = [b for b, start in enumerate(initial_states) if len(start)]
+    if times is None:
+        planned = np.arange(cfg.t_max + 1, dtype=np.int64)
+    else:
+        planned = np.array(sorted({0, *times}), dtype=np.int64)
+    need = 16 * len(live) * len(planned) * len(cfg.observables)
+    if need > _RECORD_CAP_BYTES:
+        raise ResourceCapError(
+            f"recording {len(live)} blocks at {len(planned)} times needs about "
+            f"{need / 2**30:.3g} GiB, above the cap of {_RECORD_CAP_BYTES >> 30} GiB"
+        )
     sites = sum(len(initial_states[b]) for b in live) * cfg.length
     floor = _MIN_SLAB_SITES if min_slab_sites is None else min_slab_sites
     wanted = min(cfg.threads, len(live), max(1, sites // floor))
@@ -707,7 +727,7 @@ def _run_blocks(
         rows = sum(len(initial_states[b]) for b in blocks)
         mine = None if crossings is None else crossings[total : total + rows]
         starts = [initial_states[b] for b in blocks]
-        slabs.append(_Slab(cfg, blocks, starts, mine, times))
+        slabs.append(_Slab(cfg, blocks, starts, mine, planned))
         first, total = first + count, total + rows
     done = checked = 0
     # slabs own their blocks' streams, so the split cannot change the output
@@ -774,7 +794,10 @@ def estimate_tq(
     gamma (or at ``t_max``, in which case the estimate is censored and
     says so). The confidence interval resamples whole blocks; draws
     whose resampled mean never crosses inside the simulated window are
-    counted in ``censored_draws`` rather than silently clamped.
+    counted in ``censored_draws`` rather than silently clamped. Each
+    resample is summed alone and its first crossing found by
+    ``_crossing``, as t_Q is, so the bootstrap holds one ``(blocks,
+    times)`` float64 copy at a time beside the series.
     """
     if n_resamples < 1:
         raise UsageError(f"need at least one bootstrap resample, got {n_resamples}")
@@ -791,23 +814,19 @@ def estimate_tq(
     ci_low = ci_high = None
     censored_draws = 0
     if not censored:
-        sums = series.block_sums[_CHARGE]
-        sizes_arr = series.block_sizes.astype(np.float64)
-        nblocks = sums.shape[0]
+        sums, sizes = series.block_sums[_CHARGE], series.block_sizes
         rng = _philox(cfg.seed, _BOOT_KEY)
-        crossings = []
-        for start in range(0, n_resamples, 200):
-            count = min(200, n_resamples - start)
-            pick = rng.integers(0, nblocks, size=(count, nblocks))
-            # one resample at a time: sums[pick] would be (count, blocks, T+1)
-            num = np.array([sums[p].sum(axis=0) for p in pick])
-            den = sizes_arr[pick].sum(axis=1)[:, None]
-            booted = num / den
-            hit = booted <= cfg.gamma
-            any_hit = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            censored_draws += int((~any_hit).sum())
-            crossings.extend(first[any_hit].tolist())
+        # picks are drawn 200 resamples per call, the call shape that fixes
+        # the stream; each resample is then taken alone, (blocks, T) at a time
+        draws = [
+            _crossing(sums[p].sum(axis=0) / sizes[p].sum(), cfg.gamma)
+            for start in range(0, n_resamples, 200)
+            for p in rng.integers(
+                0, len(sizes), size=(min(200, n_resamples - start), len(sizes))
+            )
+        ]
+        crossings = [c for c in draws if c is not None]
+        censored_draws = n_resamples - len(crossings)
         if crossings:
             lo, hi = np.percentile(np.asarray(crossings), [2.5, 97.5])
             ci_low, ci_high = int(lo), int(math.ceil(hi))

@@ -433,6 +433,33 @@ class TestGapCommand:
         assert meta["parameters"]["entries"] == len(lines)
 
 
+class TestExactExport:
+    """``gap --exact`` exports the built chain's rows as exact rationals,
+    each equal to the float export's entry for the same pair."""
+
+    @staticmethod
+    def _entries(path):
+        rows = (line.split() for line in path.read_text().splitlines())
+        return {(int(i), int(j)): value for i, j, value in rows}
+
+    @pytest.mark.parametrize("chain", ["local", "nonlocal"])
+    def test_entries_are_the_float_entries(self, capsys, tmp_path, chain):
+        argv = ("gap", "--n", "2", "--length", "3", "--chain", chain)
+        exact, floats = tmp_path / "exact.txt", tmp_path / "float.txt"
+        code, _, err = run_cli(capsys, *argv, "--exact", "--export-matrix", str(exact))
+        assert code == 0 and err == ""
+        code, _, err = run_cli(capsys, *argv, "--export-matrix", str(floats))
+        assert code == 0 and err == ""
+        rational, plain = self._entries(exact), self._entries(floats)
+        assert rational and rational.keys() == plain.keys()
+        assert any("/" in value for value in rational.values())
+        for pair, value in rational.items():
+            assert re.fullmatch(r"\d+(/\d+)?", value), value
+            assert float(Fraction(value)) == float(plain[pair]), pair
+        for row in range(1 + max(i for i, _ in rational)):
+            assert sum(Fraction(v) for (i, _), v in rational.items() if i == row) == 1
+
+
 class TestExpansionCommand:
     def test_builds_no_chain(self, capsys, no_lumped_chain):
         for argv, phi in [
@@ -1179,6 +1206,22 @@ class TestExitCodes:
         )
         assert code == 3 and out == ""
         assert err == "pairflip: resource cap: Unable to allocate 3.47 EiB\n"
+
+    def test_recording_cap_builds_no_slab(self, capsys, monkeypatch):
+        # 1000 blocks recording 10^8 + 1 times would need about 1.5 TiB of
+        # block sums; the run is refused before a slab is built
+        def no_slab(*args, **kwargs):
+            raise AssertionError("a slab was built")
+
+        monkeypatch.setattr(pairflip.montecarlo, "_Slab", no_slab)
+        code, out, err = run_cli(
+            capsys, "simulate", "--n", "3", "--length", "4", "--blocks", "1000",
+            "--trajectories", "1000", "--t-max", "100000000",
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("pairflip: resource cap: recording 1000 blocks")
+        assert "above the cap of 4 GiB" in err
 
     def test_numeric_failure(self, capsys):
         # only the local chain runs ARPACK

@@ -949,6 +949,84 @@ class TestEstimateTq:
         )
 
 
+class _SlabBuilt(Exception):
+    """Raised in place of building a slab: the run got past its caps."""
+
+
+def _no_slab(*args, **kwargs):
+    raise _SlabBuilt
+
+
+class TestRecordCap:
+    """Block-sum tables are reserved for every planned time, so their size
+    is known, and checked, before any slab is built."""
+
+    @pytest.mark.parametrize("observables", [("charge:1",), ("charge:1", "depth")])
+    def test_cap_is_checked_before_any_slab(self, monkeypatch, observables):
+        monkeypatch.setattr(montecarlo, "_Slab", _no_slab)
+        # 16 B x 1024 blocks x 2^18 times is the 4 GiB cap exactly
+        times = (1 << 18) // len(observables)
+        starts = [np.ones((1, 4), np.int8)] * 1024
+
+        def run(t_max):
+            cfg = SimConfig(n=3, length=4, t_max=t_max, n_trajectories=1024,
+                            blocks=1024, observables=observables)
+            _run_blocks(cfg, starts)
+
+        with pytest.raises(_SlabBuilt):
+            run(times - 1)
+        with pytest.raises(ResourceCapError, match="above the cap of 4 GiB"):
+            run(times)
+
+    def test_sampled_times_count_alone(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_Slab", _no_slab)
+        cfg = SimConfig(n=3, length=4, t_max=1 << 30, n_trajectories=1024,
+                        blocks=1024)
+        starts = [np.ones((1, 4), np.int8)] * 1024
+        # t = 0 and 2^18 - 1 sampled times fill the cap; a duplicate adds none
+        with pytest.raises(_SlabBuilt):
+            _run_blocks(cfg, starts, times=[1, *range(1, 1 << 18)])
+        with pytest.raises(ResourceCapError):
+            _run_blocks(cfg, starts, times=range(1, (1 << 18) + 1))
+
+    def test_long_runs_of_few_blocks_pass(self, monkeypatch):
+        # t_Q at N=3, L=64 needs t_max near 1.33 M in 50 blocks: about 1 GB
+        # reserved, little of it touched before the early stop
+        monkeypatch.setattr(montecarlo, "_Slab", _no_slab)
+        cfg = SimConfig(n=3, length=64, t_max=1_330_000, n_trajectories=4000,
+                        blocks=50, gamma=0.01)
+        with pytest.raises(_SlabBuilt):
+            estimate_tq(cfg)
+
+    def test_many_blocks_over_a_long_window_fail_at_once(self, monkeypatch):
+        # 500 000 blocks at t_max = 10 000 pass the block cap but would
+        # record about 80 GB of block sums
+        monkeypatch.setattr(montecarlo, "_Slab", _no_slab)
+        cfg = SimConfig(n=3, length=4, t_max=10_000, n_trajectories=500_000,
+                        blocks=500_000)
+        with pytest.raises(ResourceCapError, match="74.5 GiB"):
+            _run_blocks(cfg, [np.ones((1, 4), np.int8)] * 500_000)
+
+
+class TestRecordMemory:
+    def test_traced_peak_is_a_few_tables(self):
+        # per-trajectory times keep the whole window. The slab holds two
+        # (times, blocks) tables, the series copies them once each, and the
+        # bootstrap takes one resample at a time; per-time lists of block
+        # sums and (resamples, times) arrays peaked above 11 such tables
+        cfg = SimConfig(n=2, length=4, t_max=3000, n_trajectories=50, blocks=50,
+                        seed=3)
+        table = cfg.blocks * (cfg.t_max + 1) * 8
+        tracemalloc.start()
+        try:
+            rep = estimate_tq(cfg, n_resamples=200, per_trajectory=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not rep.censored and len(rep.series.times) == cfg.t_max + 1
+        assert peak < 8 * table
+
+
 class TestConeEscape:
     def test_zero_at_time_zero_and_flow_bound(self):
         cfg = SimConfig(n=3, length=8, t_max=1, n_trajectories=8000, seed=7, blocks=20)

@@ -351,6 +351,76 @@ def build_full_local(
     )
 
 
+@dataclass(frozen=True)
+class LocalOperator:
+    """The full local chain of :func:`build_full_local`, matrix free.
+
+    :meth:`matvec` applies ``T = B E O`` (bath, then the two brickwork
+    layers, in the chain's order) to a vector over the ``n**length``
+    states, or to each column of a ``(states, k)`` batch, without
+    building ``T``. Every factor is symmetric and doubly stochastic, so
+    the uniform law is stationary.
+    """
+
+    n: int
+    length: int
+    gate: GateKind = GateKind.PAIR_FLIP
+    reverse_layers: bool = False
+
+    @property
+    def dimension(self) -> int:
+        return self.n**self.length
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``T @ x`` for a vector or a batch of columns."""
+        n, length = self.n, self.length
+        y = np.array(x, dtype=float, order="C")
+        if y.shape[0] != self.dimension:
+            raise UsageError(
+                f"operand has {y.shape[0]} rows, the chain {self.dimension} states"
+            )
+        if self.gate is GateKind.PAIR_FLIP:
+            stay = cross = 1.0 / n
+        else:
+            stay, cross = (n * n - 2 * (n - 1)) / (n * n), 2.0 / (n * n)
+        order = ("even", "odd") if self.reverse_layers else ("odd", "even")
+        for parity in order:  # T x = B (E (O x)): the last factor acts first
+            for i, _ in layer_pairs(length, parity):
+                # the n equal pairs (a, a) of sites i, i+1, row-major
+                _mix(y.reshape(n**i, n * n, -1)[:, :: n + 1], stay, cross)
+        _mix(y.reshape(n ** (length - 1), n, -1), 1.0 / n, 1.0 / n)
+        return y
+
+
+def _mix(block: np.ndarray, stay: float, cross: float) -> None:
+    """Map each slice ``x_a = block[:, a]``, in place, to ``stay x_a +
+    cross (sum - x_a)``; with ``stay == cross`` that is ``cross sum``.
+    Slice by slice is faster than a reduction over the short axis."""
+    slices = [block[:, a] for a in range(block.shape[1])]
+    total = cross * sum(slices[1:], slices[0])
+    for part in slices:
+        if stay == cross:
+            part[...] = total
+        else:
+            part *= stay - cross
+            part += total
+
+
+def local_operator(
+    n: int,
+    length: int,
+    kind: GateKind = GateKind.PAIR_FLIP,
+    *,
+    reverse_layers: bool = False,
+    cap: int = DEFAULT_STATE_CAP,
+) -> LocalOperator:
+    """The chain of :func:`build_full_local` as a :class:`LocalOperator`,
+    under the same size checks and state cap."""
+    check_size(n, length)
+    _check_cap(n, length, cap)
+    return LocalOperator(n, length, kind, reverse_layers)
+
+
 def state_sector_codes(n: int, length: int, *, cap: int = DEFAULT_STATE_CAP):
     """Sector index and depth of every state.
 

@@ -39,6 +39,7 @@ from .chains import (
     build_full_nonlocal,
     build_lumped,
     export_coo,
+    local_operator,
 )
 from .checks import run_checks
 from .errors import NumericError, ResourceCapError, UsageError
@@ -139,19 +140,19 @@ def _build_chain(args: argparse.Namespace):
 
 
 def _cmd_gap(args: argparse.Namespace) -> int:
+    gate = GateKind.parse(args.gate)  # a bad --gate fails whatever the chain
+    # the chain is built only to be exported: the local gap is solved
+    # matrix free, and the nonlocal chain shares the lumped chain's
+    # nonzero spectrum, which comes from its blocks
+    chain = _build_chain(args) if args.export_matrix else None
     if args.chain == "local":
-        chain = _build_chain(args)
         result = spectral_gap(
-            chain,
+            local_operator(args.n, args.length, gate, cap=args.state_cap),
             tol=args.tol,
             dense_cutoff=args.dense_cutoff,
             max_iterations=args.max_iterations,
         )
     else:
-        # the nonlocal chain shares the lumped chain's nonzero spectrum,
-        # which comes from its blocks; the chain is built only to be exported
-        GateKind.parse(args.gate)  # a bad --gate fails whatever the chain
-        chain = _build_chain(args) if args.export_matrix else None
         result = lumped_gap(args.n, args.length)
     report = None if args.no_cheeger else cheeger_check(args.n, args.length, result)
     payload: dict[str, Any] = {
@@ -456,13 +457,14 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--exact", action="store_true",
                    help="carry exact rational rows (small sizes)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="ARPACK tolerance (local chain)")
+                   help="largest eigenpair residual of the iterative solve "
+                        "(local chain)")
     p.add_argument("--dense-cutoff", type=int, default=DENSE_CUTOFF,
-                   help="largest chain, in states, solved densely; ARPACK "
+                   help="largest chain, in states, solved densely; iterative "
                         f"above it (local chain; default {DENSE_CUTOFF}, the "
                         "measured crossover)")
     p.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS,
-                   help="ARPACK iteration cap (local chain)")
+                   help="matvec cap of the iterative solve (local chain)")
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                    help="largest state (or, lumped, sector) count to build; "
                         "for the lumped and nonlocal chains it limits only "

@@ -679,6 +679,26 @@ def _assemble_series(cfg: SimConfig, slabs: Sequence[_Slab]) -> EnsembleSeries:
     )
 
 
+def _check_record_cap(
+    cfg: SimConfig, times: Sequence[int] | None = None, blocks: int | None = None
+) -> None:
+    """Refuse a run whose block-sum tables would pass ``_RECORD_CAP_BYTES``.
+
+    The tables take 16 B per nonempty block (by default every one the
+    configuration makes) per planned time (t = 0 and ``times``, or every
+    step) per observable. Callers check before they build any start.
+    """
+    if blocks is None:
+        blocks = min(cfg.blocks, cfg.n_trajectories)  # the nonempty ones
+    count = cfg.t_max + 1 if times is None else len({0, *times})
+    need = 16 * blocks * count * len(cfg.observables)
+    if need > _RECORD_CAP_BYTES:
+        raise ResourceCapError(
+            f"recording {blocks} blocks at {count} times needs about "
+            f"{need / 2**30:.3g} GiB, above the cap of {_RECORD_CAP_BYTES >> 30} GiB"
+        )
+
+
 def _run_blocks(
     cfg: SimConfig,
     initial_states: Sequence[np.ndarray],
@@ -703,20 +723,15 @@ def _run_blocks(
     table of block sums is two or more times wide whenever the run is:
     numpy sums a one-column table pairwise, not in block order.
 
-    The block-sum tables for every planned time are checked against
-    ``_RECORD_CAP_BYTES`` before any slab is built.
+    The block-sum tables for every planned time are checked by
+    :func:`_check_record_cap` before any slab is built.
     """
     live = [b for b, start in enumerate(initial_states) if len(start)]
+    _check_record_cap(cfg, times, len(live))
     if times is None:
         planned = np.arange(cfg.t_max + 1, dtype=np.int64)
     else:
         planned = np.array(sorted({0, *times}), dtype=np.int64)
-    need = 16 * len(live) * len(planned) * len(cfg.observables)
-    if need > _RECORD_CAP_BYTES:
-        raise ResourceCapError(
-            f"recording {len(live)} blocks at {len(planned)} times needs about "
-            f"{need / 2**30:.3g} GiB, above the cap of {_RECORD_CAP_BYTES >> 30} GiB"
-        )
     sites = sum(len(initial_states[b]) for b in live) * cfg.length
     floor = _MIN_SLAB_SITES if min_slab_sites is None else min_slab_sites
     wanted = min(cfg.threads, len(live), max(1, sites // floor))
@@ -755,6 +770,7 @@ def _shared_starts(cfg: SimConfig) -> list[np.ndarray]:
 
 def run_ensemble(cfg: SimConfig) -> EnsembleSeries:
     """Evolve an ensemble from a shared initial state, full horizon."""
+    _check_record_cap(cfg)
     return _run_blocks(cfg, _shared_starts(cfg))
 
 
@@ -803,6 +819,7 @@ def estimate_tq(
         raise UsageError(f"need at least one bootstrap resample, got {n_resamples}")
     if _CHARGE not in cfg.observables:
         cfg = replace(cfg, observables=(_CHARGE,) + cfg.observables)
+    _check_record_cap(cfg)
     passages = np.full(cfg.n_trajectories, -1, np.int64) if per_trajectory else None
     # without per-trajectory times, stop once safely below gamma so that
     # bootstrap crossings resolve
@@ -1046,6 +1063,7 @@ def cone_escape_probability(
         raise UsageError("sample times must be nonnegative")
     obs = f"cone_escape:{depth}"
     cfg = replace(cfg, observables=(obs,), t_max=times[-1], initial=None)
+    _check_record_cap(cfg, times)
     sizes = _block_sizes(cfg.n_trajectories, cfg.blocks)
     rngs = [_philox(cfg.seed, _INIT_KEY_OFFSET + b) for b in range(len(sizes))]
     states = sample_cone_states(cfg.n, cfg.length, depth, sizes, rngs)

@@ -18,19 +18,21 @@ double precision comes out right. The block also gives the gap of the
 nonlocal chain ``B R S``, which has the nonzero spectrum of the lumped
 chain ``S B R``.
 
-A chain given as a matrix, a built lumped chain included, is solved on
-its own matrix ``T``: up to ``DENSE_CUTOFF`` = 64 states ``eig`` ranks
-the whole spectrum by modulus; above it ARPACK's ``eigs`` finds the
+A built chain, the lumped chain included, is solved on its own matrix
+``T``, and the local chain on :func:`~pairflip.chains.local_operator`,
+which applies ``T`` without building it. Up to ``DENSE_CUTOFF`` = 64
+states ``eig`` ranks the whole spectrum by modulus; above it a
+thick-restart Arnoldi solver in numpy (:func:`_arnoldi_top`) finds the
 largest modulus of ``x -> T x - u (w.x)``. There ``u`` is the constant
 vector and ``w`` the stationary law, scaled to ``w.u = 1`` (both the
 unit constant vector where the law is uniform, as for the local and
 nonlocal chains), so the eigenvalue 1 goes to 0 and every other
 eigenvalue stays (Wielandt deflation). 64 is the measured crossover:
-the dense solve is the faster one up to about 64 states and ARPACK from
-about 81 states on (local and lumped chains alike, both gates), and
-both find the same gap. Their ``1 - |lambda|`` carries an absolute
-error near ``dim`` roundings, which ``GapResult.precision`` reports
-relative to the gap.
+the dense solve is the faster one up to 64 states and the iterative
+one from 81 to 128 states on (local and lumped chains, both gates,
+one BLAS thread), and both find the same gap. Their ``1 - |lambda|`` carries an
+absolute error near ``dim`` roundings, which ``GapResult.precision``
+reports relative to the gap. The local gap needs no scipy.
 
 Expansion of a subset R uses the probability-flow convention
 
@@ -50,12 +52,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .census import _cone_exact, multiplicity, n2_charge_cut, sector_dim
-from .chains import StochasticChain, _lumped_rates
+from .chains import LocalOperator, StochasticChain, _lumped_rates
 from .errors import NumericError, UsageError
 from .walks import (
     SectorId,
@@ -69,10 +71,7 @@ from .walks import (
     staggered_charge,
 )
 
-if TYPE_CHECKING:
-    import scipy.sparse as sp
-
-DENSE_CUTOFF = 64  # states; the measured dense/ARPACK crossover
+DENSE_CUTOFF = 64  # states; the measured dense/iterative crossover
 DEFAULT_TOL = 1e-10
 MAX_ITERATIONS = 10**6
 _EPS = float(np.finfo(float).eps)
@@ -128,9 +127,9 @@ def _gap_result(
     )
 
 
-def _dense_gap(mat: sp.csr_matrix) -> GapResult:
+def _dense_gap(mat: np.ndarray) -> GapResult:
     """Second-largest eigenvalue modulus of the whole spectrum."""
-    vals, vecs = np.linalg.eig(mat.toarray())
+    vals, vecs = np.linalg.eig(mat)
     k = np.argsort(-np.abs(vals))[1]
     lam, x = vals[k], vecs[:, k]
     residual = float(np.linalg.norm(mat @ x - lam * x) / np.linalg.norm(x))
@@ -144,96 +143,162 @@ def _law(chain: StochasticChain) -> np.ndarray:
     return chain.stationary
 
 
-def _arpack_gap(chain: StochasticChain, tol: float, max_iterations: int) -> GapResult:
+def _iterative_gap(
+    chain: StochasticChain | LocalOperator, tol: float, max_iterations: int
+) -> GapResult:
     """Gap from the largest eigenvalue modulus of ``x -> T x - u (w.x)``
-    by ARPACK (see the module docstring); ``iterations`` counts the
-    matvecs."""
-    import scipy.sparse.linalg as spla
-
-    mat, dim, pi = chain.matrix, chain.dimension, _law(chain)
-    if (pi != pi[0]).any():
-        u, w = np.ones(dim), pi / pi.sum()
+    by :func:`_arnoldi_top`; ``iterations`` counts the matvecs."""
+    dim = chain.dimension
+    if isinstance(chain, LocalOperator):  # doubly stochastic by construction
+        product = chain.matvec
+        u = w = np.full(dim, dim**-0.5)
     else:
-        root = np.sqrt(pi)
-        u = w = root / np.linalg.norm(root)
-    drift = max(np.abs(mat @ u - u).max() / u.max(),
-                np.abs(mat.T @ w - w).max() / w.max())
-    if drift > 1e-9:
-        raise UsageError(
-            f"iterative gap needs the stationary law of the chain; the law "
-            f"of this {dim}-state chain, uniform unless given, is not "
-            f"stationary, so solve it densely with dense_cutoff >= {dim}"
-        )
-    # At N=3 the subdominant eigenvalues of the local and nonlocal
-    # chains come in S_N-degenerate pairs, of which eigs may return one
-    # copy only, and the lumped gap has multiplicity N-1; 2N values keep
-    # the largest modulus among them (a raw-matrix chain has no alphabet
-    # and gets the N=3 count)
-    k = 2 * (chain.n or 3)
-    if dim <= k + 1:  # eigs needs k < dim - 1
-        return _dense_gap(mat)
+        mat, pi = chain.matrix, _law(chain)
+        product = mat.__matmul__
+        if (pi != pi[0]).any():
+            u, w = np.ones(dim), pi / pi.sum()
+        else:
+            root = np.sqrt(pi)
+            u = w = root / np.linalg.norm(root)
+        drift = max(np.abs(mat @ u - u).max() / u.max(),
+                    np.abs(mat.T @ w - w).max() / w.max())
+        if drift > 1e-9:
+            raise UsageError(
+                f"iterative gap needs the stationary law of the chain; the law "
+                f"of this {dim}-state chain, uniform unless given, is not "
+                f"stationary, so solve it densely with dense_cutoff >= {dim}"
+            )
 
     def apply(x: np.ndarray) -> np.ndarray:
-        return mat @ x - u * (w @ x)
+        return product(x) - np.multiply.outer(u, w @ x)
 
-    matvecs = 0
-
-    def counted(x: np.ndarray) -> np.ndarray:
-        nonlocal matvecs
-        matvecs += 1
-        return apply(np.asarray(x).ravel())
-
-    op = spla.LinearOperator((dim, dim), matvec=counted, dtype=np.float64)
-    v0 = np.random.default_rng(0).standard_normal(dim)
-    try:
-        vals, vecs = spla.eigs(
-            op, k=k, which="LM", tol=tol / 10, maxiter=max_iterations, v0=v0
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    except spla.ArpackError as exc:
-        # a raw chain that mixes in one step (every row its law; an L=1
-        # chain has too few states for eigs) deflates to the zero
-        # operator, and ARPACK cannot start from a vector it annihilates
-        if not apply(v0).any():
-            return _dense_gap(mat)
-        raise NumericError(f"eigensolver failed: {exc}") from exc
-    i = np.argmax(np.abs(vals))
-    lam, x = vals[i], vecs[:, i]
-    residual = float(np.linalg.norm(apply(x) - lam * x) / np.linalg.norm(x))
-    if residual > tol:
-        raise NumericError(f"eigenpair residual {residual:.3e} above tol {tol:.3e}")
+    # At N=3 the subdominant eigenvalues of the local and nonlocal
+    # chains come in S_N-degenerate pairs and the lumped gap has
+    # multiplicity N-1; restarts keep 2N Ritz values, so that the
+    # largest modulus among them is not lost (a raw-matrix chain has no
+    # alphabet and gets the N=3 count)
+    k = 2 * (chain.n or 3)
+    lam, residual, matvecs = _arnoldi_top(apply, dim, k, tol, max_iterations)
     return _gap_result(lam, "iterative", residual, matvecs, dim)
 
 
+def _arnoldi_top(
+    apply, dim: int, k: int, tol: float, max_iterations: int
+) -> tuple[complex, float, int]:
+    """Largest-modulus eigenpair of a real operator of unit scale, by
+    thick-restart Arnoldi; returns the eigenvalue, the explicit residual
+    of its unit eigenvector and the number of matvecs.
+
+    The orthonormal basis ``V`` (rows of ``basis``) is kept with its
+    image ``W = A V``, and ``H = V^T W`` is updated a row and a column
+    per matvec. Each step ranks the eigenvalues of ``H`` by modulus and
+    stops once the top Ritz pair's residual ``W y - theta V y`` is at
+    most ``1e-4 tol |theta|`` or at rounding level, ``64 eps`` times the
+    larger of ``max |H|`` and 1 (the deflated eigenvalue sets the
+    scale); otherwise that residual, orthogonalized against ``V`` (a
+    second time where the first pass cancels most of it), is the next
+    basis vector. A residual that orthogonalization reduces
+    to rounding level, or a basis of ``dim`` vectors, is an exhausted
+    Krylov space, on which the Ritz pair is exact. A basis of ``m =
+    max(2k+1, 20)`` vectors restarts on a real orthonormal basis of the
+    ``k`` leading Ritz vectors (both parts of a complex one), and ``W``
+    takes the same rotation, so no matvec is repeated (Morgan, Math.
+    Comp. 65, 1996; Stewart, SIAM J. Matrix Anal. Appl. 23, 2001).
+    Running out of ``max_iterations`` matvecs, or an explicit residual
+    above ``tol``, raises NumericError.
+    """
+    m = min(max(2 * k + 1, 20), dim)
+    basis, image, proj = np.empty((m, dim)), np.empty((m, dim)), np.empty((m, m))
+    v = np.random.default_rng(0).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    j = matvecs = 0
+    while True:
+        if matvecs == max_iterations:
+            raise NumericError(
+                f"eigensolver did not converge in {max_iterations} matvecs"
+            )
+        basis[j], image[j] = v, apply(v)
+        matvecs += 1
+        proj[: j + 1, j] = basis[: j + 1] @ image[j]
+        proj[j, :j] = image[:j] @ basis[j]
+        j += 1
+        h = proj[:j, :j]
+        vals, vecs = np.linalg.eig(h)
+        order = np.argsort(-np.abs(vals), kind="stable")
+        theta, y = vals[order[0]], vecs[:, order[0]]
+        # the residual W y - theta V y, by real and imaginary part
+        ty = theta * y
+        parts = [y.real @ image[:j] - ty.real @ basis[:j]]
+        if theta.imag:
+            parts.append(y.imag @ image[:j] - ty.imag @ basis[:j])
+        norms = [float(np.linalg.norm(p)) for p in parts]
+        floor = 64 * _EPS * max(float(np.abs(h).max()), 1.0)
+        if math.hypot(*norms) <= max(1e-4 * tol * abs(theta), floor) or j == dim:
+            break
+        v = parts[int(np.argmax(norms))]
+        for _ in range(2):  # again only if the pass cancelled most of v
+            before = float(np.linalg.norm(v))
+            v -= (basis[:j] @ v) @ basis[:j]
+            beta = float(np.linalg.norm(v))
+            if beta > before / math.sqrt(2):
+                break
+        if beta <= floor:
+            break
+        v /= beta
+        if j == m:
+            cols = []
+            for i in order[:k]:
+                if vals[i].imag >= 0:  # a conjugate's partner comes first
+                    cols.append(vecs[:, i].real)
+                if vals[i].imag > 0:
+                    cols.append(vecs[:, i].imag)
+            q = np.linalg.qr(np.column_stack(cols))[0]
+            j = q.shape[1]
+            basis[:j], image[:j] = q.T @ basis, q.T @ image
+            proj[:j, :j] = basis[:j] @ image[:j].T
+    x = (np.stack([y.real, y.imag]) @ basis[:j]).T  # the Ritz vector's parts
+    rot = np.array([[theta.real, theta.imag], [-theta.imag, theta.real]])
+    residual = float(np.linalg.norm(apply(x) - x @ rot) / np.linalg.norm(x))
+    if residual > tol:
+        raise NumericError(f"eigenpair residual {residual:.3e} above tol {tol:.3e}")
+    return complex(theta), residual, matvecs
+
+
 def spectral_gap(
-    chain: StochasticChain,
+    chain: StochasticChain | LocalOperator,
     *,
     tol: float = DEFAULT_TOL,
     dense_cutoff: int = DENSE_CUTOFF,
     max_iterations: int = MAX_ITERATIONS,
 ) -> GapResult:
-    """Gap of a chain, solved on its own matrix: ``eig`` up to the cutoff,
-    ARPACK's ``eigs`` on the deflated matrix above it.
+    """Gap of a built chain or of the matrix-free local chain, solved on
+    its own operator: ``eig`` up to the cutoff, :func:`_arnoldi_top` on
+    the deflated operator above it.
 
-    The default cutoff, ``DENSE_CUTOFF`` = 64 states, is where ARPACK
-    overtakes the dense solve. Both solves rank eigenvalues by modulus.
-    The deflation needs the stationary law, taken as uniform where the
-    chain gives none: a chain that does not keep it to 1e-9 (``T u = u``
-    and ``w T = w``) raises UsageError above the cutoff, and solves with
-    a ``dense_cutoff`` of at least its dimension. A dimension too small
-    for ARPACK's ``k`` is solved densely whatever the cutoff.
-    Non-convergence raises instead of returning.
+    The default cutoff, ``DENSE_CUTOFF`` = 64 states, is where the
+    iterative solve overtakes the dense one. Both solves rank
+    eigenvalues by modulus. The deflation needs the stationary law,
+    taken as uniform where a built chain gives none: a chain that does
+    not keep it to 1e-9 (``T u = u`` and ``w T = w``) raises UsageError
+    above the cutoff, and solves with a ``dense_cutoff`` of at least its
+    dimension. A built chain must be irreducible; a
+    :class:`~pairflip.chains.LocalOperator` is by construction and is
+    not checked. ``max_iterations`` caps the matvecs; non-convergence
+    raises instead of returning.
     """
     if not (0 < tol < np.inf and max_iterations >= 1):
         raise UsageError(
             f"need 0 < tol < inf and max_iterations >= 1, "
             f"got tol={tol}, max_iterations={max_iterations}"
         )
-    _require_irreducible(chain)
-    if chain.dimension <= dense_cutoff:
-        return _dense_gap(chain.matrix)
-    return _arpack_gap(chain, tol, max_iterations)
+    local = isinstance(chain, LocalOperator)
+    if not local:
+        _require_irreducible(chain)
+    if chain.dimension > dense_cutoff:
+        return _iterative_gap(chain, tol, max_iterations)
+    if local:
+        return _dense_gap(chain.matvec(np.eye(chain.dimension)))
+    return _dense_gap(chain.matrix.toarray())
 
 
 @dataclass(frozen=True, eq=False)

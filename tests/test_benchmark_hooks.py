@@ -31,14 +31,16 @@ def test_every_wrapped_name_resolves():
     assert missing == []
 
 
-def test_tracer_installs_records_and_closes(capsys):
+def test_tracer_installs_records_and_closes(capsys, tmp_path):
     spans = _load_spans()
     originals = [getattr(module, attr) for module, attr, _, _ in spans.WRAPPED]
     tracer = spans.Tracer()
     try:
         for (module, attr, _, _), original in zip(spans.WRAPPED, originals):
             assert getattr(module, attr) is not original, attr
-        argv = ["gap", "--n", "3", "--length", "4", "--chain", "local"]
+        # the local gap is solved matrix free; only an export builds the chain
+        argv = ["gap", "--n", "3", "--length", "4", "--chain", "local",
+                "--export-matrix", str(tmp_path / "local.coo")]
         assert pairflip.cli.main(argv) == 0
     finally:
         tracer.close()

@@ -26,6 +26,7 @@ from pairflip.chains import (
     index_symbols,
     layer_matrix,
     layer_pairs,
+    local_operator,
     sector_projectors,
     state_index,
     state_sector_codes,
@@ -211,6 +212,53 @@ class TestFullLocal:
             build_full_local(1, 4)
         with pytest.raises(UsageError):
             build_full_local(3, 0)
+
+
+class TestLocalOperator:
+    """The matrix-free local chain is the built one, and irreducible."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", list(GateKind))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matvec_is_the_built_matrix(self, n, kind, reverse):
+        rng = np.random.default_rng(n)
+        for length in range(1, 7):
+            mat = build_full_local(n, length, kind, reverse_layers=reverse).matrix
+            op = local_operator(n, length, kind, reverse_layers=reverse)
+            assert op.dimension == mat.shape[0]
+            x = rng.standard_normal(op.dimension)
+            batch = rng.standard_normal((op.dimension, 3))
+            assert np.abs(op.matvec(x) - mat @ x).max() < 1e-14
+            assert np.abs(op.matvec(batch) - mat @ batch).max() < 1e-14
+            # a strided batch is read, not written through
+            view = batch[:, ::2]
+            before = view.copy()
+            assert np.abs(op.matvec(view) - mat @ before).max() < 1e-14
+            assert (view == before).all()
+            # the local gap skips the connectivity check on the operator,
+            # because the chain it applies is irreducible
+            assert connected_components(mat, connection="strong")[0] == 1
+
+    def test_dense_matrix_is_the_chain(self):
+        op = local_operator(3, 3, GateKind.TEMPERLEY_LIEB)
+        mat = build_full_local(3, 3, GateKind.TEMPERLEY_LIEB).matrix.toarray()
+        assert np.abs(op.matvec(np.eye(27)) - mat).max() < 1e-15
+
+    def test_state_cap_matches_the_build(self):
+        with pytest.raises(ResourceCapError) as built:
+            build_full_local(3, 13)
+        with pytest.raises(ResourceCapError) as free:
+            local_operator(3, 13)
+        assert str(free.value) == str(built.value)
+        assert local_operator(3, 12).dimension == 3**12
+
+    def test_bad_args(self):
+        with pytest.raises(UsageError):
+            local_operator(1, 4)
+        with pytest.raises(UsageError):
+            local_operator(3, 0)
+        with pytest.raises(UsageError, match="81 states"):
+            local_operator(3, 4).matvec(np.ones(27))
 
 
 class TestFullNonlocal:

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,7 +328,8 @@ class TestGapCommand:
 
     @pytest.mark.parametrize("gate", ["pf", "tl"])
     def test_local_gap_at_the_default_cutoff(self, capsys, gate):
-        # 729 states go to ARPACK, and find the gap of the whole spectrum
+        # 729 states go to the iterative solver, and find the gap of the
+        # whole spectrum
         code, out, _ = run_cli(
             capsys, "gap", "--n", "3", "--length", "6", "--chain", "local",
             "--gate", gate,
@@ -338,6 +340,17 @@ class TestGapCommand:
         mat = build_full_local(3, 6, GateKind.parse(gate)).matrix.toarray()
         mods = np.sort(np.abs(np.linalg.eigvals(mat)))
         assert abs(d["gap"] - (1.0 - mods[-2])) < 1e-12
+
+    def test_export_leaves_the_local_gap(self, capsys, tmp_path):
+        # the gap is solved on the operator whether or not the chain is
+        # built for the export
+        argv = ["gap", "--n", "3", "--length", "5", "--chain", "local"]
+        code, plain, _ = run_cli(capsys, *argv)
+        assert code == 0
+        target = tmp_path / "local.coo"
+        code, exported, _ = run_cli(capsys, *argv, "--export-matrix", str(target))
+        assert code == 0 and exported == plain
+        assert len(target.read_text().splitlines()) == build_full_local(3, 5).matrix.nnz
 
     @pytest.mark.parametrize(
         "gate,gap", [("pf", 0.0077518715347026), ("tl", 0.00430296282287046)]
@@ -358,8 +371,8 @@ class TestGapCommand:
     @pytest.mark.parametrize("chain", ["lumped", "nonlocal"])
     @pytest.mark.parametrize("n", ["4", "16"])
     def test_one_step_mixing_chain_iterative(self, capsys, chain, n):
-        # at L=1 the deflated operator is zero, and ARPACK cannot start
-        # from a vector that it sends to exactly zero (N=4 and 16 do)
+        # at L=1 the chain mixes in one step, so its deflated operator is
+        # zero (exactly so at N=4 and 16) and the gap is 1
         code, out, err = run_cli(
             capsys, "gap", "--n", n, "--length", "1", "--dense-cutoff", "1",
             "--chain", chain,
@@ -1193,6 +1206,42 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err.lower()
 
+    def test_local_state_cap_refuses_at_once(self, capsys, monkeypatch):
+        # 3^13 states pass the default cap of 2^20; neither the operator's
+        # vectors nor a chain are made
+        _forbid(monkeypatch, [(pairflip.cli, "build_full_local"),
+                              (pairflip.cli, "spectral_gap")], "built or solved")
+        code, out, err = run_cli(
+            capsys, "gap", "--n", "3", "--length", "13", "--chain", "local"
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "pairflip: resource cap: state space 3^13 exceeds cap 1048576; "
+            "use the lumped chain or raise cap\n"
+        )
+
+    @pytest.mark.parametrize("command", ["simulate", "escape"])
+    def test_recording_cap_builds_no_start(self, capsys, command):
+        # 500 000 blocks pass the block cap, but their block sums at 10 001
+        # (or 601 sampled) times do not; the run is refused before any
+        # block's start is built or sampled
+        sizes = ["--n", "3", "--length", "4", "--blocks", "500000",
+                 "--trajectories", "500000"]
+        if command == "simulate":
+            argv = [command, *sizes, "--t-max", "10000"]
+        else:
+            times = ",".join(map(str, range(601)))
+            argv = [command, *sizes, "--depth", "2", "--times", times]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert err.startswith("pairflip: resource cap: recording 500000 blocks")
+        assert peak < 16 * 2**20
+
     def test_memory_error_is_a_resource_cap(self, capsys, monkeypatch):
         # a huge --trajectories fails in numpy's allocation; raised here
         # by hand, so that the test allocates nothing
@@ -1224,7 +1273,7 @@ class TestExitCodes:
         assert "above the cap of 4 GiB" in err
 
     def test_numeric_failure(self, capsys):
-        # only the local chain runs ARPACK
+        # only the local chain runs the iterative solver
         code, _, err = run_cli(
             capsys,
             "gap", "--n", "3", "--length", "8", "--chain", "local",

@@ -1,7 +1,8 @@
-"""Import graph: the Monte Carlo and closed-form commands, and the gap of
-the lumped and nonlocal chains (from the tridiagonal blocks), load no
-sparse or dense linear algebra and no mpmath; the commands that need them
-load them when they run.
+"""Import graph: the Monte Carlo and closed-form commands and every gap
+(the lumped and nonlocal ones from the tridiagonal blocks, the local one
+matrix free) load no sparse or dense scipy linear algebra and no mpmath;
+the commands that need them, such as ``gap --export-matrix``, load them
+when they run.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -37,6 +38,9 @@ SCRIPT = textwrap.dedent(
         ["bounds", "--n", "3", "--length", "8"],
         ["gap", "--n", "3", "--length", "8", "--chain", "lumped"],
         ["gap", "--n", "3", "--length", "8", "--chain", "nonlocal"],
+        ["gap", "--n", "3", "--length", "3", "--chain", "local"],
+        ["gap", "--n", "3", "--length", "6", "--chain", "local",
+         "--gate", "tl"],
     ]
     for k, argv in enumerate(light):
         assert main(argv + ["--out", str(out / f"{{k}}.json")]) == 0, argv
@@ -44,8 +48,9 @@ SCRIPT = textwrap.dedent(
     assert not loaded, f"loaded by {{[a[0] for a in light]}}: {{loaded}}"
 
     assert main(["gap", "--n", "3", "--length", "5", "--chain", "local",
+                 "--export-matrix", str(out / "local.coo"),
                  "--out", str(out / "gap.json")]) == 0
-    assert "scipy.sparse.linalg" in sys.modules, "gap ran without ARPACK"
+    assert "scipy.sparse" in sys.modules, "exported without building the chain"
 
     names = {{}}
     exec("from pairflip import *", names)

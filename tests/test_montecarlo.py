@@ -8,6 +8,7 @@ the rational transition rows.
 import itertools
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -957,6 +958,14 @@ def _no_slab(*args, **kwargs):
     raise _SlabBuilt
 
 
+# every way into a run, with the recorded times of its configuration
+_ENTRIES = {
+    "run_ensemble": run_ensemble,
+    "estimate_tq": estimate_tq,
+    "escape": lambda cfg: cone_escape_probability(cfg, 2, range(cfg.t_max + 1)),
+}
+
+
 class TestRecordCap:
     """Block-sum tables are reserved for every planned time, so their size
     is known, and checked, before any slab is built."""
@@ -1006,6 +1015,20 @@ class TestRecordCap:
                         blocks=500_000)
         with pytest.raises(ResourceCapError, match="74.5 GiB"):
             _run_blocks(cfg, [np.ones((1, 4), np.int8)] * 500_000)
+
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    def test_no_start_is_built_past_the_cap(self, monkeypatch, entry):
+        # the 74.5 GiB run above: each entry point refuses it before it
+        # tiles or samples a single start, and builds starts under the cap
+        monkeypatch.setattr(montecarlo, "_shared_starts", _no_slab)
+        monkeypatch.setattr(montecarlo, "sample_cone_states", _no_slab)
+        cfg = SimConfig(n=3, length=4, t_max=10_000, n_trajectories=500_000,
+                        blocks=500_000)
+        with pytest.raises(ResourceCapError, match="74.5 GiB"):
+            _ENTRIES[entry](cfg)
+        with pytest.raises(_SlabBuilt):
+            _ENTRIES[entry](replace(cfg, t_max=10, n_trajectories=10, blocks=10))
 
 
 class TestRecordMemory:

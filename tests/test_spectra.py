@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from pairflip import spectra
 from pairflip.census import (
@@ -26,6 +25,7 @@ from pairflip.chains import (
     build_full_local,
     build_full_nonlocal,
     build_lumped,
+    local_operator,
     state_index,
 )
 from pairflip.errors import NumericError, UsageError
@@ -166,7 +166,7 @@ class TestIterativeGap:
         assert it.iterations > 0
 
     def test_nonlocal_matches_dense(self):
-        # the full nonsymmetric matrix through eig and through eigs
+        # the full nonsymmetric matrix through eig and iteratively
         ch = build_full_nonlocal(3, 5)
         assert ch.dimension == 243
         dense = spectral_gap(ch, dense_cutoff=243)
@@ -175,8 +175,9 @@ class TestIterativeGap:
         assert abs(dense.gap - it.gap) < 1e-9
 
     def test_local_matches_dense(self):
-        # the nonsymmetric chain goes through eigs on the deflated matrix;
-        # L=4 (81 states) is the first length above the default cutoff
+        # the nonsymmetric chain goes through the iterative solver on the
+        # deflated matrix; L=4 (81 states) is the first length above the
+        # default cutoff
         for length in (4, 5, 6):
             for gate in GateKind:
                 for reverse in (False, True):
@@ -187,39 +188,28 @@ class TestIterativeGap:
                     assert abs(dense.gap - it.gap) < 1e-12
                     assert it.residual <= spectra.DEFAULT_TOL
 
-    def test_too_small_for_eigs_is_dense(self):
-        # eigs asks for k = 2N = 4 values and needs k < dim - 1
+    def test_too_small_for_a_restart_is_exact(self):
+        # 4 states: the basis spans them all before any restart, and its
+        # Ritz values are the spectrum
         res = spectral_gap(build_full_local(2, 2), dense_cutoff=1)
-        assert res.method == "dense"
+        assert res.method == "iterative" and res.iterations <= 4
         assert abs(res.gap - 0.5) < 1e-12
 
-    def test_chain_that_mixes_in_one_step_falls_back_to_dense(self, monkeypatch):
-        # every row is the uniform law, so the deflated operator is zero:
-        # ARPACK fails on its start vector and the dense solve gives the gap
-        failed = []
-
-        def spy(*args, eigs=spla.eigs, **kwargs):
-            try:
-                return eigs(*args, **kwargs)
-            except spla.ArpackError as exc:
-                failed.append(exc)
-                raise
-
-        monkeypatch.setattr(spla, "eigs", spy)
+    def test_chain_that_mixes_in_one_step_exhausts_the_krylov_space(self):
+        # every row is the uniform law, so the deflated operator is zero to
+        # rounding: the first residual is at rounding level, the Krylov
+        # space is exhausted after one matvec, and the gap is 1
         ch = StochasticChain.from_matrix(np.full((50, 50), 1 / 50))
         res = spectral_gap(ch, dense_cutoff=1)
-        assert failed and res.method == "dense"
+        assert res.method == "iterative" and res.iterations == 1
         assert res.gap == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("build", [build_lumped, build_full_local])
-    def test_arpack_error_is_numeric(self, monkeypatch, build):
-        def fail(*args, **kwargs):
-            raise spla.ArpackError(-8)
-
-        monkeypatch.setattr(spla, "eigs", fail)
+    def test_too_few_matvecs_is_numeric(self, build):
         ch = build(3, 4)
-        with pytest.raises(NumericError, match="ARPACK error -8"):
-            spectral_gap(ch, dense_cutoff=10)
+        assert spectral_gap(ch, dense_cutoff=10).iterations > 3
+        with pytest.raises(NumericError, match="did not converge in 3 matvecs"):
+            spectral_gap(ch, dense_cutoff=10, max_iterations=3)
 
     def test_custom_iterative_needs_structure(self):
         ch = StochasticChain.from_matrix(np.array([[0.7, 0.3], [0.2, 0.8]]))
@@ -227,8 +217,9 @@ class TestIterativeGap:
             spectral_gap(ch, dense_cutoff=1)
 
     def test_raw_chain_above_the_default_cutoff_names_the_cutoff(self):
-        # no law is given and the uniform one is not stationary: ARPACK
-        # cannot deflate it, and the error says how to solve it densely
+        # no law is given and the uniform one is not stationary: the
+        # iterative solve cannot deflate it, and the error says how to
+        # solve it densely
         mat = np.random.default_rng(5).random((100, 100))
         ch = StochasticChain.from_matrix(mat / mat.sum(axis=1, keepdims=True))
         with pytest.raises(UsageError, match="dense_cutoff >= 100"):
@@ -258,7 +249,7 @@ class TestIterativeGap:
 class TestDefaultCutoff:
     @pytest.mark.parametrize("n,length,method", [(2, 6, "dense"), (3, 4, "iterative")])
     def test_the_floor_is_64_states(self, n, length, method):
-        # 64 states solve densely at the default cutoff, 81 through ARPACK
+        # 64 states solve densely at the default cutoff, 81 iteratively
         ch = build_full_local(n, length)
         res = spectral_gap(ch)
         assert res.method == method
@@ -269,7 +260,7 @@ class TestDefaultCutoff:
                                (math.inf, 10), (1e-10, 0)]
     )
     def test_bad_solver_arguments(self, tol, max_iterations):
-        # a NaN tol would run ARPACK to its last iteration
+        # a NaN tol would run the iterative solver to its last matvec
         with pytest.raises(UsageError):
             spectral_gap(build_lumped(2, 3), tol=tol, max_iterations=max_iterations)
 
@@ -299,12 +290,42 @@ class TestTwoSymbolWindow:
         assert abs(gap - 1 / length) < 1e-12
 
 
+class TestLocalOperatorGap:
+    @pytest.mark.parametrize("cutoff", [1, 64, 729])
+    @pytest.mark.parametrize("kind", list(GateKind))
+    def test_equals_the_built_chain(self, kind, cutoff):
+        for length in (3, 4, 5, 6):
+            for reverse in (False, True):
+                built = spectral_gap(
+                    build_full_local(3, length, kind, reverse_layers=reverse),
+                    dense_cutoff=cutoff,
+                )
+                free = spectral_gap(
+                    local_operator(3, length, kind, reverse_layers=reverse),
+                    dense_cutoff=cutoff,
+                )
+                assert free.method == built.method
+                assert free.gap == pytest.approx(built.gap, rel=1e-12)
+                assert free.residual <= spectra.DEFAULT_TOL
+
+    def test_operator_skips_the_connectivity_check(self, monkeypatch):
+        # built chains are checked with connected_components; the operator
+        # is irreducible by construction (TestLocalOperator in test_chains)
+        def refuse(chain):
+            raise AssertionError("checked the connectivity")
+
+        monkeypatch.setattr(spectra, "_require_irreducible", refuse)
+        assert spectral_gap(local_operator(3, 5)).method == "iterative"
+        with pytest.raises(AssertionError):
+            spectral_gap(build_full_local(3, 5))
+
+
 class TestGapOrdering:
-    @pytest.mark.parametrize("n,lengths", [(2, (3, 4, 5, 6, 7)), (3, (3, 4, 5, 6, 7))])
+    @pytest.mark.parametrize("n,lengths", [(2, range(3, 8)), (3, range(3, 11))])
     def test_local_below_nonlocal_and_ratio_decreases(self, n, lengths):
         ratios = []
         for length in lengths:
-            gl = spectral_gap(build_full_local(n, length)).gap
+            gl = spectral_gap(local_operator(n, length)).gap
             gn = spectral_gap(build_lumped(n, length)).gap
             assert gl <= gn + 1e-12
             ratios.append(gl / gn)
@@ -823,7 +844,7 @@ class TestLumpedBlocks:
     @pytest.mark.parametrize("length", range(6, 15))
     def test_gap_matches_the_chain(self, length):
         # a dense cutoff of 1024 solves L <= 9 (up to 1023 sectors) with
-        # eig and the longer chains with eigs
+        # eig and the longer chains iteratively
         res = lumped_gap(3, length)
         assert res.method == "tridiagonal"
         assert res.gap == pytest.approx(

@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 resource
 cap exceeded. Artifacts are written atomically; every ``--out`` file
 gets a ``<name>.meta.json`` sidecar with the resolved parameters, the
 package version, a timestamp, the numpy, scipy and Python versions, the
-CPU count and the operation's wall time. The artifact
+CPU count and the operation's wall time; the Monte Carlo commands'
+sidecars also record the trajectory-steps taken (``traj_steps``) and
+their rate (``traj_steps_per_s``). The artifact
 itself never contains a timestamp or a timing, so reruns with equal
 parameters are byte-identical. An output path that cannot be written
 is a usage error.
@@ -78,7 +80,12 @@ def _write(path: str, text: str, meta: dict[str, Any]) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(
+    args: argparse.Namespace, text: str, traj_steps: int | None = None
+) -> None:
+    """Write the artifact and its sidecar, or ``text`` to stdout. A Monte
+    Carlo command passes the trajectory-steps it took: the sidecar, never
+    the artifact, records them and their rate over the wall time."""
     if args.out:
         params = {
             k: v
@@ -86,7 +93,11 @@ def _emit(args: argparse.Namespace, text: str) -> None:
             if k not in ("func", "out", "config", "started") and v is not None
         }
         wall_s = time.perf_counter() - args.started
-        _write(args.out, text, build_meta(args.command, params, wall_s))
+        meta = build_meta(args.command, params, wall_s)
+        if traj_steps is not None:
+            meta["traj_steps"] = traj_steps
+            meta["traj_steps_per_s"] = traj_steps / wall_s
+        _write(args.out, text, meta)
     else:
         sys.stdout.write(text)
 
@@ -251,6 +262,11 @@ def _sim_config(args: argparse.Namespace, **fields: Any) -> SimConfig:
     )
 
 
+def _traj_steps(series) -> int:
+    """Trajectory-steps a run took: it recorded every step up to its last."""
+    return series.n_trajectories * int(series.times[-1])
+
+
 def _series_payload(series) -> dict[str, Any]:
     return {
         "times": series.times,
@@ -290,9 +306,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         }
         if report.per_trajectory_times is not None:
             payload["per_trajectory_times"] = report.per_trajectory_times
+        series = report.series
     else:
-        payload.update(_series_payload(run_ensemble(cfg)))
-    _emit(args, _json_text(payload))
+        series = run_ensemble(cfg)
+        payload.update(_series_payload(series))
+    _emit(args, _json_text(payload), _traj_steps(series))
     return 0
 
 
@@ -300,9 +318,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lengths = _comma_list(args.lengths, int, "--lengths")
     rows = ["length,gamma,t_q,ci_low,ci_high,censored,censored_draws,"
             "bound,bound_valid"]
+    steps = 0
     for length in lengths:
         cfg = _sim_config(args, length=length, t_max=args.t_max, gamma=args.gamma)
         report = estimate_tq(cfg, n_resamples=args.resamples)
+        steps += _traj_steps(report.series)
         bound = bounds_mod.thm3_charge_time_lower(args.n, length, args.gamma)
         rows.append(
             ",".join(
@@ -319,7 +339,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 ]
             )
         )
-    _emit(args, "\n".join(rows) + "\n")
+    _emit(args, "\n".join(rows) + "\n", steps)
     return 0
 
 
@@ -391,7 +411,7 @@ def _cmd_escape(args: argparse.Namespace) -> int:
         "probability": res.probability,
         "std_error": res.std_error,
     }
-    _emit(args, _json_text(payload))
+    _emit(args, _json_text(payload), cfg.n_trajectories * cfg.t_max)
     return 0
 
 

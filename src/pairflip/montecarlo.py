@@ -30,9 +30,11 @@ key)``, in three key families:
 One batched conditioned walk steps every block's starts as one array,
 and block b draws its rows' floats from its own start stream, one array
 per quantity: one per row for the sector depth, one per row for each
-branch column, then two per row at each site. So block b's starts
-depend only on ``(seed, b)`` and the config. ``threads`` splits the
-blocks into at most that many contiguous slabs (see ``_run_blocks``).
+branch column, then two per row at each site, several such arrays per
+``Generator.random`` call (``_block_floats``), which fills them in
+stream order. So block b's starts depend only on ``(seed, b)`` and the
+config. ``threads`` splits the blocks into at most that many contiguous
+slabs (see ``_run_blocks``).
 
 ``step_states`` takes a symbol source, never a Generator: a block's
 ``_dynamics_source`` or a slab's ``_StripedSymbols``. A slab holds its
@@ -51,6 +53,13 @@ two pop-or-push moves (see ``_Slab``), O(M) whatever L is. The
 ``charge`` observables are carried the same way: a slab counts each
 symbol's staggered charge once, at t = 0, and each step moves it by the
 boundary resample alone, again O(M).
+
+Every observable is an integer per trajectory times a fixed scale, and
+is recorded as that integer: a step writes only its boundary rows, and
+once per segment a slab reduces the rows of its planned times to int64
+block sums (see ``_Slab``). Means, standard errors and the bootstrap's
+resampled means are each one rounding of an exact ratio of integers, so
+no summation order can move a bit.
 """
 
 from __future__ import annotations
@@ -60,7 +69,9 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from fractions import Fraction
+from functools import lru_cache
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -224,8 +235,6 @@ def _symbol_range(n: int, gate: GateKind) -> int:
 _GROUP = 256
 # raw 64-bit words read at the least, so that one read serves several draws
 _MIN_READ = 1024
-# a draw expands its sources' digit groups in batches of about this many values
-_EXPAND_VALUES = 1 << 17
 
 
 def _expand(
@@ -290,34 +299,54 @@ class _SymbolSource:
         self._words = np.empty(0, self.dtype)
         self._used = 0
 
-    def take_groups(self, count: int) -> tuple[np.ndarray, int]:
-        """The next ``count`` values, as the accepted words of the groups
-        that hold them and the position of the first value in those
-        groups' values. A group stays in hand until all its values are
-        drawn, so the last one may come back in the next call."""
-        per_group = self.digits * _GROUP
-        end = self._used + count
-        need = -(-end // per_group) * _GROUP
-        words = self._words
-        while words.size < need:
-            # enough raw words for the rest in one read but for rare tails
-            want = (need - words.size) * self._span / self._limit
-            size = int((want + 4 * math.sqrt(want)) * self.dtype.itemsize / 8) + 2
-            raw = self._bits.random_raw(max(size, _MIN_READ))
-            raw = raw.astype("<u8", copy=False).view(self.dtype)
-            if self._limit < self._span:
-                raw = raw[raw < self._limit]
-            words = np.concatenate([words, raw])
-        start, self._used = self._used, end % per_group
-        self._words = words[end // per_group * _GROUP :]
-        return words[:need], start
-
     def draw(self, rows: int, cols: int) -> np.ndarray:
         """The next ``rows * cols`` values, as a C-ordered ``(rows, cols)``
         array: :func:`_draw_blocks` with this source alone."""
         out = np.empty((rows, cols), self.dtype)
         _draw_blocks([self], [cols], rows, out)
         return out
+
+
+def _take_groups(
+    sources: Sequence[_SymbolSource], count: int, out: np.ndarray
+) -> int:
+    """Fill row i of ``out`` with the accepted words of the groups that
+    hold source i's next ``count`` values; return the position of the
+    first value in those groups' values.
+
+    The sources must have drawn equally many values before, so that each
+    needs the same whole number of groups (``out``'s width) and starts
+    at the same place in them. A group stays in hand until all its
+    values are drawn, so the last one may come back in the next call.
+    Each source screens its own reads: a read of a few KiB is screened
+    in cache, at about half the cost per byte of one large screen.
+    """
+    first = sources[0]
+    per_group = first.digits * _GROUP
+    start = first._used
+    end = start + count
+    need = out.shape[1]
+    keep = end // per_group * _GROUP  # the words of the groups used up
+    for src, row in zip(sources, out):
+        held, src._words = src._words[:need], src._words[need:]
+        row[: held.size] = held
+        have = held.size
+        while have < need:
+            # enough raw words for the rest in one read but for rare tails
+            want = (need - have) * src._span / src._limit
+            size = int((want + 4 * math.sqrt(want)) * src.dtype.itemsize / 8) + 2
+            raw = src._bits.random_raw(max(size, _MIN_READ))
+            raw = raw.astype("<u8", copy=False).view(src.dtype)
+            if src._limit < src._span:
+                raw = raw[raw < src._limit]
+            take = min(raw.size, need - have)
+            row[have : have + take] = raw[:take]
+            src._words = raw[take:]
+            have += take
+        src._used = end % per_group
+        if keep < need:  # the last group has values left
+            src._words = np.concatenate([row[keep:], src._words])
+    return start
 
 
 def _draw_blocks(
@@ -328,34 +357,34 @@ def _draw_blocks(
     ``rows * m`` values, in C order in its own block of m columns.
 
     This is the one place where digit planes become values in contract
-    order. Over a run of equal sizes, each source takes its groups with
-    ``take_groups``, and the words of as many sources as fit in about
-    ``_EXPAND_VALUES`` values (at least one) are expanded together, put
-    in value order and copied into their columns. The sources of a run
-    must have drawn equally many values before, as fresh sources drawn
-    together have, so that they hold as many groups and start at the
-    same place in them.
+    order. Over a run of equal sizes, the sources take their groups in
+    one call (:func:`_take_groups`), as many sources as fit in about half
+    of ``out``'s values (at least one) at a time; their words are
+    expanded in one call, put in value order and copied into their
+    columns. The scratch is thus about the size of ``out``, which the
+    draw-ahead budget bounds. The sources of a run must have drawn
+    equally many values before, as fresh sources drawn together have.
     """
     first = sources[0]
-    digits, lo, at = first.digits, 0, 0
+    digits, per_group = first.digits, first.digits * _GROUP
+    lo = at = 0
     for m, run in itertools.groupby(sizes):
         blocks = len(list(run))
         count = rows * m
-        taken = [src.take_groups(count) for src in sources[at : at + blocks]]
-        start, size = taken[0][1], taken[0][0].size
-        batch = min(blocks, max(1, _EXPAND_VALUES // max(1, digits * size)))
+        width = -(-(sources[at]._used + count) // per_group) * _GROUP
+        batch = min(blocks, max(1, out.size // (2 * digits * width)))
         # scratch for one batch, reused by the run's batches; ``vals`` is
         # free while ``_expand`` runs, so it serves as its ``tmp``
-        words = np.empty(batch * size, first.dtype)
+        words = np.empty((batch, width), first.dtype)
         planes = np.empty((digits, words.size), first.dtype)
         vals = np.empty(digits * words.size, first.dtype)
         for i in range(0, blocks, batch):
             c = min(batch, blocks - i)
-            np.concatenate([w for w, _ in taken[i : i + c]], out=words[: c * size])
-            part = planes[:, : c * size]
-            _expand(words[: c * size], part, vals[: c * size], first.k, first.wrap)
+            start = _take_groups(sources[at + i : at + i + c], count, words[:c])
+            part = planes[:, : c * width]
+            _expand(words[:c].reshape(-1), part, vals[: c * width], first.k, first.wrap)
             groups = part.reshape(digits, c, -1, _GROUP).transpose(1, 2, 0, 3)
-            ordered = vals[: c * size * digits].reshape(groups.shape)
+            ordered = vals[: c * width * digits].reshape(groups.shape)
             np.copyto(ordered, groups)
             u = ordered.reshape(c, -1)[:, start : start + count]
             cols = out[:, lo + i * m : lo + (i + c) * m]
@@ -393,6 +422,22 @@ def _apply_gate(
     b ^= d
 
 
+@lru_cache(maxsize=64)
+def _layer_slices(length: int) -> tuple[tuple[slice, slice, slice], ...]:
+    """Each nonempty brickwork layer, even then odd: the slices of its left
+    sites, its right sites and its rows of draws, in ``layer_pairs``
+    order."""
+    layers, row = [], 0
+    for parity in ("even", "odd"):
+        pairs = layer_pairs(length, parity)
+        if pairs:
+            first, last = pairs[0][0], pairs[-1][0]
+            left, right = slice(first, last + 1, 2), slice(first + 1, last + 2, 2)
+            layers.append((left, right, slice(row, row + len(pairs))))
+            row += len(pairs)
+    return tuple(layers)
+
+
 def _apply_layers(
     sites: np.ndarray, u: np.ndarray, n: int, gate: GateKind
 ) -> None:
@@ -401,16 +446,8 @@ def _apply_layers(
     ``u`` has one row per pair, even pairs first, each layer in
     ``layer_pairs`` order.
     """
-    row = 0
-    for parity in ("even", "odd"):
-        pairs = layer_pairs(sites.shape[0], parity)
-        if not pairs:
-            continue
-        first, last = pairs[0][0], pairs[-1][0]
-        a = sites[first : last + 1 : 2]
-        b = sites[first + 1 : last + 2 : 2]
-        _apply_gate(a, b, u[row : row + len(pairs)], n, gate)
-        row += len(pairs)
+    for left, right, rows in _layer_slices(sites.shape[0]):
+        _apply_gate(sites[left], sites[right], u[rows], n, gate)
 
 
 def step_states(
@@ -457,7 +494,9 @@ class EnsembleSeries:
     times: np.ndarray
     means: Mapping[str, np.ndarray]
     std_errors: Mapping[str, np.ndarray]
-    block_sums: Mapping[str, np.ndarray]  # (blocks, T+1), for bootstrap
+    # int64 (times, blocks) block sums of each observable's integer value
+    # (see ``_Slab``), for the bootstrap
+    block_sums: Mapping[str, np.ndarray]
     block_sizes: np.ndarray
 
     @property
@@ -466,9 +505,10 @@ class EnsembleSeries:
 
 
 # Draw-ahead: a slab draws up to this many steps per block in one call,
-# holding at most about this many bytes of symbols
+# and the slabs of a run together hold at most about this many bytes of
+# symbols
 _AHEAD_STEPS = 64
-_AHEAD_BYTES = 1 << 20
+_AHEAD_BYTES = 2 << 20
 # slabs run side by side this many steps between early-stop checks
 _SEGMENT = 64
 # A slab gets at least this many trajectory-sites, or there are fewer slabs
@@ -485,20 +525,22 @@ class _StripedSymbols:
     Every ``draw`` hands out the next step's ``(L, M)`` symbols, column
     block ``b`` from block ``b``'s source. They are drawn ahead a chunk
     of steps at a time, by one :func:`_draw_blocks` call on the buffer
-    seen as ``(chunk * L, M)``. A source's values do not depend on how
-    they are chunked, so neither does the output.
+    seen as ``(chunk * L, M)``, which holds at most about ``budget``
+    bytes (by default ``_AHEAD_BYTES``). A source's values do not depend
+    on how they are chunked, so neither does the output.
     """
 
     def __init__(
         self, sources: Sequence[_SymbolSource], sizes: Sequence[int],
-        length: int, steps: int,
+        length: int, steps: int, budget: int | None = None,
     ):
         first, width = sources[0], sum(sizes)
         self.k = first.k
         self._sources, self._sizes = sources, sizes
         self._steps = steps  # left to draw in the run
         per_step = length * width * first.dtype.itemsize
-        chunk = max(1, min(_AHEAD_STEPS, _AHEAD_BYTES // per_step, steps))
+        budget = _AHEAD_BYTES if budget is None else budget
+        chunk = max(1, min(_AHEAD_STEPS, budget // per_step, steps))
         self._buf = np.empty((chunk, length, width), first.dtype)
         self._ahead = self._buf[:0]
 
@@ -518,27 +560,35 @@ class _StripedSymbols:
 class _Slab:
     """A contiguous run of whole blocks, stepped as one ``(M, L)`` array.
 
-    ``times`` are the planned recorded times, an int64 array that starts
-    at t = 0: every step by default. A step records exactly when it is
-    the next planned time, into row ``filled`` of ``sums`` and
-    ``sqsums``, which hold one float64 ``(times, blocks)`` table per
-    observable, allocated once; rows past ``filled`` are never touched.
-    Over a run of equal-size blocks the sums are row sums of the values
-    reshaped to ``(blocks, size)``: each adds as its block's alone would.
+    A step does the gate work and the carried-word updates alone. Every
+    observable is an integer per trajectory times a fixed scale (see
+    :func:`_scale`): the staggered count Q for ``charge``, the word
+    length for ``depth``, 0 or 1 for ``match_site`` and ``cone_escape``.
+    ``times`` are the planned recorded times, an ascending int64 array:
+    every step by default. Once per segment (``advance``) the integer
+    rows of the segment's planned times are reduced to int64 block sums
+    of the values and of their squares, into row ``filled`` on of
+    ``sums`` and ``sqsums``: one ``(times, blocks)`` table per observable
+    each, allocated once; rows past ``filled`` are never touched. Integer
+    sums are exact in any order, so neither the slab split nor the block
+    order can move a bit.
 
     With a ``depth`` or ``cone_escape`` observable the slab carries each
     row's irreducible word, reduced from the states once, at t = 0. Only
     the boundary resample changes the word: with ``a`` the last site
     before a step and ``b`` the symbol the resample writes there, the
     first L-1 sites reduce to irr(w a), so the new word is irr(w a b),
-    two pop-or-push updates whatever L is. The layers keep it.
+    two pop-or-push updates whatever L is. The layers keep it. A word
+    observable writes one integer row at each planned time.
 
     With a ``charge`` observable it likewise carries each symbol's
     staggered charge, counted once at t = 0 (:func:`staggered_charge`).
     A gate turns an equal pair, on two sites of opposite sign, into
     another equal pair, so the layers keep every staggered charge; the
     resample moves symbol ``c``'s by ``[b == c] - [a == c]`` times the
-    sign of site L.
+    sign of site L. A step writes only ``a`` and ``b``, one row each of
+    two ``(segment, M)`` buffers, and the segment's charges are their
+    running sum, taken once at its end.
     """
 
     def __init__(
@@ -548,6 +598,7 @@ class _Slab:
         starts: Sequence[np.ndarray],
         crossings: np.ndarray | None,
         times: np.ndarray | None = None,
+        slabs: int = 1,
     ):
         self.cfg = cfg
         self.observables = [
@@ -557,16 +608,17 @@ class _Slab:
         k = _symbol_range(cfg.n, cfg.gate)
         self.rng = _StripedSymbols(
             [_dynamics_source(cfg.seed, b, k) for b in blocks],
-            self.sizes, cfg.length, cfg.t_max,
+            self.sizes, cfg.length, cfg.t_max, _AHEAD_BYTES // slabs,
         )
         # site-major: states.T is a C-ordered (L, M) array of site rows
         self.states = np.asfortranarray(np.concatenate(starts))
-        self.initial = self.states.copy(order="F")
+        if any(o.kind == "match_site" for o in self.observables):
+            self.initial = self.states.copy(order="F")
         self.crossings = crossings  # this slab's rows of the caller's array
         self.t = 0
+        m, length = self.states.shape
         self._stack = None  # the carried words, when an observable reads them
         if any(o.kind in ("depth", "cone_escape") for o in self.observables):
-            m, length = self.states.shape
             width = length + 2  # zero sentinel, L symbols and the free slot
             stack, depth = reduce_states(self.states)
             words = np.zeros((m, width), self.states.dtype)
@@ -586,9 +638,29 @@ class _Slab:
             times = np.arange(cfg.t_max + 1, dtype=np.int64)
         self.times, self.filled = times, 0
         shape = (len(times), len(self.sizes))
-        self.sums = {o: np.empty(shape) for o in cfg.observables}
-        self.sqsums = {o: np.empty(shape) for o in cfg.observables}
-        self.record()  # t = 0
+        self.sums = {o: np.empty(shape, np.int64) for o in cfg.observables}
+        self.sqsums = {o: np.empty(shape, np.int64) for o in cfg.observables}
+        # a block's sums of values of size at most L and of their squares:
+        # int32 sums take half the time of int64 ones where they fit
+        fits = max(self.sizes) * length * length < 1 << 31
+        self._acc = np.int32 if fits else np.int64
+        # a segment's boundary rows: the last site before each step and the
+        # symbol the step wrote there, kept whole for the charges' running
+        # sums; the words need only the current last site
+        segment = min(_SEGMENT, cfg.t_max)
+        kept = segment if self._charges else int(self._stack is not None)
+        self._last = np.empty((kept, m), self.states.dtype)
+        self._new = np.empty((segment, m), self.states.dtype) if self._charges else None
+        # the word observables' rows at a segment's planned times
+        planned = min(segment, len(times))
+        self._rows = {
+            o.name: np.empty((planned, m), np.int32 if o.kind == "depth" else bool)
+            for o in self.observables if o.kind != "charge"
+        }
+        if len(times) and times[0] == 0:
+            for obs in self.observables:
+                self._store(obs.name, self._row(obs)[None])
+            self.filled = 1
 
     def word(self) -> tuple[np.ndarray, np.ndarray]:
         """The carried irreducible words as ``(stack, depth)``, laid out as
@@ -597,48 +669,96 @@ class _Slab:
         stack = self._stack.reshape(m, length + 2)[:, 1:-1]
         return stack, self._tops - self._bottoms
 
-    def _values(self, obs: _Observable) -> np.ndarray:
-        s = self.states
+    def _row(self, obs: _Observable) -> np.ndarray:
+        """The observable's integer per trajectory, now."""
         if obs.kind == "charge":
-            return 2.0 * self._charges[obs.arg] / self.cfg.length
+            return self._charges[obs.arg]
         if obs.kind == "depth":
-            return self.word()[1].astype(np.float64)
+            return self._tops - self._bottoms
         if obs.kind == "match_site":
-            return (s[:, obs.arg - 1] == self.initial[:, obs.arg - 1]).astype(float)
-        outside = ~in_cone(*self.word(), _canonical_anchor(obs.arg))
-        return outside.astype(float)
+            i = obs.arg - 1
+            return self.states[:, i] == self.initial[:, i]
+        return ~in_cone(*self.word(), _canonical_anchor(obs.arg))
 
-    def _block_sums(self, vals: np.ndarray) -> np.ndarray:
-        sums = [vals[rows].reshape(count, -1).sum(axis=1) for rows, count in self.runs]
-        return np.concatenate(sums)
+    def _store(self, name: str, vals: np.ndarray) -> None:
+        """Block sums of ``vals``, one integer row per time, and of their
+        squares, into the tables' rows from ``filled`` on."""
+        rows = slice(self.filled, self.filled + len(vals))
+        sums, sqsums = self.sums[name][rows], self.sqsums[name][rows]
+        col = 0
+        for sites, count in self.runs:
+            v = vals[:, sites].reshape(len(vals), count, -1)
+            cols = slice(col, col + count)
+            sums[:, cols] = np.sum(v, axis=2, dtype=self._acc)
+            sqsums[:, cols] = np.einsum("ijk,ijk->ij", v, v, dtype=self._acc,
+                                        casting="same_kind")
+            col += count
 
-    def record(self) -> None:
-        for obs in self.observables:
-            vals = self._values(obs)
-            self.sums[obs.name][self.filled] = self._block_sums(vals)
-            self.sqsums[obs.name][self.filled] = self._block_sums(vals * vals)
-            if self.crossings is not None and self.t and obs.name == _CHARGE:
-                hit = (self.crossings < 0) & (vals <= self.cfg.gamma)
-                self.crossings[hit] = self.t
-        self.filled += 1
+    def _charge_path(self, a: int, steps: int) -> np.ndarray:
+        """Symbol ``a``'s staggered charges after each of the segment's
+        ``steps`` steps, ``(steps, M)`` int32; the carried charge moves on."""
+        q = self._charges[a]
+        # site L adds to a staggered charge at even L and subtracts at odd L
+        gain, loss = self._new[:steps], self._last[:steps]
+        if self.cfg.length % 2:
+            gain, loss = loss, gain
+        path = np.subtract(gain == a, loss == a, dtype=np.int32)
+        path[0] += q
+        # row by row: numpy accumulates down the columns of a C-ordered
+        # array one column at a time, about ten times slower
+        for i in range(1, steps):
+            path[i] += path[i - 1]
+        q[...] = path[-1]
+        return path
 
     def advance(self, steps: int) -> None:
-        carried = self._stack is not None or self._charges
-        # site L adds to a staggered charge at even L and subtracts at odd L
-        even = self.cfg.length % 2 == 0
-        for _ in range(steps):
-            last = self.states.T[-1].copy() if carried else None
-            new = step_states(self.states, self.rng, self.cfg.n, self.cfg.gate)
+        """``steps`` steps, at most one segment, then the segment's record."""
+        n, gate = self.cfg.n, self.cfg.gate
+        sites = self.states.T
+        last, new = self._last, self._new
+        planned: list[int] = []  # the segment's steps that end at a planned time
+        due = self._due()
+        for i in range(steps):
+            if len(last):
+                a = last[i % len(last)]
+                a[...] = sites[-1]
+            b = step_states(self.states, self.rng, n, gate)
+            if new is not None:
+                new[i] = b
             if self._stack is not None:
-                _pop_or_push(self._stack, self._tops, last)
-                _pop_or_push(self._stack, self._tops, new)
-            gain, loss = (new, last) if even else (last, new)
-            for a, q in self._charges.items():
-                q += gain == a
-                q -= loss == a
+                _pop_or_push(self._stack, self._tops, a)
+                _pop_or_push(self._stack, self._tops, b)
             self.t += 1
-            if self.filled < len(self.times) and self.t == self.times[self.filled]:
-                self.record()
+            if self.t == due:
+                for obs in self.observables:
+                    if obs.kind != "charge":
+                        self._rows[obs.name][len(planned)] = self._row(obs)
+                planned.append(i)
+                due = self._due(len(planned))
+        at = np.array(planned, dtype=np.int64)
+        for obs in self.observables:
+            if obs.kind == "charge":
+                path = self._charge_path(obs.arg, steps)
+                vals = path if len(at) == steps else path[at]
+                if self.crossings is not None and obs.name == _CHARGE:
+                    self._first_passages(vals, self.times[self.filled :][: len(at)])
+            else:
+                vals = self._rows[obs.name][: len(at)]
+            self._store(obs.name, vals)
+        self.filled += len(at)
+
+    def _due(self, ahead: int = 0) -> int:
+        """The next planned time after ``ahead`` more records, or -1."""
+        k = self.filled + ahead
+        return int(self.times[k]) if k < len(self.times) else -1
+
+    def _first_passages(self, charges: np.ndarray, times: np.ndarray) -> None:
+        """Each trajectory's first time with its ``charge:1`` value,
+        ``2.0 * q / L``, at or below gamma, where it has none yet."""
+        hit = 2.0 * charges / self.cfg.length <= self.cfg.gamma
+        first = hit.argmax(axis=0)
+        new = (self.crossings < 0) & hit[first, np.arange(hit.shape[1])]
+        self.crossings[new] = times[first[new]]
 
 
 def _block_sizes(n_trajectories: int, blocks: int) -> list[int]:
@@ -648,27 +768,61 @@ def _block_sizes(n_trajectories: int, blocks: int) -> list[int]:
     return [base + (1 if b < rem else 0) for b in range(min(blocks, n_trajectories))]
 
 
-def _history(slabs: Sequence[_Slab], table: str, name: str, start: int = 0):
-    """C-ordered ``(blocks, times)`` block sums from time ``start`` on."""
-    parts = [getattr(s, table)[name][start : s.filled] for s in slabs]
-    return np.concatenate(parts, axis=1).T.copy()
+def _scale(kind: str, length: int) -> Fraction:
+    """An observable's value per unit of the integer a slab records: 2/L
+    for a charge, 1 for the rest."""
+    return Fraction(2, length) if kind == "charge" else Fraction(1)
+
+
+def _ratio(num: np.ndarray, den: int) -> np.ndarray:
+    """The doubles nearest to ``num / den``, for an integer array ``num``
+    (int64 or Python ints) and a positive integer ``den``.
+
+    Integers below 2^53 are exact doubles, and IEEE division rounds
+    once; past that each quotient is Python's int / int, which also
+    rounds once.
+    """
+    if num.dtype != object and den < 1 << 53 and np.abs(num).max(initial=0) < 1 << 53:
+        return num / den
+    return np.array([int(x) / den for x in num.tolist()], dtype=np.float64)
+
+
+def _moments(
+    sums: np.ndarray, sqsums: np.ndarray, total: int, scale: Fraction, bound: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble means and standard errors of the mean from exact totals:
+    per time, the sums over ``total`` trajectories of an integer value of
+    magnitude at most ``bound`` and of its square, times ``scale``.
+
+    Each is one rounding of an exact ratio: the mean of ``scale * sums /
+    total``, the error of the square root of ``scale^2 (total * sqsums -
+    sums^2) / (total^2 (total - 1))``, whose numerator is an exact
+    integer, so a constant observable has an error of exactly 0.
+    """
+    if (2 * total * bound) ** 2 >= 1 << 63:  # past int64, in Python ints
+        sums, sqsums = sums.astype(object), sqsums.astype(object)
+    a, b = scale.numerator, scale.denominator
+    mean = _ratio(a * sums, b * total)
+    if total == 1:
+        return mean, np.zeros_like(mean)
+    spread = a * a * (total * sqsums - sums * sums)
+    return mean, np.sqrt(_ratio(spread, b * b * total * total * (total - 1)))
 
 
 def _assemble_series(cfg: SimConfig, slabs: Sequence[_Slab]) -> EnsembleSeries:
     sizes = np.array([m for s in slabs for m in s.sizes], dtype=np.int64)
-    total = sizes.sum()
+    total = int(sizes.sum())
     means: dict[str, np.ndarray] = {}
     errs: dict[str, np.ndarray] = {}
     bsums: dict[str, np.ndarray] = {}
     for obs in slabs[0].observables:
-        bsums[obs.name] = sums = _history(slabs, "sums", obs.name)  # (B, T+1)
-        tot_sq = _history(slabs, "sqsums", obs.name).sum(axis=0)
-        means[obs.name] = mean = sums.sum(axis=0) / total
-        if total > 1:
-            var = np.maximum(tot_sq / total - mean**2, 0.0) * total / (total - 1)
-            errs[obs.name] = np.sqrt(var / total)
-        else:
-            errs[obs.name] = np.zeros_like(mean)
+        parts = [s.sums[obs.name][: s.filled] for s in slabs]
+        sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        sq = sum(s.sqsums[obs.name][: s.filled].sum(axis=1) for s in slabs)
+        means[obs.name], errs[obs.name] = _moments(
+            sums.sum(axis=1), sq, total, _scale(obs.kind, cfg.length), cfg.length
+        )
+        bsums[obs.name] = sums
     return EnsembleSeries(
         config=cfg,
         times=slabs[0].times[: slabs[0].filled],
@@ -685,12 +839,12 @@ def _check_record_cap(
     """Refuse a run whose block-sum tables would pass ``_RECORD_CAP_BYTES``.
 
     The tables take 16 B per nonempty block (by default every one the
-    configuration makes) per planned time (t = 0 and ``times``, or every
-    step) per observable. Callers check before they build any start.
+    configuration makes) per planned time (``times``, or every step from
+    t = 0) per observable. Callers check before they build any start.
     """
     if blocks is None:
         blocks = min(cfg.blocks, cfg.n_trajectories)  # the nonempty ones
-    count = cfg.t_max + 1 if times is None else len({0, *times})
+    count = cfg.t_max + 1 if times is None else len(set(times))
     need = 16 * blocks * count * len(cfg.observables)
     if need > _RECORD_CAP_BYTES:
         raise ResourceCapError(
@@ -713,15 +867,14 @@ def _run_blocks(
     The nonempty blocks are split into ``cfg.threads`` contiguous slabs,
     fewer if a slab would hold under ``min_slab_sites`` trajectory-sites
     (by default ``_MIN_SLAB_SITES``), run side by side for ``_SEGMENT``
-    steps at a time. With
-    ``early_stop`` the run ends after the first segment in which the
-    ensemble-mean ``charge:1`` reaches half of gamma. ``crossings``, one
-    int64 entry per trajectory set to -1 by the caller, receives each
-    trajectory's first time t >= 1 with its ``charge:1`` value at or
-    below gamma. ``times``, for runs without either, records t = 0 and
-    these times only, in place of every step. t = 0 stays so that a
-    table of block sums is two or more times wide whenever the run is:
-    numpy sums a one-column table pairwise, not in block order.
+    steps at a time; each slab records its segment's integer block sums
+    at the segment's end (see ``_Slab``), and they are scaled once, in
+    :func:`_assemble_series`. With ``early_stop`` the run ends after the
+    first segment in which the ensemble-mean ``charge:1`` reaches half of
+    gamma. ``crossings``, one int64 entry per trajectory set to -1 by the
+    caller, receives each trajectory's first time t >= 1 with its
+    ``charge:1`` value at or below gamma. ``times``, for runs without
+    either, records these times only, in place of every step.
 
     The block-sum tables for every planned time are checked by
     :func:`_check_record_cap` before any slab is built.
@@ -731,7 +884,7 @@ def _run_blocks(
     if times is None:
         planned = np.arange(cfg.t_max + 1, dtype=np.int64)
     else:
-        planned = np.array(sorted({0, *times}), dtype=np.int64)
+        planned = np.array(sorted(set(times)), dtype=np.int64)
     sites = sum(len(initial_states[b]) for b in live) * cfg.length
     floor = _MIN_SLAB_SITES if min_slab_sites is None else min_slab_sites
     wanted = min(cfg.threads, len(live), max(1, sites // floor))
@@ -742,9 +895,10 @@ def _run_blocks(
         rows = sum(len(initial_states[b]) for b in blocks)
         mine = None if crossings is None else crossings[total : total + rows]
         starts = [initial_states[b] for b in blocks]
-        slabs.append(_Slab(cfg, blocks, starts, mine, planned))
+        slabs.append(_Slab(cfg, blocks, starts, mine, planned, wanted))
         first, total = first + count, total + rows
     done = checked = 0
+    scale = _scale("charge", cfg.length)
     # slabs own their blocks' streams, so the split cannot change the output
     with ThreadPoolExecutor(len(slabs)) if len(slabs) > 1 else nullcontext() as pool:
         while done < cfg.t_max:
@@ -753,11 +907,11 @@ def _run_blocks(
             list(run(lambda slab: slab.advance(chunk), slabs))
             done += chunk
             if early_stop:
-                # the window keeps one earlier time, so it is at least two
-                # wide and its column sums add the blocks in order
-                window = _history(slabs, "sums", _CHARGE, checked)
-                checked = done
-                if (window.sum(axis=0) / total).min() <= 0.5 * cfg.gamma:
+                rows = [s.sums[_CHARGE][checked : s.filled] for s in slabs]
+                sums = sum(r.sum(axis=1) for r in rows)
+                checked = slabs[0].filled
+                mean = _ratio(scale.numerator * sums, scale.denominator * total)
+                if mean.min() <= 0.5 * cfg.gamma:
                     break
     return _assemble_series(cfg, slabs)
 
@@ -798,6 +952,60 @@ def _crossing(mean: np.ndarray, gamma: float) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+# the bootstrap takes its resamples' sums this many times per product
+_BOOT_TIMES = 1 << 10
+
+
+def _bootstrap_crossings(
+    sums: np.ndarray,
+    sizes: np.ndarray,
+    scale: Fraction,
+    gamma: float,
+    rng: np.random.Generator,
+    n_resamples: int,
+) -> np.ndarray:
+    """Each block-bootstrap resample's first crossing, -1 where it has none.
+
+    ``sums`` is a ``(times, blocks)`` int64 table of block sums of an
+    integer value, ``sizes`` the blocks' sizes. A resample picks blocks
+    with replacement, 200 resamples per ``rng.integers`` call (the call
+    shape fixes the stream), and becomes a vector of block counts. Its
+    sums are ``counts @ sums``, taken ``_BOOT_TIMES`` times at a time
+    until every resample has crossed; they are integers below 2^53, so
+    exact in float64, and each mean ``scale * sum / size`` is rounded
+    once, as the series' means are (:func:`_ratio`), before the same
+    ``<= gamma`` test as ``_crossing``.
+    """
+    blocks = len(sizes)
+    a, b = scale.numerator, scale.denominator
+    if a * blocks * int(np.abs(sums).max(initial=0)) >= 1 << 53:
+        raise NumericError("bootstrap sums pass 2^53, where doubles stop being exact")
+    picks = np.concatenate([
+        rng.integers(0, blocks, size=(min(200, n_resamples - start), blocks))
+        for start in range(0, n_resamples, 200)
+    ])
+    rows = np.arange(n_resamples)[:, None] * blocks
+    counts = np.bincount((rows + picks).ravel(), minlength=n_resamples * blocks)
+    counts = counts.reshape(n_resamples, blocks).astype(np.float64)
+    dens = b * (counts @ sizes)
+    first = np.full(n_resamples, -1, dtype=np.int64)
+    left = np.arange(n_resamples)  # the resamples not crossed yet
+    for t0 in range(0, len(sums), _BOOT_TIMES):
+        # einsum, not BLAS: OpenBLAS threads this small product and leaves
+        # its threads spinning on the CPUs the next run steps on
+        means = np.einsum("tb,rb->tr", sums[t0 : t0 + _BOOT_TIMES], counts[left])
+        means *= a
+        means /= dens[left]
+        hit = means <= gamma
+        at = hit.argmax(axis=0)
+        crossed = hit[at, np.arange(len(left))]
+        first[left[crossed]] = t0 + at[crossed]
+        left = left[~crossed]
+        if not left.size:
+            break
+    return first
+
+
 def estimate_tq(
     cfg: SimConfig,
     *,
@@ -808,12 +1016,12 @@ def estimate_tq(
 
     Simulation stops early once the mean has fallen decisively below
     gamma (or at ``t_max``, in which case the estimate is censored and
-    says so). The confidence interval resamples whole blocks; draws
-    whose resampled mean never crosses inside the simulated window are
-    counted in ``censored_draws`` rather than silently clamped. Each
-    resample is summed alone and its first crossing found by
-    ``_crossing``, as t_Q is, so the bootstrap holds one ``(blocks,
-    times)`` float64 copy at a time beside the series.
+    says so). The confidence interval resamples whole blocks
+    (:func:`_bootstrap_crossings`); draws whose resampled mean never
+    crosses inside the simulated window are counted in
+    ``censored_draws`` rather than silently clamped. Each resample is a
+    vector of block counts, so the bootstrap sums all of them by one
+    product per chunk of times and stops once each has crossed.
     """
     if n_resamples < 1:
         raise UsageError(f"need at least one bootstrap resample, got {n_resamples}")
@@ -831,21 +1039,15 @@ def estimate_tq(
     ci_low = ci_high = None
     censored_draws = 0
     if not censored:
-        sums, sizes = series.block_sums[_CHARGE], series.block_sizes
-        rng = _philox(cfg.seed, _BOOT_KEY)
-        # picks are drawn 200 resamples per call, the call shape that fixes
-        # the stream; each resample is then taken alone, (blocks, T) at a time
-        draws = [
-            _crossing(sums[p].sum(axis=0) / sizes[p].sum(), cfg.gamma)
-            for start in range(0, n_resamples, 200)
-            for p in rng.integers(
-                0, len(sizes), size=(min(200, n_resamples - start), len(sizes))
-            )
-        ]
-        crossings = [c for c in draws if c is not None]
+        draws = _bootstrap_crossings(
+            series.block_sums[_CHARGE], series.block_sizes,
+            _scale("charge", cfg.length), cfg.gamma,
+            _philox(cfg.seed, _BOOT_KEY), n_resamples,
+        )
+        crossings = draws[draws >= 0]
         censored_draws = n_resamples - len(crossings)
-        if crossings:
-            lo, hi = np.percentile(np.asarray(crossings), [2.5, 97.5])
+        if len(crossings):
+            lo, hi = np.percentile(crossings, [2.5, 97.5])
             ci_low, ci_high = int(lo), int(math.ceil(hi))
     return TQReport(
         gamma=cfg.gamma,
@@ -864,13 +1066,25 @@ def estimate_tq(
 # uniform sampling inside a cone
 
 
+# the cone sampler draws this many rows of floats per block per call
+_FLOAT_ROWS = 2
+
+
 def _block_floats(
-    rngs: Sequence[np.random.Generator], sizes: Sequence[int], rows: int = 0
-) -> np.ndarray:
-    """Uniform floats for every block's columns, concatenated in block order:
-    ``rng.random(m)`` from each block, or ``rng.random((rows, m))``."""
-    parts = [g.random((rows, m) if rows else m) for g, m in zip(rngs, sizes)]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    rngs: Sequence[np.random.Generator], sizes: Sequence[int], rows: int,
+    shape: tuple[int, ...] = (),
+) -> Iterator[np.ndarray]:
+    """``rows`` rows of uniform floats, each ``(*shape, M)``: every block's
+    ``rng.random((*shape, m))`` in turn, concatenated in block order.
+
+    A block draws ``_FLOAT_ROWS`` rows per call: ``Generator.random``
+    fills its doubles in stream order, so a row holds the values it would
+    hold drawn alone.
+    """
+    for start in range(0, rows, _FLOAT_ROWS):
+        batch = (min(_FLOAT_ROWS, rows - start), *shape)
+        parts = [g.random((*batch, m)) for g, m in zip(rngs, sizes)]
+        yield from parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
 
 
 def _toward_table(n: int, length: int) -> np.ndarray:
@@ -921,9 +1135,9 @@ def _conditioned_walk(
     probability 1/N, else ``c + 2``.
 
     All rows step together. Block b owns the next ``sizes[b]`` rows and
-    draws their values from ``rngs[b]``, one site at a time: a ``(2,
-    sizes[b])`` float array, one row deciding toward or not and the other
-    which other symbol.
+    draws their values from ``rngs[b]``: per site a ``(2, sizes[b])``
+    float array, one row deciding toward or not and the other which other
+    symbol, several sites per call (``_block_floats``).
     """
     m = len(depths)
     dtype = state_dtype(n)
@@ -946,18 +1160,18 @@ def _conditioned_walk(
     tops = base.copy()
     common = base.copy()  # end of the common prefix of stack and target
     out = np.empty((length, m), dtype)
-    for i in range(length):
-        u, v = _block_floats(rngs, sizes, 2)
+    for i, (u, v) in enumerate(_block_floats(rngs, sizes, length, (2,))):
         ahead = target[common]
         on_path = common == tops
         # toward the target: its next symbol on the path, else back down;
         # at the target the padding gives 0, stood in for by symbol 1
-        toward = np.where(on_path, ahead, stack[tops])
+        below = stack[tops]
+        toward = np.where(on_path, ahead, below)
         np.maximum(toward, 1, out=toward)
         p = table[length - i].take((tops - common) + (goal - common))
         sym = np.where(u < p, toward, _other_symbol(v, n, toward))
         out[i] = sym
-        cancel = _pop_or_push(stack, tops, sym)
+        cancel = _pop_or_push(stack, tops, sym, below)
         common += on_path & ~cancel & (sym == ahead)
         np.minimum(common, tops, out=common)
     stack = stack.reshape(m, width)[:, 1:]
@@ -1023,14 +1237,14 @@ def sample_cone_states(
     cum = np.cumsum([m / total for m in masses])
     cum[-1] = 1.0
     depths = np.arange(depth, length + 1, 2)
-    u = _block_floats(rngs, sizes)
+    (u,) = _block_floats(rngs, sizes, 1)
     dd = depths[np.searchsorted(cum, u, side="right")]
     # the anchor, then a uniform non-backtracking branch down to depth L;
     # the walk reads each row's word only up to its depth
     words = np.empty((len(dd), depths[-1]), state_dtype(n))
     words[:, : len(anchor)] = anchor
-    for j in range(len(anchor), depths[-1]):
-        v = _block_floats(rngs, sizes)
+    branch = _block_floats(rngs, sizes, depths[-1] - len(anchor))
+    for j, v in enumerate(branch, len(anchor)):
         words[:, j] = _other_symbol(v, n, words[:, j - 1])
     return _conditioned_walk(n, length, words, dd, rngs, sizes)
 

@@ -315,17 +315,21 @@ def reduce_states(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack[:, 1:].reshape(states.shape), depth
 
 
-def _pop_or_push(flat: np.ndarray, top: np.ndarray, sym: np.ndarray) -> np.ndarray:
+def _pop_or_push(
+    flat: np.ndarray, top: np.ndarray, sym: np.ndarray,
+    below: np.ndarray | None = None,
+) -> np.ndarray:
     """Append one symbol to every stacked word, in place: a top equal to
     ``sym`` cancels it and pops, any other top gets ``sym`` pushed.
     Returns the cancel mask.
 
     ``flat`` holds the words one above another, each over a zero
-    sentinel; ``top`` (int64) indexes each word's top symbol. ``sym`` is
-    written one slot above the old top either way, so a word needs a
-    free slot above it.
+    sentinel; ``top`` (int64) indexes each word's top symbol, and
+    ``below``, if the caller has gathered it already, is ``flat[top]``.
+    ``sym`` is written one slot above the old top either way, so a word
+    needs a free slot above it.
     """
-    cancel = flat[top] == sym
+    cancel = (flat[top] if below is None else below) == sym
     top += 1
     flat[top] = sym
     top -= cancel  # a cancel pops instead: two slots down from the push

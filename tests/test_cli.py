@@ -891,6 +891,48 @@ class TestEscapeCommand:
         assert "bad --times value '0,1.5'" in err
 
 
+class TestTrajectorySteps:
+    """The Monte Carlo sidecars count the trajectory-steps taken; the
+    artifacts stay free of them and byte-identical across reruns."""
+
+    # t_max of at most one 64-step segment: an --estimate-tq run cannot
+    # stop before it, so each run takes t_max steps
+    CASES = {
+        "simulate": (("simulate", "--n", "2", "--length", "6", "--t-max", "30",
+                      "--trajectories", "40", "--blocks", "4"), 40 * 30),
+        "estimate": (("simulate", "--n", "2", "--length", "6", "--t-max", "50",
+                      "--trajectories", "40", "--blocks", "4", "--estimate-tq",
+                      "--resamples", "20"), 40 * 50),
+        "sweep": (("sweep", "--n", "2", "--lengths", "4,6", "--t-max", "20",
+                   "--trajectories", "50", "--blocks", "5", "--resamples", "20"),
+                  2 * 50 * 20),
+        "escape": (("escape", "--n", "3", "--length", "8", "--depth", "2",
+                    "--times", "0,3,5", "--trajectories", "60", "--blocks", "3"),
+                   60 * 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sidecar_counts_and_artifact_repeats(self, capsys, tmp_path, case):
+        argv, steps = self.CASES[case]
+        first, second = tmp_path / "first", tmp_path / "second"
+        for target in (first, second):
+            code, _, _ = run_cli(capsys, *argv, "--out", str(target))
+            assert code == 0
+        assert first.read_bytes() == second.read_bytes()
+        assert "traj_steps" not in first.read_text()
+        for target in (first, second):
+            meta = json.loads(target.with_name(target.name + ".meta.json").read_text())
+            assert meta["traj_steps"] == steps
+            assert meta["traj_steps_per_s"] == pytest.approx(steps / meta["wall_s"])
+            assert "traj_steps" not in meta["parameters"]
+
+    def test_other_commands_do_not_count(self, capsys, tmp_path):
+        target = tmp_path / "census.csv"
+        run_cli(capsys, "census", "--n", "3", "--length", "4", "--out", str(target))
+        meta = json.loads((tmp_path / "census.csv.meta.json").read_text())
+        assert "traj_steps" not in meta and "traj_steps_per_s" not in meta
+
+
 class TestBlocksPastTrajectories:
     COMMANDS = {
         "simulate": ["simulate", "--n", "3", "--length", "4", "--t-max", "5"],

@@ -6,6 +6,7 @@ the rational transition rows.
 """
 
 import itertools
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -385,17 +386,19 @@ class TestSymbolSource:
         parts.append(chunked.draw((steps - done) * rows, cols))
         assert np.array_equal(np.concatenate(parts), whole)
 
-    @pytest.mark.parametrize("expand", [1, 1 << 17])  # a block per batch; one batch
+    # a draw expands as many blocks at a time as fit in half its values:
+    # at 600 bytes, a few steps and one block per batch; by default, 64
+    # steps and several blocks per batch
+    @pytest.mark.parametrize("budget", [600, None])
     @pytest.mark.parametrize("k", [3, 9, 289])
-    def test_slab_draws_ahead_the_same_bits(self, k, expand, monkeypatch):
+    def test_slab_draws_ahead_the_same_bits(self, k, budget):
         # a slab of unequal blocks, in runs of equal ones, hands out each
         # block's step-by-step symbols; its chunks end inside a group
-        monkeypatch.setattr(montecarlo, "_EXPAND_VALUES", expand)
         sizes, length, steps = [5, 5, 1, 6, 6, 6, 3], 3, 200
         sources = [_dynamics_source(8, b, k) for b in range(len(sizes))]
         slab = _StripedSymbols(
             [_dynamics_source(8, b, k) for b in range(len(sizes))],
-            sizes, length, steps,
+            sizes, length, steps, budget,
         )
         chunk = len(slab._buf)
         per_group = sources[0].digits * 256
@@ -655,6 +658,20 @@ class TestConeSampler:
             alone = sample_cone_states(3, 10, 4, [m], [alone_rng])
             assert np.array_equal(batch[ends[b] - m : ends[b]], alone)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("length", [9, 12])
+    def test_rows_per_call_do_not_move_a_start(self, monkeypatch, n, length):
+        # one row per call is the rule of one Generator.random call per row;
+        # several rows per call fill the same doubles in stream order
+        sizes, depth = [7, 0, 13, 5], 2 + length % 2
+        runs = []
+        for rows in (1, 2, montecarlo._FLOAT_ROWS, 1000):
+            monkeypatch.setattr(montecarlo, "_FLOAT_ROWS", rows)
+            runs.append(sample_cone_states(n, length, depth, sizes,
+                                           _start_rngs(40 + n, len(sizes))))
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
+
     @pytest.mark.parametrize(
         "n, length, depth, anchor",
         [
@@ -770,6 +787,25 @@ class TestEnsemble:
         _run_blocks(cfg, [np.empty((m, 0)) for m in _block_sizes(trajectories, 10)])
         assert len(made) == slabs
         assert sum(made, []) == list(range(10))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_slabs_share_the_draw_ahead_budget(self, monkeypatch, threads):
+        made = []
+
+        class Kept(_Slab):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(montecarlo, "_Slab", Kept)
+        monkeypatch.setattr(montecarlo, "_AHEAD_BYTES", 1 << 20)
+        cfg = SimConfig(n=3, length=16, t_max=100, n_trajectories=4096, blocks=8,
+                        threads=threads)
+        run_ensemble(cfg)
+        assert len(made) == threads
+        # 16 steps of 16 sites by 4096 trajectories, however they are split
+        assert [len(slab.rng._buf) for slab in made] == [16] * threads
+        assert sum(slab.rng._buf.nbytes for slab in made) == 1 << 20
 
     def test_seed_changes_output(self):
         base = dict(n=2, length=8, t_max=20, n_trajectories=400, blocks=4)
@@ -950,6 +986,142 @@ class TestEstimateTq:
         )
 
 
+class TestExactRecording:
+    """Integer block sums, scaled once: no order of summation, slab split
+    or bootstrap chunk can move a bit, and errors are exact ratios."""
+
+    @pytest.mark.parametrize("total", [5, 7, 12, 29, 58])
+    def test_constant_observable_has_zero_error(self, total):
+        # 1/12 and -1/12 (charges 1 and -1 at L=24) are inexact; float sums
+        # of them left errors near 3e-10 at these sizes
+        cfg = SimConfig(n=3, length=24, t_max=0, n_trajectories=total,
+                        blocks=min(total, 7), initial=(2, 1) + (2,) * 22,
+                        observables=("charge:1", "charge:2", "depth", "match_site:5"))
+        series = run_ensemble(cfg)
+        assert series.means["charge:1"][0] == 1 / 12
+        for obs in cfg.observables:
+            assert series.std_errors[obs][0] == 0.0, obs
+
+    def test_error_is_the_exact_one_to_an_ulp(self):
+        # one trajectory per block: the block sums are the values themselves
+        cfg = SimConfig(n=3, length=24, t_max=40, n_trajectories=60, blocks=60,
+                        seed=11, observables=("charge:1", "charge:3", "depth"))
+        series = run_ensemble(cfg)
+        total = cfg.n_trajectories
+        for obs in cfg.observables:
+            scale = Fraction(2, 24) if obs.startswith("charge") else Fraction(1)
+            for t, row in enumerate(series.block_sums[obs]):
+                x = [scale * int(q) for q in row]
+                mean = sum(x) / total
+                var = sum((v - mean) ** 2 for v in x) / (total * (total - 1))
+                exact = Fraction(math.isqrt(var.numerator * 4**120 // var.denominator),
+                                 2**120)
+                err = series.std_errors[obs][t]
+                assert abs(Fraction(err) - exact) <= Fraction(np.spacing(err)), (obs, t)
+                assert series.means[obs][t] == float(mean)
+
+    def test_ratios_past_double_precision_round_once(self):
+        # past 2^53 the integers are not doubles and past 2^63 not int64:
+        # each quotient is still the double nearest the exact one
+        big = (1 << 60) + 12345
+        num = np.array([big, -big, 3, 0], dtype=np.int64)
+        for den in (7, (1 << 55) + 1):
+            want = [float(Fraction(int(x), den)) for x in num]
+            assert montecarlo._ratio(num, den).tolist() == want
+        sums = np.array([1 << 40, 12345, 0], dtype=np.int64)
+        sqsums = np.array([1 << 62, 1 << 50, 1 << 45], dtype=np.int64)
+        total, bound = 1 << 31, 1 << 16  # (2 total bound)^2 passes int64
+        mean, err = montecarlo._moments(sums, sqsums, total, Fraction(2, 3), bound)
+        for t in range(3):
+            s, q = int(sums[t]), int(sqsums[t])
+            assert mean[t] == float(Fraction(2, 3) * s / total)
+            var = Fraction(4, 9) * (total * q - s * s) / (total**2 * (total - 1))
+            assert err[t] == math.sqrt(float(var))
+
+    def test_int64_block_sums_where_int32_could_overflow(self, monkeypatch):
+        # a slab sums in int32 only where a block's sum of squares fits;
+        # forced to int64, it records the same integers
+        base = dict(n=3, length=20, t_max=70, n_trajectories=61, blocks=4, seed=5,
+                    observables=("charge:1", "depth", "match_site:2"))
+        default = run_ensemble(SimConfig(**base))
+
+        class Wide(_Slab):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                assert self._acc is np.int32
+                self._acc = np.int64
+
+        monkeypatch.setattr(montecarlo, "_Slab", Wide)
+        wide = run_ensemble(SimConfig(**base))
+        for obs in base["observables"]:
+            assert np.array_equal(wide.block_sums[obs], default.block_sums[obs])
+            assert np.array_equal(wide.std_errors[obs], default.std_errors[obs])
+
+    @pytest.mark.parametrize("gate", [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB])
+    @pytest.mark.parametrize("length", [12, 20])
+    def test_slab_split_cannot_move_a_bit(self, gate, length):
+        base = dict(n=3, length=length, gate=gate, t_max=150, n_trajectories=203,
+                    blocks=7, seed=length,
+                    observables=("charge:1", "charge:2", "depth", "match_site:3"))
+        starts = _shared_starts(SimConfig(**base))
+        runs = [
+            _run_blocks(SimConfig(threads=threads, **base), starts, min_slab_sites=floor)
+            for threads in (1, 2, 3) for floor in (1, 1000, 1 << 30)
+        ]
+        first = runs[0]
+        for run in runs[1:]:
+            assert np.array_equal(run.times, first.times)
+            for obs in base["observables"]:
+                assert np.array_equal(run.block_sums[obs], first.block_sums[obs])
+                assert np.array_equal(run.means[obs], first.means[obs])
+                assert np.array_equal(run.std_errors[obs], first.std_errors[obs])
+        reports = [
+            estimate_tq(SimConfig(threads=threads, **dict(base, t_max=400, gamma=0.4)),
+                        n_resamples=300)
+            for threads in (1, 2, 3)
+        ]
+        for rep in reports[1:]:
+            assert (rep.t_q, rep.ci_low, rep.ci_high, rep.censored_draws) == (
+                reports[0].t_q, reports[0].ci_low, reports[0].ci_high,
+                reports[0].censored_draws)
+
+    @staticmethod
+    def _gather_crossings(sums, sizes, scale, gamma, seed, n_resamples):
+        """Each resample's block sums gathered and added one block at a time,
+        in a shuffled order, as Python ints."""
+        rng, order = _philox(seed, montecarlo._BOOT_KEY), np.random.default_rng(0)
+        out = []
+        for start in range(0, n_resamples, 200):
+            for p in rng.integers(0, len(sizes), size=(min(200, n_resamples - start),
+                                                       len(sizes))):
+                p = order.permutation(p)
+                totals = [sum(int(v) for v in row[p]) for row in sums]
+                count = sum(int(sizes[b]) for b in p)
+                means = np.array([float(scale * q / count) for q in totals])
+                hits = np.flatnonzero(means <= gamma)
+                out.append(int(hits[0]) if hits.size else -1)
+        return out
+
+    @pytest.mark.parametrize("gate", [GateKind.PAIR_FLIP, GateKind.TEMPERLEY_LIEB])
+    @pytest.mark.parametrize("length", [12, 20])
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 10, 1 << 20])
+    def test_product_bootstrap_is_the_gather(self, monkeypatch, gate, length, chunk):
+        monkeypatch.setattr(montecarlo, "_BOOT_TIMES", chunk)
+        cfg = SimConfig(n=3, length=length, gate=gate, t_max=120, n_trajectories=150,
+                        blocks=9, seed=3 + length)
+        series = run_ensemble(cfg)
+        # gamma at the last mean: the ensemble crosses inside the window, and
+        # a good share of the resamples do not
+        gamma = float(series.means["charge:1"][-1])
+        sums, sizes = series.block_sums["charge:1"], series.block_sizes
+        scale = Fraction(2, length)
+        got = montecarlo._bootstrap_crossings(
+            sums, sizes, scale, gamma, _philox(7, montecarlo._BOOT_KEY), 250)
+        want = self._gather_crossings(sums, sizes, scale, gamma, 7, 250)
+        assert got.tolist() == want
+        assert 0 < want.count(-1) < len(want)
+
+
 class _SlabBuilt(Exception):
     """Raised in place of building a slab: the run got past its caps."""
 
@@ -992,11 +1164,11 @@ class TestRecordCap:
         cfg = SimConfig(n=3, length=4, t_max=1 << 30, n_trajectories=1024,
                         blocks=1024)
         starts = [np.ones((1, 4), np.int8)] * 1024
-        # t = 0 and 2^18 - 1 sampled times fill the cap; a duplicate adds none
+        # 2^18 sampled times fill the cap; a duplicate adds none
         with pytest.raises(_SlabBuilt):
-            _run_blocks(cfg, starts, times=[1, *range(1, 1 << 18)])
+            _run_blocks(cfg, starts, times=[1, *range(1, (1 << 18) + 1)])
         with pytest.raises(ResourceCapError):
-            _run_blocks(cfg, starts, times=range(1, (1 << 18) + 1))
+            _run_blocks(cfg, starts, times=range(1, (1 << 18) + 2))
 
     def test_long_runs_of_few_blocks_pass(self, monkeypatch):
         # t_Q at N=3, L=64 needs t_max near 1.33 M in 50 blocks: about 1 GB
@@ -1034,9 +1206,9 @@ class TestRecordCap:
 class TestRecordMemory:
     def test_traced_peak_is_a_few_tables(self):
         # per-trajectory times keep the whole window. The slab holds two
-        # (times, blocks) tables, the series copies them once each, and the
-        # bootstrap takes one resample at a time; per-time lists of block
-        # sums and (resamples, times) arrays peaked above 11 such tables
+        # (times, blocks) tables, the series a view of one, and the bootstrap
+        # sums its resamples a chunk of times at a time; per-time lists of
+        # block sums and (resamples, times) arrays peaked above 11 tables
         cfg = SimConfig(n=2, length=4, t_max=3000, n_trajectories=50, blocks=50,
                         seed=3)
         table = cfg.blocks * (cfg.t_max + 1) * 8
@@ -1095,7 +1267,7 @@ class TestConeEscape:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sampled_times_are_the_full_record(self, times, threads):
         # recording only the sampled times gives the bits of a run that
-        # records every step; t = 0 is always recorded
+        # records every step; t = 0 is recorded only when sampled
         cfg = SimConfig(n=3, length=8, t_max=max(times), n_trajectories=300,
                         seed=31, blocks=7, threads=threads,
                         observables=("cone_escape:2", "depth", "charge:1"))
@@ -1104,10 +1276,10 @@ class TestConeEscape:
         starts = np.split(states, np.cumsum(sizes)[:-1])
         full = _run_blocks(cfg, starts)
         some = _run_blocks(cfg, starts, times=times)
-        at = sorted({0, *times})
+        at = sorted(set(times))
         assert some.times.dtype == np.int64 and some.times.tolist() == at
         for obs in cfg.observables:
-            assert np.array_equal(some.block_sums[obs], full.block_sums[obs][:, at])
+            assert np.array_equal(some.block_sums[obs], full.block_sums[obs][at])
             assert np.array_equal(some.means[obs], full.means[obs][at])
             assert np.array_equal(some.std_errors[obs], full.std_errors[obs][at])
         res = cone_escape_probability(cfg, 2, times)
@@ -1116,10 +1288,13 @@ class TestConeEscape:
 
 
 def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
-    """Each block stepped alone on its own stream, summed with ``vals.sum()``.
+    """Each block stepped alone on its own stream, its integer values summed
+    as Python ints.
 
-    One generator call per block and draw, one sum per block and time;
-    the stop rule and first passages follow ``estimate_tq``.
+    One generator call per block and draw, one sum per block and time.
+    Each mean and error is the nearest double to an exact Fraction, scaled
+    once (the error through ``math.sqrt`` of that double); the stop rule
+    and first passages follow ``estimate_tq``.
     """
     length = cfg.length
     signs = np.where(np.arange(length) % 2 == 0, -1, 1)
@@ -1127,14 +1302,17 @@ def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
     def values(obs, s, init):
         head, _, tail = obs.partition(":")
         if head == "charge":
-            return 2.0 * ((s == int(tail)) * signs).sum(axis=1) / length
+            return ((s == int(tail)) * signs).sum(axis=1)
         if head == "depth":
-            return reduce_states(s)[1].astype(np.float64)
+            return reduce_states(s)[1]
         if head == "match_site":
             i = int(tail) - 1
-            return (s[:, i] == init[:, i]).astype(np.float64)
+            return (s[:, i] == init[:, i]).astype(np.int64)
         d = int(tail)
-        return (~in_cone(*reduce_states(s), _canonical_anchor(d))).astype(np.float64)
+        return (~in_cone(*reduce_states(s), _canonical_anchor(d))).astype(np.int64)
+
+    def scale(obs):
+        return Fraction(2, length) if obs.startswith("charge") else Fraction(1)
 
     blocks = [(b, s.copy(), s.copy()) for b, s in enumerate(starts) if len(s)]
     k = _symbol_range(cfg.n, cfg.gate)
@@ -1142,15 +1320,20 @@ def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
     sums = {o: [[] for _ in blocks] for o in cfg.observables}
     sq = {o: [[] for _ in blocks] for o in cfg.observables}
     firsts = [np.full(len(s), -1, dtype=np.int64) for _, s, _ in blocks]
+    total = sum(len(s) for _, s, _ in blocks)
 
     def record(k, t):
         _, s, init = blocks[k]
         for obs in cfg.observables:
-            vals = values(obs, s, init)
-            sums[obs][k].append(float(vals.sum()))
-            sq[obs][k].append(float((vals * vals).sum()))
+            vals = [int(v) for v in values(obs, s, init)]
+            sums[obs][k].append(sum(vals))
+            sq[obs][k].append(sum(v * v for v in vals))
             if per_trajectory and obs == "charge:1" and t:
-                firsts[k][(firsts[k] < 0) & (vals <= cfg.gamma)] = t
+                hit = 2.0 * np.array(vals) / length <= cfg.gamma
+                firsts[k][(firsts[k] < 0) & hit] = t
+
+    def means(obs):
+        return [float(scale(obs) * sum(col) / total) for col in zip(*sums[obs])]
 
     for k in range(len(blocks)):
         record(k, 0)
@@ -1162,18 +1345,17 @@ def _reference_run(cfg, starts, *, stop_threshold=None, per_trajectory=False):
                 step_states(s, rngs[k], cfg.n, cfg.gate)
                 record(k, t)
         done += chunk
-        if stop_threshold is not None:
-            mean = np.array(sums["charge:1"]).sum(axis=0) / cfg.n_trajectories
-            if mean.min() <= stop_threshold:
-                break
-    total = sum(len(s) for _, s, _ in blocks)
+        if stop_threshold is not None and min(means("charge:1")) <= stop_threshold:
+            break
     out = {}
     for obs in cfg.observables:
-        bs = np.array(sums[obs])
-        mean = bs.sum(axis=0) / total
-        var = np.maximum(np.array(sq[obs]).sum(axis=0) / total - mean**2, 0.0)
-        err = np.sqrt(var * total / (total - 1) / total)
-        out[obs] = (bs, mean, err)
+        bs = np.array(sums[obs], dtype=np.int64).T  # (times, blocks)
+        err = [
+            math.sqrt(scale(obs) ** 2 * (total * sum(q) - sum(col) ** 2)
+                      / (total**2 * (total - 1)))
+            for col, q in zip(zip(*sums[obs]), zip(*sq[obs]))
+        ]
+        out[obs] = (bs, np.array(means(obs)), np.array(err))
     return out, np.concatenate(firsts)
 
 
